@@ -29,16 +29,18 @@ telemetry-smoke:
 durability:
 	$(GO) test -run 'TestCreateManifest' -count=1 ./internal/campaign
 
-# journalcheck drives the journal encodings' crash story: torn-tail and
-# bit-flip recovery at every offset for both formats, failed-append
-# rewind, v1↔v2 conversion with replay verification, in-process and
-# real-process (SIGKILL) resumes proving v1 and v2 reports
-# byte-identical. (Fuzzing of the v2 decoder lives in `fuzzcheck`.)
+# journalcheck drives the journal's crash story: torn-tail and bit-flip
+# recovery at every offset (v2, and the read-only v1 reader),
+# failed-seal rewind and the broken-journal latch, Open refusing a v1
+# journal, v1→v2 conversion with replay verification, in-process and
+# real-process (SIGKILL) resumes proving converted-v1 and v2 reports
+# byte-identical, and `scibench dump`. (Fuzzing of the decoders lives
+# in `fuzzcheck`.)
 journalcheck:
-	$(GO) test -run 'TestJournal|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
+	$(GO) test -run 'TestJournal|TestOpenJournalKeepsExistingFormat|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
 		-count=1 ./internal/campaign
 	$(GO) test -run 'TestBinaryTrace|TestTracerBinarySink' -count=1 ./internal/telemetry
-	$(GO) test -run 'TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity' \
+	$(GO) test -run 'TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity|TestDumpJournalAndTrace' \
 		-count=1 ./cmd/scibench
 
 # shardcheck drives the distributed-execution stack with real executor

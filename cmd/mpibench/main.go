@@ -81,7 +81,7 @@ func main() {
 	flag.Parse()
 
 	if *telAddr != "" {
-		telemetry.Enable(nil)
+		telemetry.EnableSink(nil)
 		tsrv, err := telemetry.Serve(*telAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mpibench: -telemetry: %v\n", err)

@@ -1,6 +1,6 @@
 // Durable, interruptible campaigns: the `scibench campaign` and
 // `scibench resume` subcommands. A campaign journals every collection
-// event (write-ahead, CRC-framed, fsynced) into a directory next to a
+// event (CRC-framed chunks, group fsync) into a directory next to a
 // manifest that pins the exact setup; Ctrl-C, SIGTERM, or an elapsed
 // -budget checkpoints cleanly, and `scibench resume` continues the same
 // campaign bit-for-bit — refusing, with Rule 9 findings, if any flag
@@ -45,30 +45,26 @@ func cmdCampaign(args []string) error {
 	hbTimeout := fs.Duration("heartbeat-timeout", 5*time.Second, "distributed mode: executor liveness timeout")
 	remoteAddr := fs.String("remote", "", "distributed mode: serve a coordinator on this address and run shards on registered `scibench worker` agents instead of local processes")
 	minWorkers := fs.Int("min-workers", 1, "distributed -remote mode: wait for this many workers before starting")
-	cc, budget, workers, telAddr, jfmt := campaignFlags(fs)
+	cc, budget, workers, telAddr := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	format, err := scibench.ParseJournalFormat(*jfmt)
-	if err != nil {
-		return fmt.Errorf("-journal-format: %w", err)
-	}
 	if *remoteAddr != "" {
 		if *shards <= 0 {
 			return fmt.Errorf("-remote requires -shards N")
 		}
-		return runRemoteCampaign(*dir, *cc, *jfmt, *units, *shards, *hbTimeout, *remoteAddr, *minWorkers)
+		return runRemoteCampaign(*dir, *cc, *units, *shards, *hbTimeout, *remoteAddr, *minWorkers)
 	}
 	if *shards > 0 {
-		return runShardedCampaign(*dir, *cc, *jfmt, *units, *shards, *hbTimeout)
+		return runShardedCampaign(*dir, *cc, *units, *shards, *hbTimeout)
 	}
 	if err := writeCampaignConfig(*dir, *cc); err != nil {
 		return err
 	}
-	stopTel, err := startTelemetry(*telAddr, *dir, format)
+	stopTel, err := startTelemetry(*telAddr, *dir)
 	if err != nil {
 		return err
 	}
@@ -82,14 +78,13 @@ func cmdCampaign(args []string) error {
 	ctx, stop := campaignContext(*budget)
 	defer stop()
 
-	res, err := scibench.RunCampaignOpts(ctx, *dir, man, plan, measure,
-		scibench.CampaignJournalOptions{Format: format})
+	res, err := scibench.RunCampaign(ctx, *dir, man, plan, measure)
 	return reportCampaign(*dir, res, err, ctx)
 }
 
 func cmdResume(args []string) error {
 	fs := flag.NewFlagSet("resume", flag.ExitOnError)
-	cc, budget, workers, telAddr, jfmt := campaignFlags(fs)
+	cc, budget, workers, telAddr := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,15 +92,7 @@ func cmdResume(args []string) error {
 	if dir == "" {
 		return fmt.Errorf("usage: scibench resume [flags] <campaign-dir>")
 	}
-	// On resume the on-disk journal's format always wins (the flag only
-	// names a preference for an empty journal), so passing a different
-	// -journal-format than the original run is safe, never drift. Use
-	// `scibench convert` to actually rewrite the encoding.
-	format, err := scibench.ParseJournalFormat(*jfmt)
-	if err != nil {
-		return fmt.Errorf("-journal-format: %w", err)
-	}
-	stopTel, err := startTelemetry(*telAddr, dir, format)
+	stopTel, err := startTelemetry(*telAddr, dir)
 	if err != nil {
 		return err
 	}
@@ -127,9 +114,7 @@ func cmdResume(args []string) error {
 	ctx, stop := campaignContext(*budget)
 	defer stop()
 
-	res, info, err := scibench.ResumeCampaign(ctx, dir, man, plan, measure, scibench.CampaignResumeOptions{
-		Journal: scibench.CampaignJournalOptions{Format: format},
-	})
+	res, info, err := scibench.ResumeCampaign(ctx, dir, man, plan, measure, scibench.CampaignResumeOptions{})
 	if err != nil {
 		if errors.Is(err, scibench.ErrManifestDrift) {
 			fmt.Fprintln(os.Stdout, "resume REFUSED: the current setup does not match the recorded campaign")
@@ -162,7 +147,7 @@ func cmdResume(args []string) error {
 // statistics are computed, never their values, so it is deliberately NOT
 // part of the recorded campaign identity (running a campaign with -j 1
 // and resuming it with -j 8 is not drift).
-func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *int, *string, *string) {
+func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *int, *string) {
 	cc := &campaignConfig{}
 	fs.StringVar(&cc.System, "system", "daint", "simulated system: daint|dora|pilatus")
 	fs.IntVar(&cc.Samples, "samples", 200, "sample budget (adaptive max)")
@@ -174,44 +159,28 @@ func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *int, *st
 	workers := fs.Int("j", 0, "analysis workers (0 = GOMAXPROCS); results are worker-count invariant")
 	// Telemetry observes the harness but never steers it, so — like -j —
 	// it is deliberately NOT part of the recorded campaign identity.
-	telAddr := fs.String("telemetry", "", "serve /metrics, /trace, and /debug/pprof on this address (e.g. :8080); spans also stream to <dir>/trace.jsonl")
-	// The journal format is storage, not experiment identity: v1 and v2
-	// journals of the same campaign replay to byte-identical reports, so
-	// — like -j and -telemetry — the format is NOT recorded in the
-	// campaign config and switching it on resume is not drift (resume
-	// extends whatever format is on disk regardless).
-	jfmt := fs.String("journal-format", "", "journal encoding: v1|jsonl (one fsync per record) or v2|binary (chunked columns, group fsync); default v1")
-	return cc, budget, workers, telAddr, jfmt
+	telAddr := fs.String("telemetry", "", "serve /metrics, /trace, and /debug/pprof on this address (e.g. :8080); spans also stream to <dir>/trace.bin (read it with scibench dump)")
+	return cc, budget, workers, telAddr
 }
 
 // startTelemetry arms span tracing (appending the trace out-of-band of
-// the journal and manifest) and serves the observability endpoint. The
-// trace encoding follows the journal format: v1 appends JSON lines to
-// <dir>/trace.jsonl, v2 streams chunked binary (same encoder as the
-// journal, ~10× smaller) to <dir>/trace.bin. An empty addr is a no-op;
-// the returned stop function is always safe to call.
-func startTelemetry(addr, dir string, format scibench.CampaignJournalFormat) (func(), error) {
+// the journal and manifest, as chunked binary — the journal's encoder —
+// to <dir>/trace.bin) and serves the observability endpoint. An empty
+// addr is a no-op; the returned stop function is always safe to call.
+func startTelemetry(addr, dir string) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	name, flush := "trace.jsonl", func() {}
-	if format == scibench.JournalFormatV2 {
-		name = "trace.bin"
-	}
-	sink, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, "trace.bin")
+	sink, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if format == scibench.JournalFormatV2 {
-		bw := scibench.NewBinaryTraceWriter(sink)
-		scibench.EnableTelemetryTraceSink(bw)
-		flush = func() { bw.Close() }
-	} else {
-		scibench.EnableTelemetryTrace(sink)
-	}
+	bw := scibench.NewBinaryTraceWriter(sink)
+	scibench.EnableTelemetryTraceSink(bw)
 	srv, err := scibench.ServeTelemetry(addr)
 	if err != nil {
 		scibench.DisableTelemetryTrace()
@@ -219,11 +188,11 @@ func startTelemetry(addr, dir string, format scibench.CampaignJournalFormat) (fu
 		return nil, fmt.Errorf("-telemetry: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "telemetry on http://%s (/metrics, /trace, /debug/pprof); trace at %s\n",
-		srv.Addr(), filepath.Join(dir, name))
+		srv.Addr(), path)
 	return func() {
 		srv.Close()
 		scibench.DisableTelemetryTrace()
-		flush()
+		bw.Close()
 		sink.Close()
 	}, nil
 }

@@ -1,48 +1,47 @@
-// Journal format conversion: the `scibench convert` subcommand
-// rewrites a campaign's journal between the v1 JSONL and v2 chunked
-// binary encodings. The conversion is atomic (temp file + rename),
-// verified by re-replaying the rewritten journal record-for-record
-// against the original, and identity-preserving: the campaign resumes
-// bit-for-bit afterwards, because the format is storage, not part of
-// the recorded experiment.
+// Journal conversion: the `scibench convert` subcommand rewrites a
+// campaign's read-only v1 JSONL journal as the v2 chunked binary
+// journal, the only encoding campaigns append to. The conversion is
+// atomic (temp file + rename), verified by re-replaying the rewritten
+// journal record-for-record against the original, and
+// identity-preserving: the campaign resumes bit-for-bit afterwards,
+// because the format is storage, not part of the recorded experiment.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"path/filepath"
 
 	scibench "repro"
 )
 
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "v2", "target journal encoding: v1|jsonl or v2|binary")
-	flushEvery := fs.Int("flush-every", 0, "v2 chunk width in records (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	dir := fs.Arg(0)
-	if dir == "" {
-		return fmt.Errorf("usage: scibench convert [-to v2] <campaign-dir>")
+	if dir == "" || fs.NArg() > 1 {
+		return fmt.Errorf("usage: scibench convert <campaign-dir>")
 	}
-	format, err := scibench.ParseJournalFormat(*to)
-	if err != nil {
-		return fmt.Errorf("-to: %w", err)
-	}
-	info, err := scibench.ConvertCampaignJournal(dir, format, *flushEvery)
+	info, err := scibench.ConvertCampaignJournal(dir)
 	if err != nil {
 		return err
 	}
-	if info.From == info.To {
-		fmt.Printf("journal already %s (%d record(s), %d bytes) — nothing to do\n",
-			info.To, info.Records, info.OldBytes)
+	if info.From.String() != "v1" {
+		fmt.Printf("journal is not v1 (%d record(s), %d bytes) — nothing to do\n",
+			info.Records, info.OldBytes)
 		return nil
 	}
 	ratio := 0.0
 	if info.NewBytes > 0 {
 		ratio = float64(info.OldBytes) / float64(info.NewBytes)
 	}
-	fmt.Printf("converted %s → %s: %d record(s), %d → %d bytes (%.1f×), verified by replay\n",
-		info.From, info.To, info.Records, info.OldBytes, info.NewBytes, ratio)
+	fmt.Printf("converted v1 → v2: %d record(s), %d → %d bytes (%.1f×), verified by replay\n",
+		info.Records, info.OldBytes, info.NewBytes, ratio)
+	if info.Torn {
+		fmt.Printf("torn or corrupt tail: %d byte(s) after record %d dropped; original kept as %s\n",
+			info.DroppedBytes, info.Records, filepath.Join(dir, scibench.CampaignTornKeptFile))
+	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,58 +11,83 @@ import (
 	"time"
 
 	scibench "repro"
+	"repro/internal/campaign/v1fixture"
 )
 
-// v2Args is the fixed configuration of the v2 durability test: enough
-// samples that the chunked journal seals several 64-record chunks
-// mid-campaign, paced so a SIGKILL lands between seals.
+// v2Args is the fixed configuration of the journal durability test:
+// enough samples that the chunked journal seals several 64-record
+// chunks mid-campaign, paced so a SIGKILL lands between seals.
 func v2Args(dir string, extra ...string) []string {
 	base := []string{"-system", "daint", "-samples", "200", "-relerr", "0.0001",
 		"-seed", "17", "-throttle", "5ms", "-dir", dir}
 	return append(base, extra...)
 }
 
-// TestCampaignV2SIGKILLResumeByteIdentity drives the v2 journal's crash
-// story against the real binary: run a campaign with -journal-format
-// v2, SIGKILL it after at least one chunk has sealed (losing the
-// unsealed tail — the format's durability trade), resume it from the
-// sealed prefix, and require the final analysis byte-identical to both
-// an uninterrupted v2 run and an uninterrupted v1 run of the same
-// configuration. Then exercise `scibench convert` both ways on the
-// completed campaign.
+// rewriteAsV1 replaces the journal of the campaign in dir with its
+// verified records in the read-only v1 layout, which is what a campaign
+// journaled before v2 became the only writer left on disk.
+func rewriteAsV1(t *testing.T, dir string) {
+	t.Helper()
+	_, st, err := scibench.LoadCampaign(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v1fixture.Write(filepath.Join(dir, "journal.jsonl"), st.Records); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCampaignV2SIGKILLResumeByteIdentity drives the journal's crash
+// story against the real binary: SIGKILL a campaign after at least one
+// chunk has sealed (losing the unsealed tail — group commit's durability
+// trade), resume it from the sealed prefix, and require the final
+// analysis byte-identical to an uninterrupted run. A copy of the killed
+// campaign with its journal rewritten as v1 must be printed by
+// `scibench dump`, refused by `scibench resume` with a pointer to
+// `scibench convert`, and after the conversion resume to the same bytes.
 func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
 	}
 
-	// Reference 1: uninterrupted v1 run.
-	v1 := filepath.Join(t.TempDir(), "camp")
-	v1Out, err := exec.Command(binPath, append([]string{"campaign"}, v2Args(v1)...)...).CombinedOutput()
+	// Reference: an uninterrupted run. Every copy below keeps the same
+	// basename, so the manifests (and therefore the reports) describe the
+	// same campaign.
+	ref := filepath.Join(t.TempDir(), "camp")
+	refOut, err := exec.Command(binPath, append([]string{"campaign"}, v2Args(ref)...)...).CombinedOutput()
 	if c := exitCode(t, err); c != 0 {
-		t.Fatalf("v1 campaign exited %d; output:\n%s", c, v1Out)
+		t.Fatalf("campaign exited %d; output:\n%s", c, refOut)
 	}
-
-	// Reference 2: uninterrupted v2 run. Same basename, so the manifests
-	// (and therefore the reports) describe the same campaign.
-	v2 := filepath.Join(t.TempDir(), "camp")
-	v2Out, err := exec.Command(binPath, append([]string{"campaign"},
-		v2Args(v2, "-journal-format", "v2")...)...).CombinedOutput()
-	if c := exitCode(t, err); c != 0 {
-		t.Fatalf("v2 campaign exited %d; output:\n%s", c, v2Out)
-	}
-	want := resultLine(t, string(v1Out))
-	if got := resultLine(t, string(v2Out)); got != want {
-		t.Fatalf("v2 analysis differs from v1:\n  v1: %s\n  v2: %s", want, got)
-	}
-	if _, st, err := scibench.LoadCampaign(v2); err != nil || st.Format != scibench.JournalFormatV2 {
-		t.Fatalf("v2 campaign journal: format=%v err=%v, want v2", st.Format, err)
+	want := resultLine(t, string(refOut))
+	if _, st, err := scibench.LoadCampaign(ref); err != nil || st.Format.String() != "v2" {
+		t.Fatalf("campaign journal: format=%v err=%v, want v2", st.Format, err)
 	}
 
 	// The victim: SIGKILL once the journal has grown past the 8-byte
 	// header, i.e. at least one CRC-framed chunk is durable.
 	camp := filepath.Join(t.TempDir(), "camp")
-	victim := exec.Command(binPath, append([]string{"campaign"},
-		v2Args(camp, "-journal-format", "v2")...)...)
+	victim := exec.Command(binPath, append([]string{"campaign"}, v2Args(camp)...)...)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +99,7 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			victim.Process.Kill()
-			t.Fatal("v2 journal never sealed a chunk")
+			t.Fatal("journal never sealed a chunk")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -84,16 +111,17 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 	// The sealed prefix must load as a valid v2 campaign.
 	_, st, err := scibench.LoadCampaign(camp)
 	if err != nil {
-		t.Fatalf("killed v2 campaign not loadable: %v", err)
+		t.Fatalf("killed campaign not loadable: %v", err)
 	}
-	if st.Format != scibench.JournalFormatV2 {
+	if st.Format.String() != "v2" {
 		t.Fatalf("killed campaign format = %v, want v2", st.Format)
 	}
 	if len(st.Records) == 0 {
 		t.Fatal("no records recovered from the sealed chunks")
 	}
+	old := filepath.Join(t.TempDir(), "camp")
+	copyDir(t, camp, old)
 
-	// Resume sniffs the format (no flag needed) and completes.
 	resumed, err := exec.Command(binPath, "resume", camp).CombinedOutput()
 	if c := exitCode(t, err); c != 0 {
 		t.Fatalf("resume exited %d; output:\n%s", c, resumed)
@@ -102,30 +130,55 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 		t.Errorf("resume did not report recovery:\n%s", resumed)
 	}
 	if got := resultLine(t, string(resumed)); got != want {
-		t.Errorf("resumed v2 analysis differs:\n  want: %s\n  got:  %s", want, got)
+		t.Errorf("resumed analysis differs:\n  want: %s\n  got:  %s", want, got)
 	}
 
-	// Convert the completed campaign v2 → v1 → v2 through the CLI; each
-	// step verifies by replay, and the journal must grow then shrink.
-	v2Size := fileSize(t, journal)
-	out, err := exec.Command(binPath, "convert", "-to", "v1", camp).CombinedOutput()
-	if c := exitCode(t, err); c != 0 || !strings.Contains(string(out), "converted v2 → v1") {
-		t.Fatalf("convert to v1 exited %d:\n%s", c, out)
+	// The same interrupted campaign as a v1 journal: readable, but
+	// resume refuses to append to it until it is converted.
+	rewriteAsV1(t, old)
+	dump, err := exec.Command(binPath, "dump", old).Output()
+	if err != nil {
+		t.Fatalf("dump of a v1 journal: %v", err)
 	}
-	v1Size := fileSize(t, journal)
-	if v1Size <= v2Size {
-		t.Errorf("v1 journal (%d B) not larger than v2 (%d B)", v1Size, v2Size)
+	if lines := strings.Count(string(dump), "\n"); lines != len(st.Records) {
+		t.Errorf("dump printed %d lines, want %d records", lines, len(st.Records))
 	}
-	out, err = exec.Command(binPath, "convert", "-to", "v2", camp).CombinedOutput()
+	v1Bytes := fileSize(t, filepath.Join(old, "journal.jsonl"))
+	out, err := exec.Command(binPath, "resume", old).CombinedOutput()
+	if c := exitCode(t, err); c != 1 || !strings.Contains(string(out), "scibench convert "+old) {
+		t.Fatalf("resume of a v1 journal exited %d, want 1 naming scibench convert:\n%s", c, out)
+	}
+	if got := fileSize(t, filepath.Join(old, "journal.jsonl")); got != v1Bytes {
+		t.Fatalf("refused resume changed the v1 journal: %d → %d bytes", v1Bytes, got)
+	}
+	// Tear the v1 tail as a crash mid-append would: convert drops the
+	// torn record, says how many bytes went and keeps the original.
+	if err := os.Truncate(filepath.Join(old, "journal.jsonl"), v1Bytes-5); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(binPath, "convert", old).CombinedOutput()
 	if c := exitCode(t, err); c != 0 || !strings.Contains(string(out), "converted v1 → v2") {
-		t.Fatalf("convert back to v2 exited %d:\n%s", c, out)
+		t.Fatalf("convert exited %d:\n%s", c, out)
 	}
-	if got := fileSize(t, journal); got != v2Size {
-		t.Errorf("v2 journal after round trip = %d B, want %d", got, v2Size)
+	if !strings.Contains(string(out), "dropped; original kept as "+filepath.Join(old, "journal.jsonl.v1")) {
+		t.Errorf("convert did not report the dropped torn tail:\n%s", out)
 	}
-	out, err = exec.Command(binPath, "convert", "-to", "v2", camp).CombinedOutput()
+	if got := fileSize(t, filepath.Join(old, "journal.jsonl.v1")); got != v1Bytes-5 {
+		t.Errorf("kept v1 journal has %d bytes, want %d", got, v1Bytes-5)
+	}
+	if got := fileSize(t, filepath.Join(old, "journal.jsonl")); got >= v1Bytes {
+		t.Errorf("v2 journal (%d B) not smaller than v1 (%d B)", got, v1Bytes)
+	}
+	out, err = exec.Command(binPath, "convert", old).CombinedOutput()
 	if c := exitCode(t, err); c != 0 || !strings.Contains(string(out), "nothing to do") {
 		t.Fatalf("idempotent convert exited %d:\n%s", c, out)
+	}
+	resumed, err = exec.Command(binPath, "resume", old).CombinedOutput()
+	if c := exitCode(t, err); c != 0 {
+		t.Fatalf("resume after convert exited %d; output:\n%s", c, resumed)
+	}
+	if got := resultLine(t, string(resumed)); got != want {
+		t.Errorf("converted-and-resumed analysis differs:\n  want: %s\n  got:  %s", want, got)
 	}
 }
 
@@ -138,45 +191,100 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestShardedCampaignV2ByteIdentity: `scibench campaign -shards N
-// -journal-format v2` must produce a merged report byte-identical to
-// the v1 sharded run, with every unit journal actually chunked binary.
+// TestShardedCampaignV2ByteIdentity: `scibench campaign -shards N`
+// journals every unit in v2, and the same sweep with every unit journal
+// rewritten as v1 still merges to a byte-identical report.
 func TestShardedCampaignV2ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
 	}
-	sweepArgs := func(dir string, extra ...string) []string {
-		base := []string{"-dir", dir, "-units", "3", "-samples", "25",
-			"-relerr", "0.0001", "-seed", "9", "-shards", "2"}
-		return append(base, extra...)
-	}
-	refDir := filepath.Join(t.TempDir(), "sweep")
-	ref, err := exec.Command(binPath,
-		append([]string{"campaign"}, sweepArgs(refDir)...)...).Output()
-	if err != nil {
-		t.Fatalf("v1 sharded campaign: %v", err)
-	}
 	dir := filepath.Join(t.TempDir(), "sweep")
-	got, err := exec.Command(binPath,
-		append([]string{"campaign"}, sweepArgs(dir, "-journal-format", "v2")...)...).Output()
+	ref, err := exec.Command(binPath, "campaign", "-dir", dir, "-units", "3", "-samples", "25",
+		"-relerr", "0.0001", "-seed", "9", "-shards", "2").Output()
 	if err != nil {
-		t.Fatalf("v2 sharded campaign: %v", err)
+		t.Fatalf("sharded campaign: %v", err)
 	}
-	if string(got) != string(ref) {
-		t.Errorf("v2 sharded report differs from v1:\n--- v1\n%s\n--- v2\n%s", ref, got)
-	}
-	// Every unit journal must really be v2.
 	units, err := filepath.Glob(filepath.Join(dir, "shard-*", "units", "*", "journal.jsonl"))
-	if err != nil || len(units) == 0 {
-		t.Fatalf("no unit journals found: %v", err)
+	if err != nil || len(units) != 3 {
+		t.Fatalf("unit journals: %v (err %v), want 3", units, err)
 	}
 	for _, j := range units {
 		_, st, err := scibench.LoadCampaign(filepath.Dir(j))
 		if err != nil {
 			t.Fatalf("unit %s: %v", j, err)
 		}
-		if st.Format != scibench.JournalFormatV2 {
+		if st.Format.String() != "v2" {
 			t.Errorf("unit %s journal format = %v, want v2", j, st.Format)
 		}
+		rewriteAsV1(t, filepath.Dir(j))
+	}
+	got, err := exec.Command(binPath, "merge", "-dir", dir).Output()
+	if err != nil {
+		t.Fatalf("merge of v1 unit journals: %v", err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Errorf("v1 sweep merged to a different report:\n--- v2\n%s\n--- v1\n%s", ref, got)
+	}
+}
+
+// TestDumpJournalAndTrace: `scibench dump` prints a campaign journal —
+// given its directory or its journal file — and a -telemetry trace.bin
+// as JSON lines, and refuses a file that is neither.
+func TestDumpJournalAndTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives real processes")
+	}
+	camp := filepath.Join(t.TempDir(), "camp")
+	if out, err := exec.Command(binPath, "campaign", "-dir", camp, "-samples", "12",
+		"-relerr", "0.5", "-seed", "3", "-telemetry", "127.0.0.1:0").CombinedOutput(); err != nil {
+		t.Fatalf("campaign: %v\n%s", err, out)
+	}
+	_, st, err := scibench.LoadCampaign(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{camp, filepath.Join(camp, "journal.jsonl")} {
+		out, err := exec.Command(binPath, "dump", path).Output()
+		if err != nil {
+			t.Fatalf("dump %s: %v", path, err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		if len(lines) != len(st.Records) {
+			t.Fatalf("dump %s: %d lines, want %d records", path, len(lines), len(st.Records))
+		}
+		for i, line := range lines {
+			var rec struct {
+				Seq   int `json:"seq"`
+				Event struct {
+					Kind string `json:"kind"`
+				} `json:"event"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Seq != i+1 || rec.Event.Kind == "" {
+				t.Fatalf("dump %s line %d = %q (err %v)", path, i, line, err)
+			}
+		}
+	}
+
+	out, err := exec.Command(binPath, "dump", filepath.Join(camp, "trace.bin")).Output()
+	if err != nil {
+		t.Fatalf("dump trace.bin: %v", err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		var sp struct {
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		names[sp.Name] = true
+	}
+	if !names["campaign"] {
+		t.Errorf("trace dump has no campaign span: %v", names)
+	}
+
+	out, err = exec.Command(binPath, "dump", filepath.Join(camp, "config.json")).CombinedOutput()
+	if c := exitCode(t, err); c != 1 || !strings.Contains(string(out), "no verified spans") {
+		t.Errorf("dump of a non-trace file exited %d:\n%s", c, out)
 	}
 }

@@ -27,11 +27,11 @@
 //
 //	scibench campaign -dir DIR [-system daint] [-samples 200] [-relerr 0.02]
 //	          [-seed 1] [-faults ...] [-throttle 0] [-budget 0]
-//	    Run a durable, journaled measurement campaign: every observation
-//	    is checksummed and fsynced before the next one runs. Ctrl-C,
-//	    SIGTERM, or an elapsed -budget checkpoints cleanly (exit 3) and
-//	    the campaign resumes later — bit-for-bit, the setup being pinned
-//	    in the campaign manifest (Rule 9).
+//	    Run a durable, journaled measurement campaign: observations are
+//	    checksummed and fsynced in chunks of 64, and a clean stop seals
+//	    the rest. Ctrl-C, SIGTERM, or an elapsed -budget checkpoints
+//	    cleanly (exit 3) and the campaign resumes later — bit-for-bit,
+//	    the setup being pinned in the campaign manifest (Rule 9).
 //
 //	scibench resume [flags] DIR
 //	    Continue an interrupted campaign exactly where it stopped: verify
@@ -41,15 +41,21 @@
 //	    to completion. Flags override the recorded setup — which refuses
 //	    the resume unless they match.
 //
-//	scibench convert [-to v2|v1] [-flush-every N] DIR
-//	    Rewrite a campaign's journal between the v1 JSONL encoding (one
-//	    CRC-framed JSON line per event) and the v2 chunked binary
-//	    encoding (delta-encoded columns, CRC per chunk — several times
-//	    smaller). Atomic, verified by record-for-record replay, and
+//	scibench convert DIR
+//	    Rewrite a campaign's read-only v1 journal (one CRC-framed JSON
+//	    line per event, written before v2 became the only encoding) as
+//	    the v2 chunked binary journal (delta-encoded columns, CRC and
+//	    group fsync per chunk — several times smaller), so the campaign
+//	    can be resumed. Atomic, verified by record-for-record replay, and
 //	    identity-preserving: the campaign resumes bit-for-bit after
-//	    conversion. Both campaign and resume also accept
-//	    -journal-format v2 to write the binary encoding directly (with
-//	    group fsync every chunk instead of per record).
+//	    conversion. A torn or corrupt v1 tail is dropped, its size
+//	    printed, and the original kept as journal.jsonl.v1.
+//
+//	scibench dump PATH
+//	    Print a campaign journal (PATH is the campaign directory or its
+//	    journal.jsonl; v1 or v2) or a -telemetry trace.bin as JSON
+//	    lines, one record or span per line — the human-readable view of
+//	    the binary files.
 //
 //	scibench campaign -dir DIR -shards N [-units K] [campaign flags]
 //	    Distributed mode: partition a K-unit sweep (unit i = the campaign
@@ -149,6 +155,8 @@ func main() {
 		err = cmdResume(os.Args[2:])
 	case "convert":
 		err = cmdConvert(os.Args[2:])
+	case "dump":
+		err = cmdDump(os.Args[2:])
 	case "shard":
 		err = cmdShard(os.Args[2:])
 	case "exec":
@@ -169,7 +177,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scibench analyze|compare|audit|generate|changepoint|campaign|resume|convert|shard|exec|merge|worker|serve|timer|rules [flags]")
+	fmt.Fprintln(os.Stderr, "usage: scibench analyze|compare|audit|generate|changepoint|campaign|resume|convert|dump|shard|exec|merge|worker|serve|timer|rules [flags]")
 	os.Exit(2)
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -38,10 +39,10 @@ func TestMain(m *testing.M) {
 
 // campaignArgs is the one fixed configuration every stage of the
 // integration test shares; any drift between stages would (correctly)
-// be refused.
+// be refused. 200 samples span several 64-record journal chunks.
 func campaignArgs(dir string) []string {
-	return []string{"-system", "daint", "-samples", "60", "-relerr", "0.0001",
-		"-seed", "11", "-throttle", "25ms", "-dir", dir}
+	return []string{"-system", "daint", "-samples", "200", "-relerr", "0.0001",
+		"-seed", "11", "-throttle", "10ms", "-dir", dir}
 }
 
 // resultLine extracts the final "result: ..." analysis line.
@@ -73,7 +74,7 @@ func exitCode(t *testing.T, err error) int {
 
 // TestCampaignInterruptResume drives the full durability story against
 // the real binary: SIGINT a running campaign, verify the checkpoint,
-// refuse a drifted resume, corrupt the journal tail as a crash
+// refuse a drifted resume, tear the journal's last chunk as a crash
 // mid-append would, resume anyway, and check the final analysis is
 // identical to an uninterrupted campaign with the same seed.
 func TestCampaignInterruptResume(t *testing.T) {
@@ -92,8 +93,8 @@ func TestCampaignInterruptResume(t *testing.T) {
 	journal := filepath.Join(camp, "journal.jsonl")
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if fi, err := os.Stat(journal); err == nil && fi.Size() > 300 {
-			break // several records are durable; interrupt mid-flight
+		if fi, err := os.Stat(journal); err == nil && fi.Size() > 8 {
+			break // a chunk is durable; interrupt mid-flight
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
@@ -144,15 +145,10 @@ func TestCampaignInterruptResume(t *testing.T) {
 	}
 
 	// Stage 3: simulate a crash mid-append on top of the checkpoint —
-	// a torn, newline-less half record at the tail.
-	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	// the last sealed chunk cut short, failing its CRC.
+	if err := os.Truncate(journal, fileSize(t, journal)-3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"crc":1,"rec":{"seq":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	// Stage 4: the real resume drops the torn tail and completes.
 	resumed, err := exec.Command(binPath, "resume", camp).CombinedOutput()
@@ -180,6 +176,34 @@ func TestCampaignInterruptResume(t *testing.T) {
 	}
 }
 
+// killSweepArgs is the sweep the SIGKILL tests interrupt: 4 units of
+// 100 samples + 3 warmups, so each unit journal is a sealed 64-record
+// chunk followed by a 39-record final chunk, paced so the kill can land
+// between the two seals.
+func killSweepArgs(dir string) []string {
+	return []string{"-dir", dir, "-units", "4", "-samples", "100",
+		"-relerr", "0.0001", "-seed", "5", "-throttle", "5ms"}
+}
+
+// resumedFromSeal matches an executor's progress line for a unit it
+// resumed with journaled samples recovered.
+var resumedFromSeal = regexp.MustCompile(`unit (\S+): resumed \(([1-9][0-9]*) prior samples`)
+
+// midUnit reports whether some unit of the shard in shardDir has a
+// sealed journal chunk but no completion sentinel yet.
+func midUnit(shardDir string) bool {
+	units, _ := filepath.Glob(filepath.Join(shardDir, "units", "*"))
+	for _, u := range units {
+		if _, err := os.Stat(filepath.Join(u, "result.json")); err == nil {
+			continue
+		}
+		if _, st, err := scibench.LoadCampaign(u); err == nil && len(st.Records) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestShardedCampaignSIGKILLByteIdentity drives the distributed flow
 // against the real binary: build a 2-shard sweep with `scibench shard`,
 // SIGKILL one executor mid-unit (the crash a scheduler preemption or
@@ -190,10 +214,7 @@ func TestShardedCampaignSIGKILLByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
 	}
-	sweepArgs := func(dir string) []string {
-		return []string{"-dir", dir, "-units", "4", "-samples", "30",
-			"-relerr", "0.0001", "-seed", "5", "-throttle", "20ms"}
-	}
+	sweepArgs := func(dir string) []string { return killSweepArgs(dir) }
 
 	// Reference: the whole sweep in one supervised executor. The sweep
 	// directory basename must match (it names the sweep in the report).
@@ -211,8 +232,9 @@ func TestShardedCampaignSIGKILLByteIdentity(t *testing.T) {
 		t.Fatalf("scibench shard: %v\n%s", err, out)
 	}
 
-	// Start executor 0 and SIGKILL it once its first unit has journaled
-	// a few durable records — mid-unit, mid-journal.
+	// Start executor 0 and SIGKILL it once its first unit has sealed a
+	// journal chunk — mid-unit: the sealed records survive, the unsealed
+	// ones die with the process.
 	shard0 := filepath.Join(dir, "shard-000")
 	victim := exec.Command(binPath, "exec", shard0)
 	if err := victim.Start(); err != nil {
@@ -221,24 +243,32 @@ func TestShardedCampaignSIGKILLByteIdentity(t *testing.T) {
 	journal := filepath.Join(shard0, "units", "u000-seed-5", "journal.jsonl")
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if fi, err := os.Stat(journal); err == nil && fi.Size() > 300 {
+		if fi, err := os.Stat(journal); err == nil && fi.Size() > 8 {
 			break
 		}
 		if time.Now().After(deadline) {
 			victim.Process.Kill()
-			t.Fatal("executor 0 never journaled a record")
+			t.Fatal("executor 0 never sealed a journal chunk")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = victim.Wait()
+	if !midUnit(shard0) {
+		t.Fatal("the kill did not land mid-unit after a chunk seal; slow the pacing")
+	}
 
-	// Reassignment: attempt 2 resumes the torn unit from its journal and
-	// finishes the shard; executor 1 runs clean.
-	if out, err := exec.Command(binPath, "exec", "-attempt", "2", shard0).CombinedOutput(); err != nil {
+	// Reassignment: attempt 2 resumes the interrupted unit from its
+	// sealed chunk — those 61 samples are recovered, not measured again
+	// — and finishes the shard; executor 1 runs clean.
+	out, err := exec.Command(binPath, "exec", "-attempt", "2", shard0).CombinedOutput()
+	if err != nil {
 		t.Fatalf("reassigned executor: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unit u000-seed-5: resumed (61 prior samples, ") {
+		t.Errorf("reassigned executor did not resume u000 from its sealed chunk:\n%s", out)
 	}
 	if out, err := exec.Command(binPath, "exec", filepath.Join(dir, "shard-001")).CombinedOutput(); err != nil {
 		t.Fatalf("executor 1: %v\n%s", err, out)
@@ -266,10 +296,7 @@ func TestRemoteCampaignWorkerLossByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
 	}
-	sweepArgs := func(dir string) []string {
-		return []string{"-dir", dir, "-units", "4", "-samples", "30",
-			"-relerr", "0.0001", "-seed", "5", "-throttle", "20ms"}
-	}
+	sweepArgs := func(dir string) []string { return killSweepArgs(dir) }
 	refDir := filepath.Join(t.TempDir(), "sweep")
 	ref, err := exec.Command(binPath,
 		append([]string{"campaign", "-shards", "1"}, sweepArgs(refDir)...)...).Output()
@@ -311,39 +338,36 @@ func TestRemoteCampaignWorkerLossByteIdentity(t *testing.T) {
 		t.Fatal("coordinator never printed its address")
 	}
 
-	worker := func(name string, chaos ...string) *exec.Cmd {
+	worker := func(name string, stderr *os.File, chaos ...string) *exec.Cmd {
 		args := append([]string{"worker", "-coordinator", coordURL,
-			"-work", filepath.Join(t.TempDir(), name)}, chaos...)
+			"-work", filepath.Join(t.TempDir(), name), "-ship", "20ms"}, chaos...)
 		w := exec.Command(binPath, args...)
-		w.Stderr = os.Stderr
+		w.Stderr = stderr
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
 		return w
 	}
-	victim := worker("wa")
+	survivorLog, err := os.Create(filepath.Join(t.TempDir(), "wb.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer survivorLog.Close()
+	victim := worker("wa", os.Stderr)
 	defer victim.Process.Kill()
-	survivor := worker("wb", "-fault-drop", "0.05", "-fault-dup", "0.08", "-fault-seed", "13")
+	survivor := worker("wb", survivorLog, "-fault-drop", "0.05", "-fault-dup", "0.08", "-fault-seed", "13")
 	defer survivor.Process.Kill()
 
-	// SIGKILL the first worker once the mirror shows both shards are
-	// mid-flight (each worker holds one shard; whichever the victim held
-	// must stall, be fenced, and land on the survivor).
+	// SIGKILL the first worker once the mirror shows both shards
+	// mid-unit with a sealed chunk shipped (each worker holds one shard;
+	// whichever the victim held must stall, be fenced, and land on the
+	// survivor, which resumes it from the mirrored chunk).
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		n := 0
-		for _, sh := range []string{"shard-000", "shard-001"} {
-			if fi, err := os.Stat(filepath.Join(dir, sh, "heartbeat.json")); err == nil && fi.Size() > 0 {
-				n++
-			}
-		}
-		if n == 2 {
-			break
-		}
+	for !midUnit(filepath.Join(dir, "shard-000")) || !midUnit(filepath.Join(dir, "shard-001")) {
 		if time.Now().After(deadline) {
-			t.Fatal("shards never started shipping heartbeats")
+			t.Fatal("the mirror never showed both shards mid-unit")
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -356,6 +380,13 @@ func TestRemoteCampaignWorkerLossByteIdentity(t *testing.T) {
 	if coordOut.String() != string(ref) {
 		t.Errorf("remote merged report differs from single-process run:\n--- ref\n%s\n--- got\n%s",
 			ref, coordOut.String())
+	}
+	// The survivor resumed the victim's interrupted unit from the
+	// mirrored sealed chunk instead of measuring it from the start.
+	if log, err := os.ReadFile(survivorLog.Name()); err != nil {
+		t.Fatal(err)
+	} else if !resumedFromSeal.Match(log) {
+		t.Errorf("survivor did not resume a unit from the mirrored journal:\n%s", log)
 	}
 	// Both shards carry host provenance; the reassigned one completed on
 	// a later attempt.

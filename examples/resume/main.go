@@ -2,11 +2,12 @@
 // simulated crash, and resumed bit-for-bit.
 //
 // The walkthrough runs a journaled ping-pong campaign on a simulated
-// Piz Daint and cancels it partway through collection — the write-ahead
-// journal already holds every event. It then tears the journal's tail
-// the way a crash mid-append would, resumes the campaign (the torn
-// record is dropped, the measure source fast-forwarded, every recovered
-// sample re-verified), and finally shows that the completed result is
+// Piz Daint and cancels it partway through collection — the clean stop
+// seals every event into the journal's CRC-framed chunks. It then cuts
+// the last chunk short the way a crash mid-append would, resumes the
+// campaign (the torn chunk is dropped and its records re-measured, the
+// measure source fast-forwarded, every recovered sample re-verified),
+// and finally shows that the completed result is
 // bit-identical to an uninterrupted campaign with the same seed — the
 // property that makes an interruption a pause, not a lost experiment
 // (Rule 2: report all data; Rule 9: pin the setup).
@@ -39,7 +40,7 @@ func main() {
 	}
 	defer os.RemoveAll(base)
 
-	plan := scibench.Plan{Warmup: 3, MaxSamples: 60, RelErr: 0.005}
+	plan := scibench.Plan{Warmup: 3, MaxSamples: 150, RelErr: 0.005}
 	type setup struct {
 		System string `json:"system"`
 		Seed   uint64 `json:"seed"`
@@ -75,7 +76,7 @@ func main() {
 	calls, src := 0, measure()
 	interruptible := func() (float64, error) {
 		calls++
-		if calls == 25 {
+		if calls == 100 {
 			cancel() // a stand-in for Ctrl-C / SIGTERM / a wall-clock budget
 		}
 		return src()
@@ -87,14 +88,27 @@ func main() {
 	fmt.Printf("interrupted: %d samples durable, stop = %q\n", len(partial.Raw), partial.Stop)
 
 	// --- 2. Tear the journal like a crash mid-append would. ------------
-	j := filepath.Join(dir, "journal.jsonl")
-	f, err := os.OpenFile(j, os.O_APPEND|os.O_WRONLY, 0o644)
+	// The journal seals records in chunks of 64; cutting a few bytes off
+	// the end leaves the last chunk failing its CRC, so replay drops it.
+	_, whole, err := scibench.LoadCampaign(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprint(f, `{"crc":7,"rec":{"seq":`)
-	f.Close()
-	fmt.Println("crash simulated: torn half-record appended to the journal")
+	j := filepath.Join(dir, "journal.jsonl")
+	fi, err := os.Stat(j)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.Truncate(j, fi.Size()-3); err != nil {
+		log.Fatal(err)
+	}
+	_, torn, err := scibench.LoadCampaign(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lost := len(whole.Records) - len(torn.Records)
+	fmt.Printf("crash simulated: last journal chunk cut short, %d of %d records lost\n",
+		lost, len(whole.Records))
 
 	// --- 3. A drifted setup is refused (Rule 9). -----------------------
 	drifted := manifest
@@ -113,8 +127,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed: %d prior samples recovered (torn tail dropped: %v), "+
-		"%d invocations fast-forwarded, %d replayed samples verified\n",
-		info.PriorSamples, info.Torn, info.FastForwarded, info.ReplayChecked)
+		"%d invocations fast-forwarded, %d replayed samples verified, %d lost records re-measured\n",
+		info.PriorSamples, info.Torn, info.FastForwarded, info.ReplayChecked, lost)
 	fmt.Printf("final:   %s\n", resumed)
 
 	// --- 5. Bit-identical to an uninterrupted run. ---------------------

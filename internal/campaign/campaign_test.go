@@ -58,6 +58,21 @@ func testManifest(t *testing.T, seed uint64, cfg testConfig, sched *faults.Sched
 	return m
 }
 
+// appendFile appends b to the file at path.
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCreateLoadOpenRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	m := testManifest(t, 1, testConfig{System: "quiet", Samples: 10}, nil)
@@ -96,31 +111,16 @@ func TestCreateLoadOpenRoundtrip(t *testing.T) {
 	}
 }
 
-// TestReplayTornAtEveryOffset truncates a valid journal at every byte
-// offset and requires replay to recover exactly the records whose lines
-// survived intact — never a partial record, never a panic.
+// TestReplayTornAtEveryOffset truncates a valid v1 journal at every
+// byte offset and requires replay to recover exactly the records whose
+// lines survived intact — never a partial record, never a panic.
 func TestReplayTornAtEveryOffset(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Create(dir, testManifest(t, 1, testConfig{}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var data []byte
 	var ends []int64 // cumulative byte length after each record
-	path := filepath.Join(dir, JournalFile)
 	for i := 1; i <= 5; i++ {
-		if err := j.Record(bench.Event{Kind: bench.EventSample, Value: float64(i) / 3, Calls: i}); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, fi.Size())
-	}
-	j.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+		ev := bench.Event{Kind: bench.EventSample, Value: float64(i) / 3, Calls: i}
+		data = append(data, encodeV1(t, []Record{{Seq: i, Event: ev}})...)
+		ends = append(ends, int64(len(data)))
 	}
 
 	for cut := 0; cut <= len(data); cut++ {
@@ -145,22 +145,14 @@ func TestReplayTornAtEveryOffset(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsBitFlips is the v1 bit-flip sweep (v2 has its own,
+// TestJournalV2BitFlips).
 func TestReplayRejectsBitFlips(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Create(dir, testManifest(t, 1, testConfig{}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var evs []bench.Event
 	for i := 1; i <= 4; i++ {
-		if err := j.Record(bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i}); err != nil {
-			t.Fatal(err)
-		}
+		evs = append(evs, bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i})
 	}
-	j.Close()
-	data, err := os.ReadFile(filepath.Join(dir, JournalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeV1(t, recordsOf(evs))
 	clean := Replay(data)
 	if len(clean.Records) != 4 {
 		t.Fatal("setup")
@@ -225,17 +217,9 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 			}
 
 			if crash {
-				// Simulate dying mid-append: leave half a record at the
+				// Simulate dying mid-seal: leave half a chunk at the
 				// journal tail.
-				path := filepath.Join(dir, JournalFile)
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteString(`{"crc":123,"rec":{"seq":`); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
+				appendFile(t, filepath.Join(dir, JournalFile), tornChunk())
 			}
 
 			got, info, err := Resume(context.Background(), dir, m, testPlan(),
@@ -300,14 +284,7 @@ func TestResumeRefusesManifestDrift(t *testing.T) {
 	// Tear the journal tail: a refused resume must not repair (or touch)
 	// the journal — the torn record is evidence of how the campaign died.
 	jpath := filepath.Join(dir, JournalFile)
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"crc":1,"rec":{"seq":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, jpath, tornChunk())
 	before, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)

@@ -1,103 +1,77 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"os"
 	"path/filepath"
 
 	"repro/internal/colenc"
 )
 
-// ConvertInfo summarizes a journal format conversion.
+// ConvertInfo summarizes a journal conversion.
 type ConvertInfo struct {
-	// From and To are the source and target formats (From is the
-	// sniffed format, or the target itself when the journal was already
-	// in it and nothing was rewritten).
-	From, To Format
+	// From is the sniffed source format. Only FormatJSONL is rewritten;
+	// any other value means the journal was left untouched.
+	From Format
 	// Records is the number of records carried across.
 	Records int
-	// OldBytes and NewBytes are the on-disk journal sizes before and
-	// after (equal when no rewrite happened).
+	// Torn reports that the v1 journal ended in a torn or corrupt record:
+	// everything from that record on — DroppedBytes bytes, which a
+	// mid-file bit flip makes more than one line — was left out of the
+	// rewrite, the same tail a resume drops. The original file survives
+	// as TornKeptFile next to the new journal.
+	Torn         bool
+	DroppedBytes int64
+	// OldBytes is the source journal's size on disk, dropped tail
+	// included; NewBytes the rewritten journal's (equal to OldBytes when
+	// no rewrite happened).
 	OldBytes, NewBytes int64
 }
 
-// encodeJournal serializes records in the given format, from scratch —
-// the exact bytes a fresh journal writing these records would hold
-// (v2: full chunks of flushEvery records, then one final short chunk).
-func encodeJournal(recs []Record, format Format, flushEvery int) ([]byte, error) {
-	if flushEvery <= 0 {
-		flushEvery = DefaultFlushEvery
+// TornKeptFile is the name under which ConvertJournal keeps a torn v1
+// journal, so the dropped bytes stay available for inspection.
+const TornKeptFile = JournalFile + ".v1"
+
+// encodeJournal serializes records as a v2 journal from scratch — the
+// exact bytes a fresh journal writing these records would hold: full
+// chunks of chunkRecords records, then one final short chunk.
+func encodeJournal(recs []Record) []byte {
+	out := append([]byte(nil), magicV2...)
+	for len(recs) > 0 {
+		n := min(chunkRecords, len(recs))
+		out = colenc.AppendFrame(out, appendChunkV2(nil, recs[:n]))
+		recs = recs[n:]
 	}
-	switch format {
-	case FormatJSONL:
-		var out []byte
-		for _, r := range recs {
-			rb, err := json.Marshal(r)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: encoding record %d: %w", r.Seq, err)
-			}
-			lb, err := json.Marshal(frame{CRC: crc32.ChecksumIEEE(rb), Rec: rb})
-			if err != nil {
-				return nil, fmt.Errorf("campaign: framing record %d: %w", r.Seq, err)
-			}
-			out = append(out, lb...)
-			out = append(out, '\n')
-		}
-		return out, nil
-	case FormatV2:
-		out := append([]byte(nil), magicV2...)
-		for len(recs) > 0 {
-			n := flushEvery
-			if n > len(recs) {
-				n = len(recs)
-			}
-			out = colenc.AppendFrame(out, appendChunkV2(nil, recs[:n]))
-			recs = recs[n:]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("campaign: cannot encode journal format %v", format)
-	}
+	return out
 }
 
-// ConvertJournal rewrites the campaign journal in dir into the target
-// format (flushEvery tunes the v2 chunk width; 0 means the default).
-// The conversion is refused on a torn journal — convert must never
-// silently discard bytes a resume would have surfaced as torn; Open the
-// campaign first to adjudicate the tail. The rewrite is verified
-// (re-replayed and compared record-for-record against the source)
-// before being published atomically and durably over the old journal,
-// so a crash at any point leaves either the old or the new journal
-// intact, never a hybrid. A journal already in the target format is
-// left untouched.
-func ConvertJournal(dir string, to Format, flushEvery int) (ConvertInfo, error) {
-	if to != FormatJSONL && to != FormatV2 {
-		return ConvertInfo{}, fmt.Errorf("campaign: cannot convert to journal format %v", to)
-	}
+// ConvertJournal rewrites a v1 campaign journal in dir as v2, the only
+// format Open appends to. A torn v1 tail is dropped, the same
+// adjudication a resume makes; ConvertInfo reports how many bytes went,
+// and the original is kept as TornKeptFile. The rewrite is
+// verified (re-replayed and compared record-for-record against the
+// source) before being published atomically and durably over the old
+// journal, so a crash at any point leaves either the old or the new
+// journal intact, never a hybrid. A journal that is not v1 — v2 or
+// still empty — is left untouched.
+func ConvertJournal(dir string) (ConvertInfo, error) {
 	_, st, err := Load(dir)
 	if err != nil {
 		return ConvertInfo{}, err
 	}
-	if st.Torn {
-		return ConvertInfo{}, fmt.Errorf("campaign: journal in %s has a torn tail; resume the campaign (or Open it) before converting", dir)
-	}
-	if st.Format == 0 {
-		// Empty journal: no bytes to sniff. It is a valid (empty) v1
-		// journal as it stands.
-		st.Format = FormatJSONL
-	}
 	path := filepath.Join(dir, JournalFile)
-	oldBytes := st.ValidBytes
-	info := ConvertInfo{From: st.Format, To: to, Records: len(st.Records), OldBytes: oldBytes}
-	if st.Format == to {
-		info.NewBytes = oldBytes
+	fi, err := os.Stat(path)
+	if err != nil {
+		return ConvertInfo{}, fmt.Errorf("campaign: %w", err)
+	}
+	info := ConvertInfo{From: st.Format, Records: len(st.Records), OldBytes: fi.Size()}
+	if st.Format != FormatJSONL {
+		info.NewBytes = fi.Size()
 		return info, nil
 	}
-	nb, err := encodeJournal(st.Records, to, flushEvery)
-	if err != nil {
-		return ConvertInfo{}, err
-	}
+	info.Torn = st.Torn
+	info.DroppedBytes = fi.Size() - st.ValidBytes
+	nb := encodeJournal(st.Records)
 	// Verify before publishing: the new bytes must replay to exactly
 	// the records the old journal held — a conversion is only a
 	// conversion if replay cannot tell (beyond the format tag).
@@ -113,6 +87,13 @@ func ConvertJournal(dir string, to Format, flushEvery int) (ConvertInfo, error) 
 	tmp := path + ".convert"
 	if err := writeFileDurable(tmp, nb); err != nil {
 		return ConvertInfo{}, fmt.Errorf("campaign: %w", err)
+	}
+	if st.Torn {
+		// A second name for the old file: the rename below then replaces
+		// the journal without destroying the bytes it drops.
+		if err := os.Link(path, filepath.Join(dir, TornKeptFile)); err != nil {
+			return ConvertInfo{}, fmt.Errorf("campaign: keeping the torn journal: %w", err)
+		}
 	}
 	if err := renameFile(tmp, path); err != nil {
 		return ConvertInfo{}, fmt.Errorf("campaign: %w", err)

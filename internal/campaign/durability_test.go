@@ -61,8 +61,9 @@ func TestCreateManifestCrashDurability(t *testing.T) {
 
 	// The full durability protocol, in order: flush the temp manifest's
 	// bytes, publish it atomically, make the rename itself durable, and
-	// only then create the journal — whose directory entry is flushed too.
-	want := []string{"fsync-tmp", "rename", "fsync-dir", "fsync-dir-with-journal"}
+	// only then create the journal — whose directory entry is flushed
+	// too, followed by its format header.
+	want := []string{"fsync-tmp", "rename", "fsync-dir", "fsync-dir-with-journal", "fsync-journal"}
 	if got := strings.Join(ops, ","); got != strings.Join(want, ",") {
 		t.Fatalf("durability op order = %v, want %v", ops, want)
 	}

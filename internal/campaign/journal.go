@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/telemetry"
@@ -22,14 +21,15 @@ var (
 	telFsyncUs = telemetry.Default().Histogram("campaign.fsync_us")
 )
 
-// fsyncFile, renameFile and journalWrite are indirection seams for the
-// crash-durability tests, which record call order (write-ahead
-// ordering) or inject mid-append faults (torn-state recovery).
-// Production behaviour is the plain syscall.
+// fsyncFile, renameFile, journalWrite and truncateFile are indirection
+// seams for the crash-durability tests, which record call order
+// (write-ahead ordering) or inject mid-append faults (torn-state
+// recovery). Production behaviour is the plain syscall.
 var (
 	fsyncFile    = func(f *os.File) error { return f.Sync() }
 	renameFile   = os.Rename
 	journalWrite = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
+	truncateFile = func(f *os.File, size int64) error { return f.Truncate(size) }
 )
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry in
@@ -51,11 +51,12 @@ func syncDir(dir string) error {
 const (
 	// ManifestFile holds the campaign Manifest (JSON).
 	ManifestFile = "manifest.json"
-	// JournalFile is the append-only event journal. The name is fixed
-	// across formats — v1 is JSONL (one CRC-framed record per line), v2
-	// is the chunked binary layout (see journalv2.go); readers sniff the
-	// format from the leading bytes, so every consumer (resume, shard
-	// merge, remote chunk shipment) handles either transparently.
+	// JournalFile is the append-only event journal. Campaigns write the
+	// chunked binary v2 layout (see journalv2.go). The name predates v2
+	// and is kept so journals written as v1 JSONL (one CRC-framed record
+	// per line) sit at the same path: readers sniff the format from the
+	// leading bytes, so replay, shard merge and remote chunk shipment
+	// handle either transparently.
 	JournalFile = "journal.jsonl"
 )
 
@@ -110,60 +111,25 @@ func (s State) Samples() []float64 {
 	return xs
 }
 
-// DefaultFlushEvery is the v2 group-commit width: how many records a
-// chunk accumulates before it is sealed (written, CRC-framed, and — in
-// Sync mode — fsynced). One fsync then covers DefaultFlushEvery
-// records instead of one, which is where the v2 append-throughput win
-// comes from; the price is that an OS crash can lose up to
-// FlushEvery-1 trailing events (a clean Close loses none). Resume
-// simply re-measures the lost tail — bit-identically, for a
-// deterministic source.
-const DefaultFlushEvery = 64
-
-// JournalOptions selects the on-disk journal format and tunes the v2
-// group-commit width. The zero value is the v1 JSONL format with
-// per-record fsync — the most durable and the slowest.
-type JournalOptions struct {
-	// Format is the on-disk layout (FormatJSONL or FormatV2); 0 means
-	// FormatJSONL.
-	Format Format
-	// FlushEvery is the v2 records-per-chunk group-commit width; 0
-	// means DefaultFlushEvery. Ignored by FormatJSONL.
-	FlushEvery int
-}
-
-func (o JournalOptions) withDefaults() JournalOptions {
-	if o.Format == 0 {
-		o.Format = FormatJSONL
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = DefaultFlushEvery
-	}
-	return o
-}
+// chunkRecords is the group-commit width: how many records a chunk
+// accumulates before it is sealed (written, CRC-framed and fsynced).
+// One fsync then covers chunkRecords records instead of one; the price
+// is that an OS crash can lose up to chunkRecords-1 trailing events (a
+// clean Close loses none). Resume simply re-measures the lost tail —
+// bit-identically, for a deterministic source.
+const chunkRecords = 64
 
 // Journal is an open write-ahead journal. It implements bench.Recorder:
-// attach it via Plan.Record and every collection event is framed,
-// checksummed, and flushed to disk before collection proceeds (v1
-// per-record; v2 per sealed chunk).
+// attach it via Plan.Record and every collection event is accepted into
+// a pending chunk that is framed, checksummed and fsynced to disk every
+// chunkRecords records and on Flush/Close.
 type Journal struct {
-	f   *os.File
-	seq int
-	// Sync controls fsync on the append path. Default true: an OS crash
-	// loses at most the record being written (v1) or the unsealed chunk
-	// tail (v2). Set false to trade durability against the page cache
-	// for journaling throughput.
-	Sync bool
-
-	format     Format
-	flushEvery int
-	pending    []Record // v2: records accepted but not yet sealed
-	good       int64    // offset of the last cleanly-written byte (the rewind floor)
-	broken     error    // latched after an unrecoverable rewind failure
+	f       *os.File
+	seq     int
+	pending []Record // records accepted but not yet sealed
+	good    int64    // offset of the last cleanly-written byte (the rewind floor)
+	broken  error    // latched after an unrecoverable rewind failure
 }
-
-// Format returns the journal's on-disk format.
-func (j *Journal) Format() Format { return j.format }
 
 // Errors returned by the journal layer.
 var (
@@ -174,17 +140,10 @@ var (
 	ErrNoCampaign = errors.New("campaign: no campaign in directory")
 )
 
-// Create starts a new campaign in the default (v1 JSONL) journal
-// format: it creates dir (if needed), writes the manifest, and opens an
-// empty journal. It refuses a directory that already contains a
-// campaign.
+// Create starts a new campaign: it creates dir (if needed), writes the
+// manifest, and opens an empty journal. It refuses a directory that
+// already contains a campaign.
 func Create(dir string, m Manifest) (*Journal, error) {
-	return CreateJournal(dir, m, JournalOptions{})
-}
-
-// CreateJournal is Create with an explicit journal format selection.
-func CreateJournal(dir string, m Manifest, opt JournalOptions) (*Journal, error) {
-	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -224,15 +183,13 @@ func CreateJournal(dir string, m Manifest, opt JournalOptions) (*Journal, error)
 		f.Close()
 		return nil, fmt.Errorf("campaign: syncing directory: %w", err)
 	}
-	j := &Journal{f: f, Sync: true, format: opt.Format, flushEvery: opt.FlushEvery}
-	if opt.Format == FormatV2 {
-		// The format header goes down durably before the first record so
-		// every later reader — including one racing a crash — sniffs v2
-		// from the verified prefix.
-		if err := j.writeHeaderV2(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	j := &Journal{f: f}
+	// The format header goes down durably before the first record so
+	// every later reader — including one racing a crash — sniffs v2 from
+	// the verified prefix.
+	if err := j.writeHeaderV2(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return j, nil
 }
@@ -279,27 +236,18 @@ func Load(dir string) (Manifest, State, error) {
 }
 
 // Open reopens an interrupted campaign for appending: it replays the
-// journal (sniffing the on-disk format), truncates any torn tail, and
-// positions the writer after the last verified record — continuing in
-// the format the journal already uses.
+// journal, truncates any torn tail, and positions the writer after the
+// last verified record. A v1 journal is read-only: Open refuses it
+// without touching it, and `scibench convert DIR` (ConvertJournal)
+// rewrites it as v2 first.
 func Open(dir string) (*Journal, Manifest, State, error) {
-	return OpenJournal(dir, JournalOptions{})
-}
-
-// OpenJournal is Open with explicit options. The journal's existing
-// format always wins — a resume must extend the journal it found, not
-// switch layouts mid-file; opt.Format applies only when the journal is
-// empty (nothing written yet), and opt.FlushEvery tunes the v2
-// group-commit width for the appended continuation.
-func OpenJournal(dir string, opt JournalOptions) (*Journal, Manifest, State, error) {
-	opt = opt.withDefaults()
 	m, st, err := Load(dir)
 	if err != nil {
 		return nil, Manifest{}, State{}, err
 	}
-	format := st.Format
-	if format == 0 {
-		format = opt.Format
+	if st.Format == FormatJSONL {
+		return nil, Manifest{}, State{}, fmt.Errorf(
+			"campaign: journal in %s is v1, which is read-only; rewrite it as v2 with: scibench convert %s", dir, dir)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -315,9 +263,8 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, Manifest, State, err
 		f.Close()
 		return nil, Manifest{}, State{}, fmt.Errorf("campaign: %w", err)
 	}
-	j := &Journal{f: f, seq: len(st.Records), Sync: true,
-		format: format, flushEvery: opt.FlushEvery, good: st.ValidBytes}
-	if format == FormatV2 && st.ValidBytes == 0 {
+	j := &Journal{f: f, seq: len(st.Records), good: st.ValidBytes}
+	if st.ValidBytes == 0 {
 		// The header itself was torn (crash inside Create): lay it down
 		// again before appending.
 		if err := j.writeHeaderV2(); err != nil {
@@ -378,54 +325,27 @@ func decodeLine(line []byte) (Record, bool) {
 	return rec, true
 }
 
-// Record appends one collection event under the write-ahead contract:
-// an event is only acknowledged to the collection loop once it is
-// durable (v1: CRC-framed, written, fsynced; v2: accepted into the
-// pending chunk, which seals — write + CRC + group fsync — every
-// FlushEvery records and on Close).
+// Record accepts one collection event into the pending chunk, sealing
+// it when the group-commit width is reached. Acceptance is the
+// acknowledgment the collection loop sees; durability lands at the seal
+// (at most chunkRecords-1 trailing events are exposed to an OS crash, a
+// clean Close loses none, and resume re-measures them
+// deterministically).
 //
-// A failed append leaves the journal recoverable: the file is rewound
-// to the last durable offset (never leaving a torn fragment mid-file)
-// and seq does not advance, so a caller that survives the error — or a
-// retry of the same event — continues a journal whose every byte still
-// replays. Without the rewind, the next successful append would land
+// A failed seal leaves the journal recoverable: the file is rewound to
+// the last durable offset (never leaving a torn fragment mid-file) and
+// the accepted records stay pending, so a later Flush or Close seals
+// them again. Without the rewind, the next successful seal would land
 // after the torn fragment and Replay would drop it and everything
 // beyond it as a torn tail.
 func (j *Journal) Record(ev bench.Event) error {
 	if j.broken != nil {
 		return j.broken
 	}
-	if j.format == FormatV2 {
-		return j.recordV2(ev)
+	j.pending = append(j.pending, Record{Seq: j.seq + len(j.pending) + 1, Event: ev})
+	if len(j.pending) >= chunkRecords {
+		return j.seal()
 	}
-	next := j.seq + 1
-	rb, err := json.Marshal(Record{Seq: next, Event: ev})
-	if err != nil {
-		return fmt.Errorf("campaign: encoding record: %w", err)
-	}
-	lb, err := json.Marshal(frame{CRC: crc32.ChecksumIEEE(rb), Rec: rb})
-	if err != nil {
-		return fmt.Errorf("campaign: framing record: %w", err)
-	}
-	line := append(lb, '\n')
-	if _, err := journalWrite(j.f, line); err != nil {
-		j.rewind()
-		return fmt.Errorf("campaign: appending record: %w", err)
-	}
-	if j.Sync {
-		t0 := time.Now()
-		if err := fsyncFile(j.f); err != nil {
-			// The bytes may or may not have reached disk; either way the
-			// record was not acknowledged, so it must not stay in the
-			// file — a retry would otherwise duplicate its seq.
-			j.rewind()
-			return fmt.Errorf("campaign: syncing journal: %w", err)
-		}
-		telFsyncUs.Observe(telemetry.Us(time.Since(t0)))
-	}
-	j.seq = next
-	j.good += int64(len(line))
-	telRecords.Inc()
 	return nil
 }
 
@@ -435,7 +355,7 @@ func (j *Journal) Record(ev bench.Event) error {
 // rewind itself fails the journal latches broken — appending past an
 // un-truncated fragment would silently orphan every later record.
 func (j *Journal) rewind() {
-	if err := j.f.Truncate(j.good); err != nil {
+	if err := truncateFile(j.f, j.good); err != nil {
 		j.broken = fmt.Errorf("campaign: journal unrecoverable: truncating torn fragment: %w", err)
 		return
 	}
@@ -444,8 +364,8 @@ func (j *Journal) rewind() {
 	}
 }
 
-// Flush seals any pending v2 chunk (a no-op for v1, which has no
-// buffered state). Call it to checkpoint mid-campaign without closing.
+// Flush seals any pending chunk. Call it to checkpoint mid-campaign
+// without closing.
 func (j *Journal) Flush() error {
 	if j.broken != nil {
 		return j.broken
@@ -453,11 +373,19 @@ func (j *Journal) Flush() error {
 	return j.seal()
 }
 
-// Close flushes and closes the journal file. Pending v2 records are
-// sealed first, so a clean shutdown never loses accepted events.
+// Close flushes and closes the journal file. Pending records are sealed
+// first, so a clean shutdown never loses accepted events. A journal
+// latched broken is closed without sealing and Close returns the latched
+// error: a seal there would land past an un-truncated fragment, where
+// Replay drops it as a torn tail, silently losing accepted records.
 func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
+	}
+	if j.broken != nil {
+		j.f.Close()
+		j.f = nil
+		return j.broken
 	}
 	err := j.seal()
 	if serr := j.f.Sync(); err == nil {

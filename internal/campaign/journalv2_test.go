@@ -3,18 +3,17 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/campaign/v1fixture"
 	"repro/internal/colenc"
 )
-
-func v2Options(flushEvery int) JournalOptions {
-	return JournalOptions{Format: FormatV2, FlushEvery: flushEvery}
-}
 
 // journalEvents builds a realistic mixed event stream: warmups, samples
 // with slowly-drifting values, retries, a panic, a loss, and one kind
@@ -43,16 +42,31 @@ func journalEvents(n int) []bench.Event {
 	return evs
 }
 
-func writeJournal(t *testing.T, opt JournalOptions, evs []bench.Event) string {
+// createJournal starts a campaign in a fresh directory.
+func createJournal(t *testing.T) (*Journal, string) {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := CreateJournal(dir, testManifest(t, 1, testConfig{}, nil), opt)
+	j, err := Create(dir, testManifest(t, 1, testConfig{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs {
+	return j, dir
+}
+
+// writeJournal journals evs through Record and Close, also sealing a
+// chunk with Flush every flushEvery records when flushEvery > 0, and
+// returns the campaign directory.
+func writeJournal(t *testing.T, flushEvery int, evs []bench.Event) string {
+	t.Helper()
+	j, dir := createJournal(t)
+	for i, ev := range evs {
 		if err := j.Record(ev); err != nil {
 			t.Fatal(err)
+		}
+		if flushEvery > 0 && (i+1)%flushEvery == 0 {
+			if err := j.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := j.Close(); err != nil {
@@ -64,7 +78,7 @@ func writeJournal(t *testing.T, opt JournalOptions, evs []bench.Event) string {
 func TestJournalV2RoundTrip(t *testing.T) {
 	evs := journalEvents(100)
 	for _, flush := range []int{1, 3, 64, 1000} {
-		dir := writeJournal(t, v2Options(flush), evs)
+		dir := writeJournal(t, flush, evs)
 		_, st, err := Load(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +104,7 @@ func TestJournalV2RoundTrip(t *testing.T) {
 // prefix and continue appending a journal that replays clean.
 func TestJournalV2TornAtEveryOffset(t *testing.T) {
 	evs := journalEvents(40)
-	dir := writeJournal(t, v2Options(8), evs)
+	dir := writeJournal(t, 8, evs)
 	data, err := os.ReadFile(filepath.Join(dir, JournalFile))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +156,7 @@ func TestJournalV2TornAtEveryOffset(t *testing.T) {
 // must never invent records, break dense numbering, or panic.
 func TestJournalV2BitFlips(t *testing.T) {
 	evs := journalEvents(30)
-	dir := writeJournal(t, v2Options(8), evs)
+	dir := writeJournal(t, 8, evs)
 	data, err := os.ReadFile(filepath.Join(dir, JournalFile))
 	if err != nil {
 		t.Fatal(err)
@@ -162,12 +176,12 @@ func TestJournalV2BitFlips(t *testing.T) {
 	}
 }
 
-// TestJournalV2TornHeaderRecovers covers a crash inside CreateJournal
+// TestJournalV2TornHeaderRecovers covers a crash inside Create
 // before the format header reached disk: replay classifies the partial
 // magic as a torn v2 header with an empty verified prefix, and Open
 // rewrites the header and appends normally.
 func TestJournalV2TornHeaderRecovers(t *testing.T) {
-	dir := writeJournal(t, v2Options(4), nil)
+	dir := writeJournal(t, 4, nil)
 	path := filepath.Join(dir, JournalFile)
 	if err := os.WriteFile(path, magicV2[:3], 0o644); err != nil {
 		t.Fatal(err)
@@ -176,7 +190,7 @@ func TestJournalV2TornHeaderRecovers(t *testing.T) {
 	if st.Format != FormatV2 || !st.Torn || st.ValidBytes != 0 {
 		t.Fatalf("torn header replay: %+v", st)
 	}
-	j, _, _, err := OpenJournal(dir, v2Options(1))
+	j, _, _, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,61 +209,64 @@ func TestJournalV2TornHeaderRecovers(t *testing.T) {
 	}
 }
 
-// TestOpenJournalKeepsExistingFormat pins the sniffing contract: a
-// resume extends the journal it found, whatever format the caller asked
-// for; the option only applies to an empty journal.
+// TestOpenJournalKeepsExistingFormat pins the sniffing contract: Open
+// extends a v2 journal in place, and refuses a v1 journal — naming the
+// convert command — without appending v1 or converting it silently.
 func TestOpenJournalKeepsExistingFormat(t *testing.T) {
 	ev := bench.Event{Kind: bench.EventSample, Value: 2.5, Calls: 1}
 	ev2 := bench.Event{Kind: bench.EventSample, Value: 2.75, Calls: 2}
-	for _, tc := range []struct {
-		name   string
-		create JournalOptions
-		open   JournalOptions
-		want   Format
-	}{
-		{"v1-stays-v1", JournalOptions{}, v2Options(4), FormatJSONL},
-		{"v2-stays-v2", v2Options(4), JournalOptions{Format: FormatJSONL}, FormatV2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := writeJournal(t, tc.create, []bench.Event{ev})
-			j, _, st, err := OpenJournal(dir, tc.open)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.Records) != 1 || j.Format() != tc.want {
-				t.Fatalf("records=%d format=%v, want 1 records format %v",
-					len(st.Records), j.Format(), tc.want)
-			}
-			if err := j.Record(ev2); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, got, err := Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Format != tc.want || len(got.Records) != 2 || got.Torn {
-				t.Fatalf("after append: format=%v records=%d torn=%v",
-					got.Format, len(got.Records), got.Torn)
-			}
-			if got.Records[1].Event != ev2 {
-				t.Fatalf("appended record = %+v", got.Records[1].Event)
-			}
-		})
-	}
+
+	t.Run("v1-refused", func(t *testing.T) {
+		dir := writeJournal(t, 0, nil)
+		writeV1Journal(t, dir, recordsOf([]bench.Event{ev}))
+		before := readFile(t, filepath.Join(dir, JournalFile))
+		j, _, _, err := Open(dir)
+		if err == nil {
+			j.Close()
+			t.Fatal("Open appended to a v1 journal")
+		}
+		if want := "scibench convert " + dir; !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+		if after := readFile(t, filepath.Join(dir, JournalFile)); !bytes.Equal(before, after) {
+			t.Error("refused Open modified the v1 journal")
+		}
+	})
+
+	t.Run("v2-stays-v2", func(t *testing.T) {
+		dir := writeJournal(t, 0, []bench.Event{ev})
+		j, _, st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Records) != 1 || st.Format != FormatV2 {
+			t.Fatalf("records=%d format=%v, want 1 record in v2", len(st.Records), st.Format)
+		}
+		if err := j.Record(ev2); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Format != FormatV2 || len(got.Records) != 2 || got.Torn {
+			t.Fatalf("after append: format=%v records=%d torn=%v",
+				got.Format, len(got.Records), got.Torn)
+		}
+		if got.Records[1].Event != ev2 {
+			t.Fatalf("appended record = %+v", got.Records[1].Event)
+		}
+	})
 }
 
 // TestJournalV2GroupFlush pins the group-commit contract: records below
 // the flush width stay pending (nothing but the header on disk), the
 // width-th record seals a chunk, and Flush/Close seal a partial tail.
 func TestJournalV2GroupFlush(t *testing.T) {
-	dir := t.TempDir()
-	j, err := CreateJournal(dir, testManifest(t, 1, testConfig{}, nil), v2Options(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, dir := createJournal(t)
 	path := filepath.Join(dir, JournalFile)
 	fileLen := func() int64 {
 		st, err := os.Stat(path)
@@ -258,35 +275,35 @@ func TestJournalV2GroupFlush(t *testing.T) {
 		}
 		return st.Size()
 	}
-	for i := 1; i <= 3; i++ {
+	record := func(i int) {
+		t.Helper()
 		if err := j.Record(bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 1; i < chunkRecords; i++ {
+		record(i)
+	}
 	if n := fileLen(); n != int64(len(magicV2)) {
-		t.Fatalf("3 pending records: %d bytes on disk, want bare header (%d)", n, len(magicV2))
+		t.Fatalf("%d pending records: %d bytes on disk, want bare header (%d)", chunkRecords-1, n, len(magicV2))
 	}
-	if err := j.Record(bench.Event{Kind: bench.EventSample, Value: 4, Calls: 4}); err != nil {
-		t.Fatal(err)
-	}
+	record(chunkRecords)
 	sealed := fileLen()
 	if sealed <= int64(len(magicV2)) {
-		t.Fatal("4th record did not seal a chunk")
+		t.Fatalf("record %d did not seal a chunk", chunkRecords)
 	}
-	if st := Replay(readFile(t, path)); len(st.Records) != 4 || st.Torn {
+	if st := Replay(readFile(t, path)); len(st.Records) != chunkRecords || st.Torn {
 		t.Fatalf("after seal: records=%d torn=%v", len(st.Records), st.Torn)
 	}
 	// One more record: pending again, then Flush seals the short chunk.
-	if err := j.Record(bench.Event{Kind: bench.EventSample, Value: 5, Calls: 5}); err != nil {
-		t.Fatal(err)
-	}
+	record(chunkRecords + 1)
 	if n := fileLen(); n != sealed {
 		t.Fatalf("pending record hit disk early (%d vs %d)", n, sealed)
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := Replay(readFile(t, path)); len(st.Records) != 5 || st.Torn {
+	if st := Replay(readFile(t, path)); len(st.Records) != chunkRecords+1 || st.Torn {
 		t.Fatalf("after Flush: records=%d torn=%v", len(st.Records), st.Torn)
 	}
 	if err := j.Close(); err != nil {
@@ -303,13 +320,50 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
+// recordsOf numbers evs densely from 1, as a journal would.
+func recordsOf(evs []bench.Event) []Record {
+	recs := make([]Record, len(evs))
+	for i, ev := range evs {
+		recs[i] = Record{Seq: i + 1, Event: ev}
+	}
+	return recs
+}
+
+// encodeV1 renders records in the read-only v1 layout (see v1fixture).
+func encodeV1(tb testing.TB, recs []Record) []byte {
+	tb.Helper()
+	b, err := v1fixture.Encode(recs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// writeV1Journal replaces the journal in dir with recs as v1 bytes —
+// what a campaign journaled before v2 became the only writer left on
+// disk.
+func writeV1Journal(t *testing.T, dir string, recs []Record) {
+	t.Helper()
+	if _, err := v1fixture.Write(filepath.Join(dir, JournalFile), recs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tornChunk is what a crash mid-seal leaves at a journal's tail: the
+// first half of a CRC-framed chunk.
+func tornChunk() []byte {
+	fr := colenc.AppendFrame(nil, appendChunkV2(nil, []Record{
+		{Seq: 1, Event: bench.Event{Kind: bench.EventSample, Value: 1, Calls: 1}}}))
+	return fr[:len(fr)/2]
+}
+
 // TestJournalV2CompressionRatio gates the artifact-size acceptance
 // criterion at the format level: a realistic 1000-sample journal must
 // be ≥5× smaller in v2 than in v1.
 func TestJournalV2CompressionRatio(t *testing.T) {
 	evs := journalEvents(1000)
-	v1 := readFile(t, filepath.Join(writeJournal(t, JournalOptions{}, evs), JournalFile))
-	v2 := readFile(t, filepath.Join(writeJournal(t, v2Options(0), evs), JournalFile))
+	v1 := encodeV1(t, recordsOf(evs))
+	v2 := readFile(t, filepath.Join(writeJournal(t, 0, evs), JournalFile))
 	if len(v2)*5 > len(v1) {
 		t.Fatalf("v2 journal %d bytes vs v1 %d bytes: ratio %.2f < 5",
 			len(v2), len(v1), float64(len(v1))/float64(len(v2)))
@@ -318,100 +372,29 @@ func TestJournalV2CompressionRatio(t *testing.T) {
 		len(v1), len(v2), float64(len(v1))/float64(len(v2)), float64(len(v2))/float64(len(evs)))
 }
 
-// TestJournalRecordFailureRecovery is the failed-append satellite: an
-// injected write or fsync fault mid-append must leave the journal fully
-// recoverable — the torn fragment rewound, seq not advanced — so the
-// records appended after the fault clears all replay. The "old"
-// subtests reproduce what the pre-fix writer left on disk (torn
-// fragment mid-file, seq advanced past the failure) and prove Replay
-// drops every subsequent record: the torn-tail cascade this fix
-// removes.
+// TestJournalRecordFailureRecovery shows why a failed seal must rewind
+// (TestJournalV2SealFailureRetry covers the rewind itself): a writer
+// that left a torn fragment mid-file, or advanced seq past the failed
+// record, would have every later record dropped as torn tail on replay.
 func TestJournalRecordFailureRecovery(t *testing.T) {
 	ev := func(i int) bench.Event {
 		return bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i}
 	}
-	inject := func(t *testing.T, mode string) {
-		switch mode {
-		case "write":
-			prev := journalWrite
-			journalWrite = func(f *os.File, b []byte) (int, error) {
-				// A short write is the realistic disk-full shape: some
-				// bytes land, then the error.
-				n, _ := f.Write(b[:len(b)/2])
-				return n, os.ErrDeadlineExceeded
-			}
-			t.Cleanup(func() { journalWrite = prev })
-		case "fsync":
-			prevW, prevS := journalWrite, fsyncFile
-			// The bytes land, the fsync fails: the record is written but
-			// unacknowledged — it must still be rewound, or a retry would
-			// duplicate its seq.
-			fsyncFile = func(f *os.File) error { return os.ErrDeadlineExceeded }
-			t.Cleanup(func() { journalWrite = prevW; fsyncFile = prevS })
-		}
-	}
-	clear := func(mode string) {
-		journalWrite = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
-		fsyncFile = func(f *os.File) error { return f.Sync() }
-		_ = mode
-	}
-	for _, mode := range []string{"write", "fsync"} {
-		t.Run("v1/"+mode, func(t *testing.T) {
-			dir := t.TempDir()
-			j, err := Create(dir, testManifest(t, 1, testConfig{}, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			for i := 1; i <= 2; i++ {
-				if err := j.Record(ev(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			inject(t, mode)
-			if err := j.Record(ev(3)); err == nil {
-				t.Fatal("faulted append reported success")
-			}
-			clear(mode)
-			// The caller survives the error and appends more records.
-			for i := 3; i <= 5; i++ {
-				if err := j.Record(ev(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, st, err := Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Torn || len(st.Records) != 5 {
-				t.Fatalf("after recovery: torn=%v records=%d, want 5 clean", st.Torn, len(st.Records))
-			}
-			for i, r := range st.Records {
-				if r.Event != ev(i+1) {
-					t.Fatalf("record %d = %+v", i, r.Event)
-				}
-			}
-		})
-	}
 
-	// What the pre-fix writer produced: the half-written fragment stays
-	// in the file and the next append lands after it with seq already
-	// advanced past the failed record. Both corruptions cascade — every
-	// record after the fault is dropped as torn tail. This is the loss
-	// the rewind-and-hold-seq discipline prevents.
+	// What a writer without the rewind would leave: the half-written
+	// fragment stays in the file and the next append lands after it, or
+	// seq advances past the failed record. Both corruptions cascade —
+	// every record after the fault is dropped as torn tail. The v1 line
+	// layout makes the fragments easy to cut by hand; v2 chunks cascade
+	// the same way (TestJournalV2TornAtEveryOffset).
 	t.Run("old-behavior-cascades", func(t *testing.T) {
-		dir := writeJournal(t, JournalOptions{}, []bench.Event{ev(1), ev(2)})
-		base := readFile(t, filepath.Join(dir, JournalFile))
-		okTail := readFile(t, filepath.Join(
-			writeJournal(t, JournalOptions{}, []bench.Event{ev(1), ev(2), ev(3), ev(4)}), JournalFile))
-		rec3 := okTail[len(base) : len(base)+(len(okTail)-len(base))/2]
+		recs := recordsOf([]bench.Event{ev(1), ev(2), ev(3), ev(4)})
+		base := encodeV1(t, recs[:2])
+		rec3 := encodeV1(t, recs[2:3])
+		rec4 := encodeV1(t, recs[3:4])
 
 		// Torn fragment mid-file: half of record 3's line, then record 4
 		// written whole (as a post-error retry loop would have done).
-		rec4 := okTail[len(base)+len(rec3):]
 		torn := append(append(append([]byte(nil), base...), rec3[:len(rec3)/2]...), rec4...)
 		if st := Replay(torn); len(st.Records) != 2 || !st.Torn {
 			t.Fatalf("mid-file fragment: records=%d torn=%v — expected cascade", len(st.Records), st.Torn)
@@ -426,54 +409,111 @@ func TestJournalRecordFailureRecovery(t *testing.T) {
 	})
 }
 
-// TestJournalV2SealFailureRetry: a failed seal keeps the accepted
-// records pending and the file rewound, so a later Flush (or Close)
-// lands them — nothing accepted is lost to a transient write error.
-func TestJournalV2SealFailureRetry(t *testing.T) {
-	dir := t.TempDir()
-	j, err := CreateJournal(dir, testManifest(t, 1, testConfig{}, nil), v2Options(2))
-	if err != nil {
+// TestJournalCloseReportsBrokenLatch: when a failed seal's rewind
+// cannot truncate the torn fragment, the journal latches broken and
+// Close must say so. Sealing the pending records on Close would append
+// them past the fragment, where Replay drops them as a torn tail — a
+// silent loss of accepted records.
+func TestJournalCloseReportsBrokenLatch(t *testing.T) {
+	j, dir := createJournal(t)
+	ev := bench.Event{Kind: bench.EventSample, Value: 1, Calls: 1}
+	if err := j.Record(ev); err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	prevW, prevT := journalWrite, truncateFile
+	journalWrite = func(f *os.File, b []byte) (int, error) {
+		n, _ := f.Write(b[:len(b)/2])
+		return n, os.ErrDeadlineExceeded
+	}
+	truncateFile = func(*os.File, int64) error { return os.ErrPermission }
+	err := j.Flush()
+	journalWrite, truncateFile = prevW, prevT
+	if err == nil {
+		t.Fatal("faulted seal reported success")
+	}
+	if err := j.Record(ev); !errors.Is(err, os.ErrPermission) {
+		t.Fatalf("Record on a broken journal: err = %v, want the latched rewind failure", err)
+	}
+	if err := j.Close(); !errors.Is(err, os.ErrPermission) {
+		t.Fatalf("Close on a broken journal: err = %v, want the latched rewind failure", err)
+	}
+	if _, st, err := Load(dir); err != nil || len(st.Records) != 0 || !st.Torn {
+		t.Fatalf("journal after a broken close: records=%d torn=%v err=%v, want the torn fragment only",
+			len(st.Records), st.Torn, err)
+	}
+}
+
+// TestJournalV2SealFailureRetry: an injected write or fsync fault in a
+// seal must leave the journal fully recoverable — the file rewound to
+// the last durable offset, the accepted records kept pending — so a
+// later Flush (or Close) lands them exactly once: nothing accepted is
+// lost to a transient error, and no seq is written twice.
+func TestJournalV2SealFailureRetry(t *testing.T) {
 	ev := func(i int) bench.Event {
 		return bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i}
 	}
-	if err := j.Record(ev(1)); err != nil {
-		t.Fatal(err)
-	}
-	prev := journalWrite
-	journalWrite = func(f *os.File, b []byte) (int, error) {
-		n, _ := f.Write(b[:len(b)/3])
-		return n, os.ErrDeadlineExceeded
-	}
-	if err := j.Record(ev(2)); err == nil { // triggers the failing seal
-		journalWrite = prev
-		t.Fatal("faulted seal reported success")
-	}
-	journalWrite = prev
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(ev(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Torn || len(st.Records) != 3 {
-		t.Fatalf("after retry: torn=%v records=%d, want 3 clean", st.Torn, len(st.Records))
+	for _, mode := range []string{"write", "fsync"} {
+		t.Run(mode, func(t *testing.T) {
+			j, dir := createJournal(t)
+			defer j.Close()
+			for i := 1; i <= 2; i++ {
+				if err := j.Record(ev(i)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					if err := j.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			prevW, prevS := journalWrite, fsyncFile
+			if mode == "write" {
+				// A short write is the realistic disk-full shape: some
+				// bytes land, then the error.
+				journalWrite = func(f *os.File, b []byte) (int, error) {
+					n, _ := f.Write(b[:len(b)/3])
+					return n, os.ErrDeadlineExceeded
+				}
+			} else {
+				// The bytes land, the fsync fails: the chunk is written
+				// but not durable, so it must be rewound too.
+				fsyncFile = func(*os.File) error { return os.ErrDeadlineExceeded }
+			}
+			err := j.Flush()
+			journalWrite, fsyncFile = prevW, prevS
+			if err == nil {
+				t.Fatal("faulted seal reported success")
+			}
+			if err := j.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Record(ev(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Torn || len(st.Records) != 3 {
+				t.Fatalf("after retry: torn=%v records=%d, want 3 clean", st.Torn, len(st.Records))
+			}
+			for i, r := range st.Records {
+				if r.Event != ev(i+1) {
+					t.Fatalf("record %d = %+v", i, r.Event)
+				}
+			}
+		})
 	}
 }
 
 // TestRunResumeBitIdenticalAcrossFormats is the cross-format acceptance
-// test: the same campaign journaled in v1 and v2 — including an
-// interruption and resume — retains bit-identical samples, and the v2
-// resume survives losing its unsealed tail (the group-commit window).
+// test: the same interrupted campaign resumes to bit-identical samples
+// whether its journal was left as v2 — having lost its last chunk to a
+// crash, the group-commit window — or as v1, which resume refuses until
+// ConvertJournal has rewritten it.
 func TestRunResumeBitIdenticalAcrossFormats(t *testing.T) {
 	const seed = 5
 	cfg := testConfig{System: "quiet", Samples: 20}
@@ -482,63 +522,59 @@ func TestRunResumeBitIdenticalAcrossFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, opt := range []JournalOptions{{}, v2Options(8)} {
-		t.Run(opt.withDefaults().Format.String(), func(t *testing.T) {
+	for _, format := range []Format{FormatJSONL, FormatV2} {
+		t.Run(format.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			m := testManifest(t, seed, cfg, nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			inner := measureFrom(seed)
 			calls := 0
-			res, err := RunOpts(ctx, dir, m, testPlan(), func() (float64, error) {
+			res, err := Run(ctx, dir, m, testPlan(), func() (float64, error) {
 				if calls++; calls == 31 {
 					cancel()
 				}
 				return inner()
-			}, opt)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Stop != bench.StopInterrupted {
 				t.Fatalf("Stop = %q, want interrupted", res.Stop)
 			}
+			path := filepath.Join(dir, JournalFile)
+			data := readFile(t, path)
+			st := Replay(data)
+			if st.Torn || len(st.Records) == 0 {
+				t.Fatalf("setup: torn=%v records=%d", st.Torn, len(st.Records))
+			}
 
-			if opt.Format == FormatV2 {
+			if format == FormatV2 {
 				// Simulate the OS crash the group-commit trade permits:
-				// drop the final sealed chunk (standing in for an unsealed
-				// tail that never reached disk). Resume re-measures it.
-				path := filepath.Join(dir, JournalFile)
-				data := readFile(t, path)
-				st := Replay(data)
-				if st.Torn || len(st.Records) == 0 {
-					t.Fatalf("setup: torn=%v records=%d", st.Torn, len(st.Records))
+				// cut mid-way into the final sealed chunk (standing in for
+				// an unsealed tail that never reached disk). Resume
+				// re-measures it.
+				if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+					t.Fatal(err)
 				}
-				// Find the start of the last chunk and cut mid-way into it.
-				cut := int64(len(magicV2))
-				rest := data[len(magicV2):]
-				for {
-					_, n, ok := colenc.ReadFrame(rest)
-					if !ok {
-						t.Fatal("setup: torn chunk")
-					}
-					if len(rest) == n {
-						break
-					}
-					cut += int64(n)
-					rest = rest[n:]
+			} else {
+				writeV1Journal(t, dir, st.Records)
+				if _, _, err := Resume(context.Background(), dir, m, testPlan(),
+					measureFrom(seed), ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "scibench convert") {
+					t.Fatalf("resume of a v1 journal: err = %v, want a refusal naming scibench convert", err)
 				}
-				if err := os.WriteFile(path, data[:cut+3], 0o644); err != nil {
+				if _, err := ConvertJournal(dir); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			got, info, err := Resume(context.Background(), dir, m, testPlan(),
-				measureFrom(seed), ResumeOptions{Journal: opt})
+				measureFrom(seed), ResumeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opt.Format == FormatV2 && !info.Torn {
-				t.Error("v2 crash simulation: tail not reported torn")
+			if wantTorn := format == FormatV2; info.Torn != wantTorn {
+				t.Errorf("resume reported torn=%v, want %v", info.Torn, wantTorn)
 			}
 			if len(got.Raw) != len(want.Raw) {
 				t.Fatalf("resumed n=%d, uninterrupted n=%d", len(got.Raw), len(want.Raw))
@@ -548,76 +584,119 @@ func TestRunResumeBitIdenticalAcrossFormats(t *testing.T) {
 					t.Fatalf("sample %d diverged", i)
 				}
 			}
-			_, st, err := Load(dir)
+			_, final, err := Load(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if xs := st.Samples(); len(xs) != len(want.Raw) {
+			if xs := final.Samples(); len(xs) != len(want.Raw) {
 				t.Errorf("final journal has %d samples, want %d", len(xs), len(want.Raw))
 			}
-			if st.Format != opt.withDefaults().Format {
-				t.Errorf("final journal format %v, want %v", st.Format, opt.withDefaults().Format)
+			if final.Format != FormatV2 {
+				t.Errorf("final journal format %v, want v2", final.Format)
 			}
 		})
 	}
 }
 
-// TestConvertJournal converts both directions, verifies record
-// equality, refuses torn journals, and proves a converted campaign
-// resumes bit-identically to the unconverted one.
+// TestConvertJournal rewrites v1 journals as v2 with record equality,
+// leaves v2 journals untouched, drops (and reports) a torn v1 tail, and
+// proves a converted campaign resumes bit-identically.
 func TestConvertJournal(t *testing.T) {
-	evs := journalEvents(50)
+	evs := journalEvents(150)
 
 	t.Run("round-trip", func(t *testing.T) {
-		dir := writeJournal(t, JournalOptions{}, evs)
-		v1Bytes := readFile(t, filepath.Join(dir, JournalFile))
+		// A natively written v2 journal, re-encoded as v1 and converted
+		// back, is byte-identical: conversion writes exactly what the
+		// journal writer would have.
+		dir := writeJournal(t, 0, evs)
+		native := readFile(t, filepath.Join(dir, JournalFile))
+		writeV1Journal(t, dir, recordsOf(evs))
 
-		info, err := ConvertJournal(dir, FormatV2, 16)
+		info, err := ConvertJournal(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.From != FormatJSONL || info.To != FormatV2 || info.Records != len(evs) {
+		if info.From != FormatJSONL || info.Torn || info.Records != len(evs) {
 			t.Fatalf("info = %+v", info)
 		}
 		if info.NewBytes*2 > info.OldBytes {
 			t.Fatalf("conversion barely shrank: %d → %d", info.OldBytes, info.NewBytes)
 		}
-		_, st, err := Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Format != FormatV2 || st.Torn || len(st.Records) != len(evs) {
-			t.Fatalf("after v1→v2: %v torn=%v records=%d", st.Format, st.Torn, len(st.Records))
+		if back := readFile(t, filepath.Join(dir, JournalFile)); !bytes.Equal(back, native) {
+			t.Fatalf("v2→v1→v2 not byte-identical: %d vs %d bytes", len(back), len(native))
 		}
 
-		// Idempotent: converting to the present format rewrites nothing.
-		again, err := ConvertJournal(dir, FormatV2, 16)
+		// Idempotent: a v2 journal is left as it is.
+		again, err := ConvertJournal(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.From != FormatV2 || again.OldBytes != again.NewBytes {
 			t.Fatalf("idempotent convert: %+v", again)
 		}
-
-		// And back: byte-identical to the original v1 journal.
-		if _, err := ConvertJournal(dir, FormatJSONL, 0); err != nil {
-			t.Fatal(err)
-		}
-		back := readFile(t, filepath.Join(dir, JournalFile))
-		if !bytes.Equal(back, v1Bytes) {
-			t.Fatalf("v1→v2→v1 not byte-identical: %d vs %d bytes", len(back), len(v1Bytes))
-		}
 	})
 
-	t.Run("refuses-torn", func(t *testing.T) {
-		dir := writeJournal(t, JournalOptions{}, evs)
+	t.Run("drops-torn-v1-tail", func(t *testing.T) {
+		dir := writeJournal(t, 0, nil)
+		writeV1Journal(t, dir, recordsOf(evs))
 		path := filepath.Join(dir, JournalFile)
 		data := readFile(t, path)
 		if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ConvertJournal(dir, FormatV2, 0); err == nil {
-			t.Fatal("converted a torn journal")
+		info, err := ConvertJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastLine := int64(len(data) - 1 - bytes.LastIndexByte(data[:len(data)-1], '\n'))
+		if !info.Torn || info.Records != len(evs)-1 ||
+			info.OldBytes != int64(len(data)-5) || info.DroppedBytes != lastLine-5 {
+			t.Fatalf("info = %+v, want the torn last record (%d bytes) reported and dropped", info, lastLine-5)
+		}
+		if _, st, err := Load(dir); err != nil || st.Torn || st.Format != FormatV2 || len(st.Records) != len(evs)-1 {
+			t.Fatalf("after convert: %+v err=%v", st, err)
+		}
+		if kept := readFile(t, filepath.Join(dir, TornKeptFile)); !bytes.Equal(kept, data[:len(data)-5]) {
+			t.Fatal("the torn v1 journal was not kept")
+		}
+
+		// A torn v2 tail is not convert's to drop: Open adjudicates it.
+		torn := append(readFile(t, path), tornChunk()...)
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ConvertJournal(dir); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, path), torn) {
+			t.Fatal("convert modified a torn v2 journal")
+		}
+	})
+
+	t.Run("reports-mid-file-bit-flip", func(t *testing.T) {
+		// v1 replay stops at the first bad line, so a flip in record 10
+		// drops every later record too; the report must say so.
+		dir := writeJournal(t, 0, nil)
+		writeV1Journal(t, dir, recordsOf(evs))
+		path := filepath.Join(dir, JournalFile)
+		data := readFile(t, path)
+		off := 0
+		for i := 0; i < 9; i++ {
+			off += bytes.IndexByte(data[off:], '\n') + 1
+		}
+		data[off+20] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, err := ConvertJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Torn || info.Records != 9 || info.DroppedBytes != int64(len(data)-off) {
+			t.Fatalf("info = %+v, want 9 records kept and %d bytes dropped", info, len(data)-off)
+		}
+		if kept := readFile(t, filepath.Join(dir, TornKeptFile)); !bytes.Equal(kept, data) {
+			t.Fatal("the corrupt v1 journal was not kept")
 		}
 	})
 
@@ -641,7 +720,12 @@ func TestConvertJournal(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ConvertJournal(dir, FormatV2, 0); err != nil {
+		_, st, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeV1Journal(t, dir, st.Records)
+		if _, err := ConvertJournal(dir); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := Resume(context.Background(), dir, m, testPlan(),

@@ -1,11 +1,12 @@
 // Package campaign makes benchmark campaigns durable and interruptible:
-// a write-ahead sample journal (append-only JSONL with per-record CRC32
-// checksums), a campaign manifest binding the journal to its exact
-// experimental setup (config hash, RNG seed, fault-schedule fingerprint,
-// environment description — Rule 9's reproducibility record), and a
-// resume path that replays a possibly-truncated journal, drops the torn
-// tail, fast-forwards the deterministic measure source, and continues
-// collection exactly where it stopped.
+// a write-ahead sample journal (append-only chunks of delta-encoded
+// records, each CRC32-framed and fsynced), a campaign manifest binding
+// the journal to its exact experimental setup (config hash, RNG seed,
+// fault-schedule fingerprint, environment description — Rule 9's
+// reproducibility record), and a resume path that replays a
+// possibly-truncated journal, drops the torn tail, fast-forwards the
+// deterministic measure source, and continues collection exactly where
+// it stopped.
 //
 // The motivation is the paper's Rule 2 ("report all data") under the
 // reality Hunold & Carpen-Amarie document: multi-hour campaigns die

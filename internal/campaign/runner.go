@@ -16,23 +16,16 @@ import (
 // boundary drift check (Pettitt across the combined stream).
 const boundaryAlpha = 0.01
 
-// Run executes a fully journaled campaign in dir: every collection
-// event is durable before the next observation runs, so an interruption
-// at any point — Ctrl-C, OOM, power loss — leaves a resumable journal.
-// Interruption surfaces as Result.Stop == bench.StopInterrupted.
+// Run executes a fully journaled campaign in dir. Collection events
+// become durable at each 64-record chunk seal and on Flush/Close: a
+// clean stop (Ctrl-C, context cancel) loses nothing, and a process or
+// OS crash loses at most the unsealed tail, which a deterministic resume
+// re-measures — so an interruption at any point leaves a resumable
+// journal. Interruption surfaces as Result.Stop == bench.StopInterrupted.
 func Run(ctx context.Context, dir string, m Manifest, plan bench.Plan, measure func() (float64, error)) (bench.Result, error) {
-	return RunOpts(ctx, dir, m, plan, measure, JournalOptions{})
-}
-
-// RunOpts is Run with an explicit journal format selection. The format
-// is storage, not experiment identity: a campaign journaled in v2
-// retains the same records a v1 campaign would, and its report is
-// byte-identical.
-func RunOpts(ctx context.Context, dir string, m Manifest, plan bench.Plan,
-	measure func() (float64, error), opt JournalOptions) (bench.Result, error) {
 	ctx, span := telemetry.StartSpan(ctx, "campaign", filepath.Base(dir))
 	defer span.End()
-	j, err := CreateJournal(dir, m, opt)
+	j, err := Create(dir, m)
 	if err != nil {
 		return bench.Result{}, err
 	}
@@ -63,12 +56,6 @@ type ResumeOptions struct {
 	// NoVerify fast-forwards without comparing replayed values against
 	// the journal.
 	NoVerify bool
-	// Journal tunes the journal writer for the appended continuation.
-	// The journal's existing on-disk format always wins (a resume
-	// extends the journal it found); Journal.Format only applies when
-	// nothing was journaled yet, and Journal.FlushEvery tunes the v2
-	// group-commit width.
-	Journal JournalOptions
 }
 
 // ResumeInfo reports what Resume recovered and verified.
@@ -139,7 +126,7 @@ func Resume(ctx context.Context, dir string, current Manifest, plan bench.Plan,
 		return bench.Result{}, info, err
 	}
 
-	j, _, st, err := OpenJournal(dir, opt.Journal)
+	j, _, st, err := Open(dir)
 	if err != nil {
 		return bench.Result{}, info, err
 	}

@@ -346,14 +346,12 @@ func (c *Coordinator) snapshotSeed(shardDir string) ([]FileState, error) {
 		if !u.IsDir() {
 			continue
 		}
-		for f := range shardFiles {
+		for _, f := range shardFiles {
 			if err := add(filepath.Join(shard.UnitsDir, u.Name(), f)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Deterministic seed order (map iteration above is not).
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
@@ -598,7 +596,7 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := writeJSONFile(filepath.Join(shardDir, shard.DoneFile), req.Done); err != nil {
+	if err := shard.WriteJSON(filepath.Join(shardDir, shard.DoneFile), req.Done); err != nil {
 		c.fileMu.Unlock()
 		writeJSONResp(w, DoneResponse{OK: false, Refused: err.Error()})
 		return
@@ -677,17 +675,4 @@ func postJSON(client *http.Client, url string, req, resp any) error {
 		return fmt.Errorf("%s: %s: %s", url, hr.Status, bytes.TrimSpace(body))
 	}
 	return json.Unmarshal(body, resp)
-}
-
-// writeJSONFile mirrors the shard package's atomic manifest write.
-func writeJSONFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

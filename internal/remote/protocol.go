@@ -26,6 +26,7 @@ package remote
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"time"
 
@@ -240,13 +241,17 @@ type CancelRequest struct {
 	Attempt   int    `json:"attempt"`
 }
 
-// shardFiles are the per-unit campaign files a worker ships. The
-// heartbeat travels on its own message, and done.json is written only
-// by the coordinator after inventory verification.
-var shardFiles = map[string]bool{
-	"manifest.json": true, // write-once (atomic rename)
-	"journal.jsonl": true, // append-only; may truncate once at resume
-	"result.json":   true, // write-once completion sentinel
+// shardFiles are the per-unit campaign files a worker ships, in the
+// order campaign.Create makes them durable. Shipping and seeding in this
+// order keeps the mirror, like the unit directory, from ever holding a
+// journal without the manifest that explains it: a replacement executor
+// would find no campaign to resume, yet could not create one over the
+// journal. The heartbeat travels on its own message, and done.json is
+// written only by the coordinator after inventory verification.
+var shardFiles = []string{
+	"manifest.json", // write-once (atomic rename)
+	"journal.jsonl", // append-only; may truncate once at resume
+	"result.json",   // write-once completion sentinel
 }
 
 // ValidChunkPath accepts exactly the relative paths a worker may write
@@ -256,7 +261,7 @@ func ValidChunkPath(p string) bool {
 	if len(parts) != 3 || parts[0] != "units" {
 		return false
 	}
-	return safeID(parts[1]) && shardFiles[parts[2]]
+	return safeID(parts[1]) && slices.Contains(shardFiles, parts[2])
 }
 
 // ValidSeedPath additionally accepts the heartbeat file, which a seed

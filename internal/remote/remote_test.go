@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,11 +41,13 @@ type unitCfg struct {
 // testRunner rebuilds the deterministic measurement for a unit; the
 // same unit yields the same samples on every worker (the invariant the
 // whole transport leans on). throttle slows samples so tests can cut a
-// partition mid-unit; calls counts real measurements for resume
-// assertions.
+// partition mid-unit; calls counts measure invocations; samples
+// overrides the plan's 12 samples per unit (more than 62 make a unit
+// journal span several 64-record chunks).
 type testRunner struct {
 	throttle time.Duration
 	calls    *atomic.Int64
+	samples  int
 }
 
 func (r testRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
@@ -64,7 +69,30 @@ func (r testRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (
 		}
 		return cfg.Base * (1 + 0.05*rng.Float64()), nil
 	}
-	return man, bench.Plan{Warmup: 2, MinSamples: 12, Workers: 1}, measure, nil
+	plan := bench.Plan{Warmup: 2, MinSamples: 12, Workers: 1}
+	if r.samples > 0 {
+		plan.MinSamples = r.samples
+	}
+	return man, plan, measure, nil
+}
+
+// syncBuffer is a bytes.Buffer safe for a worker's concurrent log
+// writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 func testFaultFP(t testing.TB) string {
@@ -115,11 +143,17 @@ func buildSweep(t testing.TB, dir string, k, n int) shard.SweepManifest {
 // the canonical report bytes — what every distributed run must equal.
 func referenceReport(t *testing.T, k int) []byte {
 	t.Helper()
+	return referenceReportWith(t, k, testRunner{})
+}
+
+// referenceReportWith is referenceReport with a chosen runner.
+func referenceReportWith(t *testing.T, k int, r testRunner) []byte {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ref")
 	sw := buildSweep(t, dir, k, 1)
 	for i := range sw.Shards() {
 		sd := filepath.Join(dir, shard.ShardDirName(i))
-		if _, err := shard.ExecShard(context.Background(), sd, testRunner{}, shard.ExecOptions{}); err != nil {
+		if _, err := shard.ExecShard(context.Background(), sd, r, shard.ExecOptions{}); err != nil {
 			t.Fatalf("reference shard %d: %v", i, err)
 		}
 	}
@@ -241,8 +275,10 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock supervision loops")
 	}
-	const k = 4
-	ref := referenceReport(t, k)
+	// 100 samples + 2 warmups: each unit journals 102 records, one
+	// sealed 64-record chunk and a 38-record final chunk.
+	const k, samples, perUnit = 4, 100, 102
+	ref := referenceReportWith(t, k, testRunner{samples: samples})
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, k, 1)
@@ -255,13 +291,15 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	ftA := NewFaultTransport(11, nil)
 	ftA.DropProb = 0.05
 	var callsA, callsB atomic.Int64
-	mkWorker := func(name string, ft http.RoundTripper, calls *atomic.Int64, env *rules.Environment) *Worker {
+	var logB syncBuffer
+	mkWorker := func(name string, ft http.RoundTripper, calls *atomic.Int64, env *rules.Environment, log io.Writer) *Worker {
 		w, err := StartWorker(WorkerOptions{
 			Coordinator:  c.URL(),
 			WorkDir:      filepath.Join(t.TempDir(), name),
-			Runner:       testRunner{throttle: 5 * time.Millisecond, calls: calls},
+			Runner:       testRunner{throttle: 5 * time.Millisecond, calls: calls, samples: samples},
 			Hostname:     name,
 			Env:          env,
+			Log:          log,
 			Heartbeat:    50 * time.Millisecond,
 			ShipInterval: 25 * time.Millisecond,
 			Seed:         3,
@@ -272,10 +310,10 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 		}
 		return w
 	}
-	wA := mkWorker("host-a", ftA, &callsA, nil)
+	wA := mkWorker("host-a", ftA, &callsA, nil, nil)
 	defer wA.Close()
 	envB := hostBEnv()
-	wB := mkWorker("host-b", nil, &callsB, &envB)
+	wB := mkWorker("host-b", nil, &callsB, &envB, &logB)
 	defer wB.Close()
 	if err := c.WaitForWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
@@ -283,22 +321,23 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 
 	// Cut the link once the mirror proves worker A is mid-shard: the
 	// first unit fully shipped and verified-complete, the second unit's
-	// journal partially shipped.
+	// first 64-record chunk shipped and sealed, its remaining records
+	// still being measured.
 	shardDir := filepath.Join(dir, shard.ShardDirName(0))
 	u0 := filepath.Join(shardDir, shard.UnitsDir, "u00-cfg-00", shard.UnitResultFile)
-	u1 := filepath.Join(shardDir, shard.UnitsDir, "u01-cfg-01", campaign.JournalFile)
+	u1 := filepath.Join(shardDir, shard.UnitsDir, "u01-cfg-01")
 	partitioned := make(chan struct{})
 	go func() {
 		defer close(partitioned)
 		deadline := time.Now().Add(20 * time.Second)
 		for time.Now().Before(deadline) {
 			if _, err := os.Stat(u0); err == nil {
-				if fi, err := os.Stat(u1); err == nil && fi.Size() > 300 {
+				if _, st, err := campaign.Load(u1); err == nil && len(st.Records) > 0 {
 					ftA.Partition()
 					return
 				}
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 
@@ -326,12 +365,18 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	// The replacement worker resumed from the mirror: it measured
 	// something, but strictly less than the whole sweep (the completed
 	// first unit shipped before the cut is never re-measured).
-	full := int64(k * 14) // Warmup 2 + MinSamples 12 per unit
+	full := int64(k * perUnit)
 	if callsB.Load() == 0 {
 		t.Fatal("worker B measured nothing; reassignment never reached it")
 	}
-	if callsB.Load() > full-14 {
-		t.Errorf("worker B re-measured completed observations: %d calls, want ≤ %d", callsB.Load(), full-14)
+	if callsB.Load() > full-perUnit {
+		t.Errorf("worker B re-measured completed observations: %d calls, want ≤ %d", callsB.Load(), full-perUnit)
+	}
+	// ...and it resumed the second unit from the mirrored sealed chunk:
+	// those 62 retained samples were recovered (replayed only to restore
+	// the PRNG position), not measured afresh.
+	if want := "unit u01-cfg-01: resumed (62 prior samples, "; !strings.Contains(logB.String(), want) {
+		t.Errorf("worker B did not resume the interrupted unit from its sealed chunk (want %q):\n%s", want, logB.String())
 	}
 
 	// Completion provenance: attempt 2, worker B's host.
@@ -648,25 +693,24 @@ func TestFaultTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestRemoteShipmentV2ByteIdentity runs a sweep whose units journal in
-// the chunked binary v2 format through the full remote transport: the
+// TestRemoteShipmentV2ByteIdentity runs a sweep, whose units journal in
+// the chunked binary v2 format, through the full remote transport: the
 // worker's truncate floors (campaign.ValidPrefix) and the coordinator's
-// byte-oriented chunk ingestion must be format-transparent, the
+// byte-oriented chunk ingestion must carry the binary chunks intact, the
 // mirrored unit journals must replay as clean v2, and the merged report
-// must be byte-identical to the v1 single-process reference.
+// must be byte-identical to the single-process reference.
 func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock supervision loops")
 	}
 	const k = 4
-	ref := referenceReport(t, k) // v1 journals: the cross-format baseline
+	ref := referenceReport(t, k)
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	sw, err := shard.NewSweep("remote-sweep", makeUnits(t, k), testFaultFP(t), testEnv, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Journal = "v2"
 	if err := shard.Create(dir, sw); err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +750,7 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 		}
 	}
 	if got := mergedReport(t, dir); !bytes.Equal(got, ref) {
-		t.Errorf("v2 remote report differs from v1 single-process run:\n--- ref\n%s\n--- got\n%s", ref, got)
+		t.Errorf("remote report differs from single-process run:\n--- ref\n%s\n--- got\n%s", ref, got)
 	}
 	// The mirrored journals the worker shipped back must be genuine v2
 	// bytes that replay clean — proof the byte-oriented transport and
@@ -725,5 +769,33 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 				t.Fatalf("mirrored journal %s has a torn tail after clean completion", u.ID)
 			}
 		}
+	}
+}
+
+// TestLocalFilesShipManifestFirst: within a unit the manifest ships
+// before the journal, so a ship pass cut short by a network error or a
+// kill never leaves the mirror holding a journal without its manifest —
+// a state a replacement executor can neither resume (no campaign) nor
+// start over (the journal already exists).
+func TestLocalFilesShipManifestFirst(t *testing.T) {
+	dir := t.TempDir()
+	for _, u := range []string{"u1", "u0"} {
+		ud := filepath.Join(dir, shard.UnitsDir, u)
+		if err := os.MkdirAll(ud, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []string{shard.UnitResultFile, campaign.JournalFile, campaign.ManifestFile} {
+			if err := os.WriteFile(filepath.Join(ud, f), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := (&Worker{}).localFiles(&job{dir: dir})
+	want := []string{
+		"units/u0/manifest.json", "units/u0/journal.jsonl", "units/u0/result.json",
+		"units/u1/manifest.json", "units/u1/journal.jsonl", "units/u1/result.json",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ship order = %v, want %v", got, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,7 +62,8 @@ type WorkerOptions struct {
 	// Transport, when non-nil, replaces the HTTP transport for
 	// coordinator RPCs — the fault-injection seam.
 	Transport http.RoundTripper
-	// Log, when non-nil, receives one line per worker event.
+	// Log, when non-nil, receives one line per worker event and the
+	// executor's per-unit progress lines (skipped / resumed / measured).
 	Log io.Writer
 }
 
@@ -338,6 +338,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 		_, err := shard.ExecShard(ctx, j.dir, w.opt.Runner, shard.ExecOptions{
 			Attempt:   j.attempt,
 			Heartbeat: w.opt.Heartbeat,
+			Progress:  w.opt.Log,
 		})
 		execDone <- err
 	}()
@@ -379,7 +380,7 @@ func (w *Worker) prepare(j *job, req AssignRequest) error {
 	if err := os.MkdirAll(filepath.Join(j.dir, shard.UnitsDir), 0o755); err != nil {
 		return err
 	}
-	if err := writeJSONFile(filepath.Join(j.dir, shard.ManifestFile), req.Manifest); err != nil {
+	if err := shard.WriteJSON(filepath.Join(j.dir, shard.ManifestFile), req.Manifest); err != nil {
 		return err
 	}
 	for _, fs := range req.Seed {
@@ -417,8 +418,8 @@ func (w *Worker) journalFloors(j *job) map[string]int64 {
 	return floors
 }
 
-// localFiles lists the shippable files currently in the job dir, in
-// deterministic order.
+// localFiles lists the shippable files currently in the job dir: units
+// in name order, each unit's files in shardFiles order.
 func (w *Worker) localFiles(j *job) []string {
 	var out []string
 	units, err := os.ReadDir(filepath.Join(j.dir, shard.UnitsDir))
@@ -429,14 +430,13 @@ func (w *Worker) localFiles(j *job) []string {
 		if !u.IsDir() {
 			continue
 		}
-		for f := range shardFiles {
+		for _, f := range shardFiles {
 			rel := shard.UnitsDir + "/" + u.Name() + "/" + f
 			if _, err := os.Stat(filepath.Join(j.dir, shard.UnitsDir, u.Name(), f)); err == nil {
 				out = append(out, rel)
 			}
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -42,7 +42,7 @@ func ReadHeartbeat(shardDir string) (hb Heartbeat, ok bool) {
 // worker's heartbeat into its local mirror of the shard, and the
 // supervisor's Seq-advance poll works across the wire unchanged.
 func WriteHeartbeat(shardDir string, hb Heartbeat) error {
-	return writeJSON(filepath.Join(shardDir, HeartbeatFile), hb)
+	return WriteJSON(filepath.Join(shardDir, HeartbeatFile), hb)
 }
 
 // beater publishes heartbeats for one executor attempt. It resumes the
@@ -105,7 +105,7 @@ func (b *beater) beat() {
 	// running and the supervisor will kill it only if beats stay absent
 	// past the timeout — which is the correct reaction to a shard
 	// directory that stopped accepting writes.
-	_ = writeJSON(filepath.Join(b.dir, HeartbeatFile), hb)
+	_ = WriteJSON(filepath.Join(b.dir, HeartbeatFile), hb)
 }
 
 // setUnit labels subsequent heartbeats with the unit in progress.

@@ -87,7 +87,7 @@ type HostRecord struct {
 
 // WriteHost records host provenance into a shard directory.
 func WriteHost(shardDir string, h HostRecord) error {
-	return writeJSON(filepath.Join(shardDir, HostFile), h)
+	return WriteJSON(filepath.Join(shardDir, HostFile), h)
 }
 
 // LoadHost reads a shard's host provenance; ok is false when the shard
@@ -514,7 +514,7 @@ type MergedManifest struct {
 
 // WriteMerged persists the merged manifest into the sweep directory.
 func WriteMerged(sweepDir string, r *MergeReport) error {
-	return writeJSON(filepath.Join(sweepDir, MergedFile), MergedManifest{
+	return WriteJSON(filepath.Join(sweepDir, MergedFile), MergedManifest{
 		SweepHash:        r.Sweep.SweepHash,
 		Name:             r.Sweep.Name,
 		FaultFingerprint: r.Sweep.FaultFingerprint,

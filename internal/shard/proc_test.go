@@ -43,7 +43,8 @@ func procExecMain(dir string) {
 			select {}
 		}
 	}
-	var r UnitRunner = testRunner{}
+	samples, _ := strconv.Atoi(os.Getenv("SHARD_SAMPLES"))
+	var r UnitRunner = testRunner{samples: samples}
 	if s := os.Getenv("SHARD_KILL_AT"); s != "" {
 		if _, err := os.Stat(crashMarker(dir)); os.IsNotExist(err) {
 			at, _ := strconv.Atoi(s)
@@ -90,8 +91,10 @@ func (k *killRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float
 
 // procStart builds a StartFunc that re-execs this test binary as a
 // real executor process, with extra per-shard environment (keyed by
-// shard directory basename) for fault injection.
-func procStart(t *testing.T, extra map[string][]string) StartFunc {
+// shard directory basename) for fault injection. With logDir set, each
+// executor's stderr (its per-unit progress lines) goes to
+// logDir/<shard>.<attempt>.log instead of the test's stderr.
+func procStart(t *testing.T, extra map[string][]string, logDir string) StartFunc {
 	t.Helper()
 	return func(shardDir string, attempt int) (Handle, error) {
 		cmd := exec.Command(os.Args[0])
@@ -100,6 +103,14 @@ func procStart(t *testing.T, extra map[string][]string) StartFunc {
 			fmt.Sprintf("SHARD_ATTEMPT=%d", attempt))
 		cmd.Env = append(cmd.Env, extra[filepath.Base(shardDir)]...)
 		cmd.Stderr = os.Stderr
+		if logDir != "" {
+			f, err := os.Create(filepath.Join(logDir, fmt.Sprintf("%s.%d.log", filepath.Base(shardDir), attempt)))
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { f.Close() })
+			cmd.Stderr = f
+		}
 		if err := cmd.Start(); err != nil {
 			return nil, err
 		}
@@ -108,27 +119,32 @@ func procStart(t *testing.T, extra map[string][]string) StartFunc {
 }
 
 // TestProcessSIGKILLResumeByteIdentity is the acceptance scenario: 3
-// executor processes, one SIGKILLed mid-shard (mid-unit, mid-journal),
-// its shard reassigned and resumed from the journal — and the merged
-// report is byte-identical to the single-process run.
+// executor processes, one SIGKILLed mid-shard (mid-unit, with a sealed
+// journal chunk and an unsealed tail), its shard reassigned and resumed
+// from the journal — and the merged report is byte-identical to the
+// single-process run.
 func TestProcessSIGKILLResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
 	}
-	const units = 8
+	// 100 samples + 2 warmups: each unit journals 102 records, one
+	// sealed 64-record chunk and a 38-record final chunk.
+	const units, samples, perUnit = 8, 100, 102
+	t.Setenv("SHARD_SAMPLES", strconv.Itoa(samples))
 	ref := func() []byte {
 		dir := t.TempDir()
 		sw := buildSweep(t, dir, units, 1)
-		return execAll(t, dir, sw)
+		return execAllWith(t, dir, sw, testRunner{samples: samples})
 	}()
 
 	dir := t.TempDir()
 	buildSweep(t, dir, units, 3)
-	// Shard 1 holds units 2-4 (42 measure calls); kill at call 20 —
-	// inside its second unit, after some samples are journaled.
+	// Kill shard 1 before measure call perUnit+80: inside its second
+	// unit, after 79 records — the first chunk sealed, 15 records not.
+	logs := t.TempDir()
 	start := procStart(t, map[string][]string{
-		ShardDirName(1): {"SHARD_KILL_AT=20"},
-	})
+		ShardDirName(1): {fmt.Sprintf("SHARD_KILL_AT=%d", perUnit+80)},
+	}, logs)
 	statuses, err := Supervise(context.Background(), dir, start, Options{
 		HeartbeatTimeout: 5 * time.Second,
 		Poll:             20 * time.Millisecond,
@@ -147,10 +163,27 @@ func TestProcessSIGKILLResumeByteIdentity(t *testing.T) {
 	if statuses[1].Attempts != 2 || statuses[1].Crashes != 1 {
 		t.Fatalf("SIGKILLed shard should have crashed once and been reassigned: %+v", statuses[1])
 	}
-	// The injected crash must have left a mid-unit journal (otherwise
-	// this test would not exercise resume).
 	if _, err := os.Stat(crashMarker(filepath.Join(dir, ShardDirName(1)))); err != nil {
 		t.Fatalf("crash never fired: %v", err)
+	}
+	// The replacement skipped the completed first unit and resumed the
+	// second from its sealed chunk: 62 retained samples recovered, not
+	// re-measured (only replayed to restore the PRNG position).
+	m, err := LoadManifest(filepath.Join(dir, ShardDirName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(logs, ShardDirName(1)+".2.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("unit %s: already complete, skipped", m.Units[0].ID),
+		fmt.Sprintf("unit %s: resumed (62 prior samples, ", m.Units[1].ID),
+	} {
+		if !bytes.Contains(log, []byte(want)) {
+			t.Errorf("reassigned executor did not report %q:\n%s", want, log)
+		}
 	}
 	got := mergedReport(t, dir)
 	if !bytes.Equal(got, ref) {
@@ -176,7 +209,7 @@ func TestProcessStallDetectedAndReassigned(t *testing.T) {
 	buildSweep(t, dir, units, 2)
 	start := procStart(t, map[string][]string{
 		ShardDirName(0): {"SHARD_HANG=1"},
-	})
+	}, "")
 	statuses, err := Supervise(context.Background(), dir, start, Options{
 		HeartbeatTimeout: 500 * time.Millisecond,
 		Poll:             20 * time.Millisecond,

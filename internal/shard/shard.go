@@ -86,11 +86,10 @@ type SweepManifest struct {
 	Environment      rules.Environment `json:"environment"`
 	SweepHash        string            `json:"sweep_hash"`
 	CreatedAt        time.Time         `json:"created_at"`
-	// Journal selects the unit journal format ("" or "v1" for JSONL,
-	// "v2" for chunked binary; campaign.ParseFormat spellings). Like
-	// NumShards it is deliberately outside SweepHash: the format is
-	// storage, not experiment identity — the same sweep journaled either
-	// way merges to byte-identical reports.
+	// Journal once selected the unit journal format.
+	//
+	// Deprecated: unit journals are always written as v2; nothing reads
+	// this field.
 	Journal string `json:"journal,omitempty"`
 }
 
@@ -108,10 +107,6 @@ type Manifest struct {
 	Units            []Unit            `json:"units"`
 	Environment      rules.Environment `json:"environment"`
 	CreatedAt        time.Time         `json:"created_at"`
-	// Journal is the sweep's unit journal format, copied to every shard
-	// so an executor started from the shard manifest alone uses the
-	// format the sweep chose. Not part of any identity hash.
-	Journal string `json:"journal,omitempty"`
 }
 
 // Errors of the shard layer.
@@ -224,7 +219,6 @@ func (s SweepManifest) Shards() []Manifest {
 			Units:            s.Units[r[0]:r[1]],
 			Environment:      s.Environment,
 			CreatedAt:        s.CreatedAt,
-			Journal:          s.Journal,
 		}
 	}
 	return out
@@ -245,11 +239,11 @@ func Create(dir string, s SweepManifest) error {
 		if err := os.MkdirAll(filepath.Join(sd, UnitsDir), 0o755); err != nil {
 			return fmt.Errorf("shard: %w", err)
 		}
-		if err := writeJSON(filepath.Join(sd, ManifestFile), m); err != nil {
+		if err := WriteJSON(filepath.Join(sd, ManifestFile), m); err != nil {
 			return err
 		}
 	}
-	return writeJSON(filepath.Join(dir, SweepFile), s)
+	return WriteJSON(filepath.Join(dir, SweepFile), s)
 }
 
 // LoadSweep reads and re-verifies a sweep manifest: the stored
@@ -289,9 +283,9 @@ func UnitDir(shardDir, id string) string {
 	return filepath.Join(shardDir, UnitsDir, id)
 }
 
-// writeJSON writes v as indented JSON via a temp file + rename, so a
+// WriteJSON writes v as indented JSON via a temp file + rename, so a
 // crash never publishes a half-written manifest under the final name.
-func writeJSON(path string, v any) error {
+func WriteJSON(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: encoding %s: %w", filepath.Base(path), err)

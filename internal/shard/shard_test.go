@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
+	"repro/internal/campaign/v1fixture"
 	"repro/internal/rules"
 )
 
@@ -74,10 +75,12 @@ func makeUnits(t testing.TB, k int, baseSeed uint64) []Unit {
 
 // testRunner rebuilds a deterministic measurement from a unit config: a
 // seeded PRNG around the config's base latency. The same unit always
-// yields the same sample stream, on any executor.
-type testRunner struct{}
+// yields the same sample stream, on any executor. samples overrides the
+// plan's 12 samples per unit; more than 62 make a unit journal span
+// several 64-record chunks.
+type testRunner struct{ samples int }
 
-func (testRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
+func (r testRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
 	var cfg unitCfg
 	if err := json.Unmarshal(u.Config, &cfg); err != nil {
 		return campaign.Manifest{}, bench.Plan{}, nil, err
@@ -91,6 +94,9 @@ func (testRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float64,
 		return cfg.Base * (1 + 0.05*rng.Float64()), nil
 	}
 	plan := bench.Plan{Warmup: 2, MinSamples: 12, Workers: 1}
+	if r.samples > 0 {
+		plan.MinSamples = r.samples
+	}
 	return man, plan, measure, nil
 }
 
@@ -110,9 +116,15 @@ func buildSweep(t testing.TB, dir string, k, n int) SweepManifest {
 // execAll runs every shard in-process and returns the canonical report.
 func execAll(t *testing.T, dir string, sw SweepManifest) []byte {
 	t.Helper()
+	return execAllWith(t, dir, sw, testRunner{})
+}
+
+// execAllWith is execAll with a chosen runner.
+func execAllWith(t *testing.T, dir string, sw SweepManifest, r UnitRunner) []byte {
+	t.Helper()
 	for i := range sw.Shards() {
 		sd := filepath.Join(dir, ShardDirName(i))
-		if _, err := ExecShard(context.Background(), sd, testRunner{}, ExecOptions{}); err != nil {
+		if _, err := ExecShard(context.Background(), sd, r, ExecOptions{}); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
@@ -193,7 +205,7 @@ func TestLoadSweepRefusesTamper(t *testing.T) {
 	sw := buildSweep(t, dir, 3, 2)
 	// Tamper: change one unit's seed in sweep.json without rehashing.
 	sw.Units[1].Seed++
-	if err := writeJSON(filepath.Join(dir, SweepFile), sw); err != nil {
+	if err := WriteJSON(filepath.Join(dir, SweepFile), sw); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadSweep(dir); !errors.Is(err, ErrShardDrift) {
@@ -562,7 +574,7 @@ func TestMergeRefusesForeignShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SweepHash = strings.Repeat("0", 64)
-	if err := writeJSON(filepath.Join(sd, ManifestFile), m); err != nil {
+	if err := WriteJSON(filepath.Join(sd, ManifestFile), m); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Merge(dir)
@@ -676,42 +688,41 @@ func (r driftRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float
 	return man, plan, skew, nil
 }
 
+// rewriteAsV1 replaces the journal of a unit campaign with its records
+// in the read-only v1 layout, which is what a sweep journaled before v2
+// became the only writer left on disk. It returns the v1 size.
+func rewriteAsV1(t *testing.T, unitDir string) int64 {
+	t.Helper()
+	_, st, err := campaign.Load(unitDir)
+	if err != nil || st.Torn {
+		t.Fatalf("unit %s: torn=%v err=%v", unitDir, st.Torn, err)
+	}
+	n, err := v1fixture.Write(filepath.Join(unitDir, campaign.JournalFile), st.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestMergeByteIdenticalAcrossJournalFormats is the shard-level
-// acceptance test for journal v2: the same sweep executed with v1 and
-// v2 unit journals merges to byte-identical reports, the v2 journals
-// really are the chunked binary format (and smaller), and a mixed
-// sweep — some unit journals converted in place after the run — still
-// merges to the same bytes, because the merge replays records, not
-// formats.
+// cross-format acceptance test: a sweep whose unit journals are v2 (as
+// every executor writes them) and the same sweep with every unit
+// journal rewritten as v1 merge to byte-identical reports, and so does
+// a mixed sweep — some v1 unit journals converted back in place —
+// because the merge replays records, not formats.
 func TestMergeByteIdenticalAcrossJournalFormats(t *testing.T) {
 	const k, n = 6, 3
 	dirV1, dirV2 := t.TempDir(), t.TempDir()
 
-	swV1 := buildSweep(t, dirV1, k, n)
-	repV1 := execAll(t, dirV1, swV1)
-
-	swV2, err := NewSweep("test-sweep", makeUnits(t, k, 42), testFaultFP(t), testEnv, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swV2.Journal = "v2"
-	if err := Create(dirV2, swV2); err != nil {
-		t.Fatal(err)
-	}
-	if swV2.SweepHash != swV1.SweepHash {
-		t.Fatal("journal format leaked into sweep identity")
-	}
+	swV2 := buildSweep(t, dirV2, k, n)
 	repV2 := execAll(t, dirV2, swV2)
-
-	if !bytes.Equal(repV1, repV2) {
-		t.Fatalf("v1 and v2 sweeps produced different reports:\n--- v1 ---\n%s\n--- v2 ---\n%s", repV1, repV2)
-	}
+	swV1 := buildSweep(t, dirV1, k, n)
+	execAll(t, dirV1, swV1)
 
 	var v1Bytes, v2Bytes int64
-	for i := 0; i < n; i++ {
-		for _, u := range swV2.Shards()[i].Units {
-			jp := filepath.Join(UnitDir(filepath.Join(dirV2, ShardDirName(i)), u.ID), campaign.JournalFile)
-			data, err := os.ReadFile(jp)
+	for i, m := range swV2.Shards() {
+		for _, u := range m.Units {
+			data, err := os.ReadFile(filepath.Join(UnitDir(filepath.Join(dirV2, ShardDirName(i)), u.ID), campaign.JournalFile))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -719,29 +730,25 @@ func TestMergeByteIdenticalAcrossJournalFormats(t *testing.T) {
 				t.Fatalf("unit %s journal is not v2", u.ID)
 			}
 			v2Bytes += int64(len(data))
-		}
-		for _, u := range swV1.Shards()[i].Units {
-			jp := filepath.Join(UnitDir(filepath.Join(dirV1, ShardDirName(i)), u.ID), campaign.JournalFile)
-			st, err := os.Stat(jp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1Bytes += st.Size()
+			v1Bytes += rewriteAsV1(t, UnitDir(filepath.Join(dirV1, ShardDirName(i)), u.ID))
 		}
 	}
 	if v2Bytes >= v1Bytes {
 		t.Errorf("v2 unit journals not smaller: %d vs %d bytes", v2Bytes, v1Bytes)
 	}
+	if repV1 := mergedReport(t, dirV1); !bytes.Equal(repV1, repV2) {
+		t.Fatalf("v1 and v2 sweeps merged to different reports:\n--- v1 ---\n%s\n--- v2 ---\n%s", repV1, repV2)
+	}
 
 	// Mixed formats within one sweep: convert shard 0's unit journals of
-	// the v1 sweep to v2 in place; the merge must not notice.
+	// the v1 sweep back to v2 in place; the merge must not notice.
 	for _, u := range swV1.Shards()[0].Units {
 		ud := UnitDir(filepath.Join(dirV1, ShardDirName(0)), u.ID)
-		if _, err := campaign.ConvertJournal(ud, campaign.FormatV2, 0); err != nil {
+		if _, err := campaign.ConvertJournal(ud); err != nil {
 			t.Fatalf("converting unit %s: %v", u.ID, err)
 		}
 	}
-	if mixed := mergedReport(t, dirV1); !bytes.Equal(mixed, repV1) {
+	if mixed := mergedReport(t, dirV1); !bytes.Equal(mixed, repV2) {
 		t.Fatal("mixed-format sweep merged to different report bytes")
 	}
 }

@@ -58,7 +58,8 @@ func TestTelemetryPreservesSuiteBitIdentity(t *testing.T) {
 	baseRep, baseProg := runSuiteBytes(t, 1)
 
 	var sink bytes.Buffer
-	telemetry.Enable(&sink)
+	bw := telemetry.NewBinaryTraceWriter(&sink)
+	telemetry.EnableSink(bw)
 	defer telemetry.Disable()
 	for _, workers := range []int{1, 3} {
 		rep, prog := runSuiteBytes(t, workers)
@@ -70,7 +71,10 @@ func TestTelemetryPreservesSuiteBitIdentity(t *testing.T) {
 		}
 	}
 	// The comparison must not be vacuous: tracing really was live.
-	if sink.Len() == 0 {
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if spans, _ := telemetry.ReadBinaryTrace(sink.Bytes()); len(spans) == 0 {
 		t.Fatal("enabled tracer emitted no spans during the sweep")
 	}
 }
@@ -151,7 +155,8 @@ func TestTelemetryPreservesCampaignBitIdentity(t *testing.T) {
 	baseJournal, baseResult := runInterruptedCampaign(t, interruptAt)
 
 	var sink bytes.Buffer
-	telemetry.Enable(&sink)
+	bw := telemetry.NewBinaryTraceWriter(&sink)
+	telemetry.EnableSink(bw)
 	defer telemetry.Disable()
 	journal, result := runInterruptedCampaign(t, interruptAt)
 
@@ -161,7 +166,10 @@ func TestTelemetryPreservesCampaignBitIdentity(t *testing.T) {
 	if result != baseResult {
 		t.Errorf("telemetry changed the analyzed result:\noff: %s\non:  %s", baseResult, result)
 	}
-	if sink.Len() == 0 {
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if spans, _ := telemetry.ReadBinaryTrace(sink.Bytes()); len(spans) == 0 {
 		t.Fatal("enabled tracer emitted no spans during the campaign")
 	}
 }
@@ -170,7 +178,7 @@ func TestTelemetryPreservesCampaignBitIdentity(t *testing.T) {
 // runs: generate real harness activity, serve the endpoint, scrape it,
 // and assert the advertised metric names and routes are live.
 func TestTelemetrySmoke(t *testing.T) {
-	telemetry.Enable(nil)
+	telemetry.EnableSink(nil)
 	defer telemetry.Disable()
 
 	// Generate activity through every instrumented layer: a sweep

@@ -5,7 +5,7 @@
 // MPI results. This package makes the harness itself observable — a
 // lock-cheap metrics registry (counters, gauges, and streaming
 // histograms summarized by the repo's own stats machinery), hierarchical
-// spans emitted as an out-of-band JSONL trace with monotonic timestamps
+// spans emitted as an out-of-band binary trace with monotonic timestamps
 // from internal/timer, and an optional HTTP endpoint serving /metrics,
 // /trace, and net/http/pprof.
 //

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -109,8 +108,8 @@ func TestTracerDisabledIsFree(t *testing.T) {
 
 func TestTracerRecordsHierarchy(t *testing.T) {
 	tr := NewTracer()
-	var sink bytes.Buffer
-	tr.Enable(&sink)
+	var sink spanCollector
+	tr.EnableSink(&sink)
 	defer tr.Disable()
 
 	parent := tr.Start(0, "sweep", "2 configurations")
@@ -134,22 +133,20 @@ func TestTracerRecordsHierarchy(t *testing.T) {
 		t.Errorf("durations: child %d, parent %d", spans[0].DurUs, spans[1].DurUs)
 	}
 
-	// The sink got one JSON object per line.
-	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink holds %d lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var sp Span
-		if err := json.Unmarshal([]byte(line), &sp); err != nil {
-			t.Errorf("sink line %q: %v", line, err)
-		}
+	// The sink got every completed span, in completion order.
+	if len(sink) != 2 || sink[0] != spans[0] || sink[1] != spans[1] {
+		t.Fatalf("sink holds %+v, want %+v", sink, spans)
 	}
 }
 
+// spanCollector is a SpanSink that keeps every span it is handed.
+type spanCollector []Span
+
+func (c *spanCollector) WriteSpan(sp Span) { *c = append(*c, sp) }
+
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer()
-	tr.Enable(nil)
+	tr.EnableSink(nil)
 	defer tr.Disable()
 	for i := 0; i < traceRing+10; i++ {
 		tr.Start(0, "s", "").End()
@@ -167,7 +164,7 @@ func TestTracerRingWraps(t *testing.T) {
 
 func TestStartSpanContextPropagation(t *testing.T) {
 	tr := DefaultTracer()
-	tr.Enable(nil)
+	tr.EnableSink(nil)
 	defer tr.Disable()
 
 	ctx := context.Background()
@@ -205,7 +202,7 @@ func TestStartSpanContextPropagation(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer()
-	tr.Enable(nil)
+	tr.EnableSink(nil)
 	defer tr.Disable()
 
 	const goroutines = 8

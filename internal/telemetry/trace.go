@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +10,7 @@ import (
 )
 
 // traceRing bounds how many completed spans the tracer retains for the
-// /trace endpoint; the JSONL sink, when set, receives every span.
+// /trace endpoint; the sink, when set, receives every span.
 const traceRing = 1024
 
 // SpanID identifies one span; 0 is "no span" (root).
@@ -39,20 +37,10 @@ type SpanSink interface {
 	WriteSpan(Span)
 }
 
-// jsonlSink is the classic sink: one JSON line per span.
-type jsonlSink struct{ w io.Writer }
-
-func (s jsonlSink) WriteSpan(sp Span) {
-	if b, err := json.Marshal(sp); err == nil {
-		s.w.Write(append(b, '\n'))
-	}
-}
-
 // Tracer records hierarchical spans. Disabled (the default) it costs one
 // atomic load per instrumentation site and allocates nothing; enabled it
 // appends completed spans to a bounded ring and, when a sink is set,
-// streams each to it (JSON lines via Enable, or any SpanSink — e.g. the
-// chunked binary trace writer — via EnableSink).
+// streams each to it (e.g. the chunked binary trace writer).
 type Tracer struct {
 	enabled atomic.Bool
 	ids     atomic.Uint64
@@ -75,20 +63,9 @@ var tracer = NewTracer()
 // DefaultTracer returns the process-wide tracer served by /trace.
 func DefaultTracer() *Tracer { return tracer }
 
-// Enable arms the tracer. sink, when non-nil, receives every completed
-// span as one JSON line; pass nil to keep spans only in the in-memory
-// ring (still served by /trace).
-func (t *Tracer) Enable(sink io.Writer) {
-	if sink == nil {
-		t.EnableSink(nil)
-		return
-	}
-	t.EnableSink(jsonlSink{w: sink})
-}
-
-// EnableSink arms the tracer with an arbitrary span sink (e.g. a
-// BinaryTraceWriter). Pass nil to keep spans only in the in-memory
-// ring.
+// EnableSink arms the tracer with a span sink (e.g. a
+// BinaryTraceWriter). Pass nil to keep spans only in the in-memory ring
+// (still served by /trace).
 func (t *Tracer) EnableSink(sink SpanSink) {
 	t.mu.Lock()
 	t.sink = sink
@@ -222,10 +199,8 @@ func StartSpan(ctx context.Context, name, detail string) (context.Context, *Acti
 // histogram records, matching the µs the suite reports measurements in.
 func Us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// Enable arms the default tracer (see Tracer.Enable).
-func Enable(sink io.Writer) { tracer.Enable(sink) }
-
-// EnableSink arms the default tracer with an arbitrary span sink.
+// EnableSink arms the default tracer with a span sink; nil keeps spans
+// only in the in-memory ring.
 func EnableSink(sink SpanSink) { tracer.EnableSink(sink) }
 
 // Disable disarms the default tracer.

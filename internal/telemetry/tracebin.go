@@ -24,7 +24,7 @@ const traceFlushEvery = 128
 // (span names repeat heavily — "collection", "analysis", …), varint
 // deltas for IDs and start timestamps, varint durations. The same
 // encoder as the v2 campaign journal, roughly an order of magnitude
-// smaller than the JSONL trace.
+// smaller than one JSON line per span.
 type BinaryTraceWriter struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -180,7 +180,7 @@ func IsBinaryTrace(data []byte) bool { return bytes.HasPrefix(data, traceMagic) 
 // ReadBinaryTrace decodes a binary trace file, returning the spans of
 // every whole, CRC-verified chunk. torn reports that a trailing partial
 // or corrupt chunk was dropped (the expected shape after a crash). The
-// trace file is opened append-mode like the JSONL trace, so a resumed
+// trace file is opened append-mode, so a resumed
 // campaign concatenates sessions; a repeated magic between chunks is a
 // session separator and is skipped.
 func ReadBinaryTrace(data []byte) (spans []Span, torn bool) {

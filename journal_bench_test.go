@@ -1,9 +1,10 @@
-// Benchmarks of the campaign journal's two on-disk encodings: append
-// throughput (the per-observation durability cost a campaign pays) and
-// replay throughput (the recovery/merge cost). v1 is one fsynced JSONL
-// frame per record; v2 is chunked delta-encoded columns with one fsync
-// per 64-record chunk — the group-commit amortization is the point, so
-// both append benchmarks run with Sync on, as campaigns do.
+// Benchmarks of the campaign journal: append throughput (the
+// per-observation durability cost a campaign pays) and replay
+// throughput (the recovery/merge cost) of both encodings replay reads.
+// Campaigns write v2, chunked delta-encoded columns with one fsync per
+// 64-record chunk; the group-commit amortization is the point, so the
+// append benchmark fsyncs as campaigns do. v1, one CRC-framed JSON line
+// per record, is read-only; its replay fixture is encoded here.
 package scibench_test
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
+	"repro/internal/campaign/v1fixture"
 	"repro/internal/rules"
 )
 
@@ -40,9 +42,10 @@ func benchEvent(i int) bench.Event {
 	}
 }
 
-func benchmarkJournalAppend(b *testing.B, format campaign.Format) {
+// BenchmarkJournalAppendV2 is the chunked group-commit append path.
+func BenchmarkJournalAppendV2(b *testing.B) {
 	dir := b.TempDir()
-	j, err := campaign.CreateJournal(dir, benchManifest(b), campaign.JournalOptions{Format: format})
+	j, err := campaign.Create(dir, benchManifest(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,43 +66,54 @@ func benchmarkJournalAppend(b *testing.B, format campaign.Format) {
 	}
 }
 
-// BenchmarkJournalAppendV1 is the per-record fsync baseline.
-func BenchmarkJournalAppendV1(b *testing.B) {
-	benchmarkJournalAppend(b, campaign.FormatJSONL)
-}
+// replayRecords is the size of the replay benchmarks' journal.
+const replayRecords = 4096
 
-// BenchmarkJournalAppendV2 is the chunked group-commit path; the gate
-// requires it ≥5× the v1 throughput.
-func BenchmarkJournalAppendV2(b *testing.B) {
-	benchmarkJournalAppend(b, campaign.FormatV2)
-}
-
-func benchmarkJournalReplay(b *testing.B, format campaign.Format) {
-	const records = 4096
-	dir := b.TempDir()
-	j, err := campaign.CreateJournal(dir, benchManifest(b), campaign.JournalOptions{Format: format})
+// v1Journal encodes the replay fixture in the read-only v1 layout.
+func v1Journal(b *testing.B) []byte {
+	recs := make([]campaign.Record, replayRecords)
+	for i := range recs {
+		recs[i] = campaign.Record{Seq: i + 1, Event: benchEvent(i)}
+	}
+	out, err := v1fixture.Encode(recs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	j.Sync = false // build the fixture fast; replay reads, never syncs
-	for i := 0; i < records; i++ {
-		if err := j.Record(benchEvent(i)); err != nil {
-			b.Fatal(err)
-		}
+	return out
+}
+
+// v2Journal is the same fixture as the journal writer lays it down,
+// produced by converting the v1 fixture in a campaign directory.
+func v2Journal(b *testing.B) []byte {
+	dir := b.TempDir()
+	j, err := campaign.Create(dir, benchManifest(b))
+	if err != nil {
+		b.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, campaign.JournalFile))
+	path := filepath.Join(dir, campaign.JournalFile)
+	if err := os.WriteFile(path, v1Journal(b), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := campaign.ConvertJournal(dir); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return data
+}
+
+func benchmarkJournalReplay(b *testing.B, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := campaign.Replay(data)
-		if len(st.Records) != records || st.Torn {
+		if len(st.Records) != replayRecords || st.Torn {
 			b.Fatalf("replay: %d records, torn=%v", len(st.Records), st.Torn)
 		}
 	}
@@ -107,10 +121,10 @@ func benchmarkJournalReplay(b *testing.B, format campaign.Format) {
 
 // BenchmarkJournalReplayV1 replays a 4096-record JSONL journal.
 func BenchmarkJournalReplayV1(b *testing.B) {
-	benchmarkJournalReplay(b, campaign.FormatJSONL)
+	benchmarkJournalReplay(b, v1Journal(b))
 }
 
 // BenchmarkJournalReplayV2 replays the same stream as chunked binary.
 func BenchmarkJournalReplayV2(b *testing.B) {
-	benchmarkJournalReplay(b, campaign.FormatV2)
+	benchmarkJournalReplay(b, v2Journal(b))
 }

@@ -747,7 +747,7 @@ func WriteRulesReport(w io.Writer, findings []Finding) error {
 }
 
 // Durable, interruptible campaigns (package campaign): a write-ahead
-// sample journal with per-record checksums, a manifest binding the
+// sample journal with per-chunk checksums, a manifest binding the
 // journal to its exact setup (Rule 9), and crash/cancel recovery that
 // resumes a deterministic campaign bit-for-bit.
 type (
@@ -755,7 +755,7 @@ type (
 	// seed, config hash, fault-schedule fingerprint, environment.
 	CampaignManifest = campaign.Manifest
 	// CampaignJournal is an open write-ahead journal; attach it via
-	// Plan.Record to make every collection event durable.
+	// Plan.Record to make collection events durable, 64 to a chunk.
 	CampaignJournal = campaign.Journal
 	// CampaignState is the collection state replayed from a journal,
 	// with any torn tail dropped.
@@ -765,25 +765,14 @@ type (
 	// CampaignResumeOptions tunes resume for the measure source; the
 	// zero value is right for deterministic (seeded simulated) sources.
 	CampaignResumeOptions = campaign.ResumeOptions
-	// CampaignJournalFormat selects the journal's on-disk encoding: v1
-	// JSONL (one CRC-framed JSON line per event, fsynced per record) or
-	// the v2 chunked binary format (delta-encoded columns, CRC per
-	// chunk, group fsync). Readers sniff the format; the choice never
-	// enters the campaign identity.
-	CampaignJournalFormat = campaign.Format
-	// CampaignJournalOptions selects the journal format and chunk width
-	// for a new campaign; the zero value keeps the v1 default.
-	CampaignJournalOptions = campaign.JournalOptions
 	// CampaignConvertInfo is ConvertCampaignJournal's accounting: what
-	// was converted and the before/after sizes.
+	// was converted, the before/after sizes and any dropped torn tail.
 	CampaignConvertInfo = campaign.ConvertInfo
 )
 
-// Journal format selectors (see CampaignJournalFormat).
-const (
-	JournalFormatJSONL = campaign.FormatJSONL
-	JournalFormatV2    = campaign.FormatV2
-)
+// CampaignTornKeptFile names the copy of a torn v1 journal that
+// ConvertCampaignJournal keeps beside the rewritten one.
+const CampaignTornKeptFile = campaign.TornKeptFile
 
 // NewCampaignManifest builds the Rule 9 manifest for a journaled
 // campaign: config is the complete setup description (hashed
@@ -792,35 +781,22 @@ func NewCampaignManifest(name string, seed uint64, config any, sched *FaultSched
 	return campaign.NewManifest(name, seed, config, sched, env)
 }
 
-// RunCampaign executes a fully journaled campaign in dir: every
-// collection event is durable before the next observation runs, so an
-// interruption at any point leaves a resumable journal.
+// RunCampaign executes a fully journaled campaign in dir. Events
+// become durable at each 64-record chunk seal and on Flush/Close: a
+// clean stop loses nothing, a crash at most the unsealed tail, which
+// resume re-measures — an interruption at any point leaves a resumable
+// journal.
 func RunCampaign(ctx context.Context, dir string, m CampaignManifest, plan Plan, measure func() (float64, error)) (Result, error) {
 	return campaign.Run(ctx, dir, m, plan, measure)
 }
 
-// RunCampaignOpts is RunCampaign with explicit journal options —
-// notably JournalFormatV2 for the chunked binary journal. The report
-// is byte-identical across formats; only the journal's encoding and
-// durability batching change.
-func RunCampaignOpts(ctx context.Context, dir string, m CampaignManifest, plan Plan,
-	measure func() (float64, error), opt CampaignJournalOptions) (Result, error) {
-	return campaign.RunOpts(ctx, dir, m, plan, measure, opt)
-}
-
-// ParseJournalFormat parses a -journal-format flag value: "" or "v1"
-// or "jsonl" → JournalFormatJSONL; "v2" or "binary" → JournalFormatV2.
-func ParseJournalFormat(s string) (CampaignJournalFormat, error) {
-	return campaign.ParseFormat(s)
-}
-
-// ConvertCampaignJournal rewrites a completed (non-torn) campaign's
-// journal in the other format, atomically and with a record-for-record
-// re-replay verification. The campaign stays resumable afterwards:
-// format is storage, not identity. flushEvery ≤ 0 picks the default
-// v2 chunk width.
-func ConvertCampaignJournal(dir string, to CampaignJournalFormat, flushEvery int) (CampaignConvertInfo, error) {
-	return campaign.ConvertJournal(dir, to, flushEvery)
+// ConvertCampaignJournal rewrites a campaign's read-only v1 journal as
+// v2, atomically and with a record-for-record re-replay verification,
+// dropping (and reporting, and keeping a copy of) a torn tail. The campaign resumes
+// bit-for-bit afterwards: format is storage, not identity. A v2 journal
+// is left untouched.
+func ConvertCampaignJournal(dir string) (CampaignConvertInfo, error) {
+	return campaign.ConvertJournal(dir)
 }
 
 // ResumeCampaign continues an interrupted journaled campaign: it
@@ -1069,7 +1045,7 @@ func NewRemoteFaultTransport(seed uint64, next http.RoundTripper) *RemoteFaultTr
 
 // Harness observability (package telemetry): a lock-cheap metrics
 // registry the measurement layers instrument unconditionally,
-// hierarchical spans emitted as an out-of-band JSONL trace, and an
+// hierarchical spans emitted as an out-of-band binary trace, and an
 // optional HTTP endpoint serving /metrics, /trace, and net/http/pprof.
 // Telemetry never changes report bytes, campaign identity, or RNG
 // positions — the bit-identity guarantees hold with it on or off.
@@ -1085,11 +1061,11 @@ type (
 	// sweep → config → collection → analysis).
 	TraceSpan = telemetry.Span
 	// TelemetrySpanSink receives every completed span; implemented by
-	// the JSONL sink and the chunked binary trace writer.
+	// the chunked binary trace writer.
 	TelemetrySpanSink = telemetry.SpanSink
 	// BinaryTraceWriter streams spans as chunked binary (the journal
 	// v2 encoder: per-chunk string table, varint delta columns) —
-	// roughly an order of magnitude smaller than the JSONL trace.
+	// roughly an order of magnitude smaller than one JSON line per span.
 	BinaryTraceWriter = telemetry.BinaryTraceWriter
 )
 
@@ -1098,13 +1074,9 @@ type (
 // worker occupancy, analysis-stage durations, ...).
 func Telemetry() *TelemetryRegistry { return telemetry.Default() }
 
-// EnableTelemetryTrace arms span tracing. sink, when non-nil, receives
-// every completed span as one JSON line (the out-of-band JSONL trace);
-// nil keeps spans only in the in-memory ring served by /trace.
-func EnableTelemetryTrace(sink io.Writer) { telemetry.Enable(sink) }
-
-// EnableTelemetryTraceSink arms span tracing with an arbitrary sink —
-// e.g. a BinaryTraceWriter for the chunked binary trace.
+// EnableTelemetryTraceSink arms span tracing with a sink — e.g. a
+// BinaryTraceWriter for the chunked binary trace; nil keeps spans only
+// in the in-memory ring served by /trace.
 func EnableTelemetryTraceSink(sink TelemetrySpanSink) { telemetry.EnableSink(sink) }
 
 // NewBinaryTraceWriter returns a binary trace sink streaming chunks to
