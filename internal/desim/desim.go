@@ -15,7 +15,8 @@
 package desim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -42,14 +43,16 @@ type Engine struct {
 	steps uint64
 
 	// Calendar queue state. Events live in buckets[day&(len-1)] where
-	// day = at/width; curDay is the dequeue cursor (every queued event
-	// has day >= curDay after a harvest).
+	// day = at/width; curDay is the dequeue cursor. Every queued event
+	// has day >= curDay: insert rewinds the cursor, and findDay and
+	// resize only move it up to the earliest event's day.
 	buckets [][]event
 	width   int64 // bucket width in nanoseconds
 	curDay  int64
 	size    int
 
 	batch []event // same-timestamp harvest scratch, reused across steps
+	all   []event // resize scratch, reused across resizes
 }
 
 // Now returns the current simulated time.
@@ -88,15 +91,17 @@ func (e *Engine) Run() time.Duration {
 	return e.now
 }
 
-// RunUntil processes events with timestamps <= deadline, leaving later
-// events queued, and advances the clock to min(deadline, drain time).
-func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	for e.size > 0 {
-		if !e.stepBatch(deadline) {
-			break
-		}
+// AdvanceTo runs every queued event earlier than t, then sets the clock
+// to t (time never goes backwards). Events at exactly t stay queued, so
+// whatever the caller does at t — typically feeding an externally
+// scheduled arrival — runs before them, as if it had been queued first.
+func (e *Engine) AdvanceTo(t time.Duration) {
+	if t <= e.now {
+		return
 	}
-	return e.now
+	for e.size > 0 && e.stepBatch(t-1) {
+	}
+	e.now = t
 }
 
 func (e *Engine) init() {
@@ -112,83 +117,90 @@ func (e *Engine) insert(ev event) {
 	if e.size >= 2*len(e.buckets) {
 		e.resize(2 * len(e.buckets))
 	}
-	idx := (int64(ev.at) / e.width) & int64(len(e.buckets)-1)
+	day := int64(ev.at) / e.width
+	if day < e.curDay {
+		// A findDay peek past the clock (AdvanceTo stopping short of the
+		// next event) may have left the cursor beyond this event's day:
+		// rewind it, or the event would fire after later ones.
+		e.curDay = day
+	}
+	idx := day & int64(len(e.buckets)-1)
 	e.buckets[idx] = append(e.buckets[idx], ev)
 	e.size++
 }
 
 // resize rebuilds the calendar with n buckets and a width matched to the
 // current event spread, so the average bucket holds O(1) events of the
-// current "day". All decisions are pure functions of the queue contents,
-// keeping replay deterministic.
+// current "day", and moves the cursor to the earliest event's day. All
+// decisions are pure functions of the queue contents and the clock,
+// keeping replay deterministic. The bucket array and the gather scratch
+// are reused when the bucket count is unchanged.
 func (e *Engine) resize(n int) {
-	var all []event
+	all := e.all[:0]
 	for _, b := range e.buckets {
 		all = append(all, b...)
 	}
+	e.all = all
 	// Width estimate: spread of pending timestamps divided by count, so
-	// one day holds roughly one event.
+	// one day holds roughly one event. A queue holding one instant has
+	// no spread; its distance from the clock stands in.
 	minAt, maxAt := int64(1<<62-1), int64(0)
 	for _, ev := range all {
-		if int64(ev.at) < minAt {
-			minAt = int64(ev.at)
-		}
-		if int64(ev.at) > maxAt {
-			maxAt = int64(ev.at)
-		}
+		minAt = min(minAt, int64(ev.at))
+		maxAt = max(maxAt, int64(ev.at))
+	}
+	lo := minAt
+	if maxAt == minAt {
+		lo = int64(e.now)
 	}
 	w := defaultWidth
-	if len(all) > 1 && maxAt > minAt {
-		w = (maxAt - minAt) / int64(len(all))
-		if w < 1 {
-			w = 1
-		}
+	if len(all) > 0 && maxAt > lo {
+		w = max((maxAt-lo)/int64(len(all)), 1)
 	}
-	e.buckets = make([][]event, n)
+	if n == len(e.buckets) {
+		for i := range e.buckets {
+			e.buckets[i] = e.buckets[i][:0]
+		}
+	} else {
+		e.buckets = make([][]event, n)
+	}
 	e.width = w
 	e.curDay = int64(e.now) / w
-	if len(all) > 0 && minAt/w < e.curDay {
-		// Guard: never strand an event behind the cursor (cannot happen
-		// with monotonic now, but cheap to make structurally impossible).
+	if len(all) > 0 {
 		e.curDay = minAt / w
 	}
 	mask := int64(n - 1)
 	for _, ev := range all {
-		idx := (int64(ev.at) / e.width) & mask
+		idx := (int64(ev.at) / w) & mask
 		e.buckets[idx] = append(e.buckets[idx], ev)
 	}
 }
 
 // findDay advances the cursor to the day holding the earliest queued
 // event and returns that event's timestamp. It scans forward bucket by
-// bucket; after a fruitless full revolution (all events more than one
-// calendar year away) it jumps straight to the global minimum.
+// bucket. A fruitless full revolution (every event more than one
+// calendar year away) means the width no longer fits the queue — a
+// sparse queue never triggers a size-driven resize — so the width is
+// re-estimated from the pending spread, which also moves the cursor to
+// the earliest event's day, and the scan resumes there.
 func (e *Engine) findDay() time.Duration {
-	n := int64(len(e.buckets))
-	mask := n - 1
-	for scanned := int64(0); scanned < n; scanned++ {
-		var best time.Duration = -1
-		for _, ev := range e.buckets[e.curDay&mask] {
-			if int64(ev.at)/e.width == e.curDay && (best < 0 || ev.at < best) {
-				best = ev.at
+	for {
+		n := int64(len(e.buckets))
+		mask := n - 1
+		for scanned := int64(0); scanned < n; scanned++ {
+			var best time.Duration = -1
+			for _, ev := range e.buckets[e.curDay&mask] {
+				if int64(ev.at)/e.width == e.curDay && (best < 0 || ev.at < best) {
+					best = ev.at
+				}
 			}
-		}
-		if best >= 0 {
-			return best
-		}
-		e.curDay++
-	}
-	// Long jump: find the global minimum directly.
-	var best time.Duration = -1
-	for _, b := range e.buckets {
-		for _, ev := range b {
-			if best < 0 || ev.at < best {
-				best = ev.at
+			if best >= 0 {
+				return best
 			}
+			e.curDay++
 		}
+		e.resize(len(e.buckets))
 	}
-	e.curDay = int64(best) / e.width
-	return best
 }
 
 // stepBatch harvests every event sharing the earliest timestamp <=
@@ -225,7 +237,7 @@ func (e *Engine) stepBatch(deadline time.Duration) bool {
 		e.size -= len(e.batch)
 		// Bucket order is insertion order except after a resize, which
 		// may interleave; restore the FIFO contract explicitly.
-		sort.Slice(e.batch, func(i, j int) bool { return e.batch[i].seq < e.batch[j].seq })
+		slices.SortFunc(e.batch, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
 		for i := range e.batch {
 			e.steps++
 			e.batch[i].fn(e)

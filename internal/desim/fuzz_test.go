@@ -68,25 +68,26 @@ func (e *refEngine) Run() time.Duration {
 	return e.now
 }
 
-func (e *refEngine) RunUntil(deadline time.Duration) time.Duration {
-	for len(e.queue) > 0 {
-		if e.queue[0].at > deadline {
-			break
-		}
+func (e *refEngine) AdvanceTo(t time.Duration) {
+	for len(e.queue) > 0 && e.queue[0].at < t {
 		ev := heap.Pop(&e.queue).(refEvent)
 		e.now = ev.at
 		e.steps++
 		ev.fn(e)
 	}
-	return e.now
+	if t > e.now {
+		e.now = t
+	}
 }
 
-// fuzzOp is one decoded scheduling instruction. The fuzz input is a
-// byte string decoded 5 bytes at a time: [kind, t0, t1, cascadeDelay,
-// cascadeCount]. kind selects At vs After and whether the handler
-// schedules follow-ups; times deliberately collide often (mod a small
-// range) to stress same-timestamp batching.
+// fuzzOp is one decoded instruction. The fuzz input is a byte string
+// decoded 5 bytes at a time: [kind, t0, t1, cascadeDelay, cascadeCount].
+// kind selects an AdvanceTo step (kind&6 == 6) or a schedule, and for a
+// schedule At vs After and whether the handler schedules follow-ups, so
+// partial runs interleave with further scheduling. Times deliberately
+// collide often (mod a small range) to stress same-timestamp batching.
 type fuzzOp struct {
+	advance  bool
 	after    bool
 	at       time.Duration
 	cascade  time.Duration
@@ -101,6 +102,7 @@ func decodeOps(data []byte) []fuzzOp {
 		cd := time.Duration(data[i+3]) % 16 * time.Microsecond
 		n := int(data[i+4]) % 4
 		ops = append(ops, fuzzOp{
+			advance:  kind&6 == 6,
 			after:    kind&1 == 1,
 			at:       t,
 			cascade:  cd,
@@ -129,14 +131,19 @@ func runCalendar(ops []fuzzOp, deadline time.Duration) (trace []string, now time
 		}
 	}
 	for _, op := range ops {
-		if op.after {
+		switch {
+		case op.advance:
+			e.AdvanceTo(op.at)
+			trace = append(trace, fmt.Sprintf("advance@%d/%d", e.Now(), e.Pending()))
+		case op.after:
 			e.After(op.at, mk(op, 0))
-		} else {
+		default:
 			e.At(op.at, mk(op, 0))
 		}
 	}
 	if deadline >= 0 {
-		now = e.RunUntil(deadline)
+		e.AdvanceTo(deadline)
+		now = e.Now()
 	} else {
 		now = e.Run()
 	}
@@ -161,14 +168,19 @@ func runHeap(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Dur
 		}
 	}
 	for _, op := range ops {
-		if op.after {
+		switch {
+		case op.advance:
+			e.AdvanceTo(op.at)
+			trace = append(trace, fmt.Sprintf("advance@%d/%d", e.now, len(e.queue)))
+		case op.after:
 			e.After(op.at, mk(op, 0))
-		} else {
+		default:
 			e.At(op.at, mk(op, 0))
 		}
 	}
 	if deadline >= 0 {
-		now = e.RunUntil(deadline)
+		e.AdvanceTo(deadline)
+		now = e.now
 	} else {
 		now = e.Run()
 	}
@@ -200,13 +212,15 @@ func diffEngines(t *testing.T, data []byte, deadline time.Duration) {
 }
 
 // FuzzEventOrder differentially fuzzes the calendar-queue engine
-// against the reference binary heap: same schedule, same trace, same
-// final clock, same pending count — for full runs and for RunUntil at
-// an input-derived deadline.
+// against the reference binary heap: same schedule with interleaved
+// AdvanceTo steps, same trace, same final clock, same pending count —
+// for full runs and for a final AdvanceTo at an input-derived deadline.
 func FuzzEventOrder(f *testing.F) {
 	// Seed corpus: empty, single event, heavy timestamp collisions,
-	// cascades at same instant, wide spread triggering resize, and a
-	// mixed schedule exercising At-in-the-past clamping.
+	// cascades at same instant, wide spread triggering resize, a mixed
+	// schedule exercising At-in-the-past clamping, and events scheduled
+	// behind the cursor after a partial run (1 ms and 4 ms queued,
+	// advance to 2 ms, then 3 ms or 2.5 ms — once fired after 4 ms).
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0})
 	f.Add([]byte{1, 0, 5, 0, 3, 1, 0, 5, 0, 3, 0, 0, 5, 0, 3})
@@ -219,6 +233,8 @@ func FuzzEventOrder(f *testing.F) {
 		}
 		return b
 	}())
+	f.Add([]byte{0, 0x03, 0xe8, 0, 0, 0, 0x0f, 0xa0, 0, 0, 6, 0x07, 0xd0, 0, 0, 0, 0x0b, 0xb8, 0, 0})
+	f.Add([]byte{0, 0x03, 0xe8, 0, 0, 0, 0x0f, 0xa0, 0, 0, 6, 0x07, 0xd0, 0, 0, 0, 0x09, 0xc4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffEngines(t, data, -1)
 		// Also check partial execution: deadline derived from input so

@@ -146,7 +146,11 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 	}
 	st := rng.NewStream(rng.Mix64(seed^arrivalSaltHi), rng.Mix64(seed^arrivalSaltLo))
 	horizon := duration.Seconds()
-	var out []time.Duration
+	// Size the schedule for the long-run mean count plus three standard
+	// deviations of its Poisson spread, so a run allocates it once; a
+	// burstier draw just grows it.
+	expect := cfg.Rate * horizon
+	out := make([]time.Duration, 0, int(math.Min(float64(maxN), expect+3*math.Sqrt(expect)+16)))
 	emit := func(t float64) bool {
 		if t > horizon || len(out) >= maxN {
 			return false

@@ -169,7 +169,18 @@ type sim struct {
 
 	queue []request // FIFO; queue[head:] is the live window
 	head  int
-	idle  int
+
+	// Servers, built once per Run so steady-state dispatch allocates
+	// nothing: free is the stack of idle server ids, busy[id] the batch
+	// server id is serving (its buffer reused batch after batch), and
+	// done[id] its completion handler. spare is the buffer complete swaps
+	// in while it iterates a finished batch; wakeFn is the shared
+	// dispatch re-check.
+	free   []int
+	busy   [][]request
+	done   []desim.Handler
+	spare  []request
+	wakeFn desim.Handler
 
 	hist      *stats.LogHistogram
 	completed int
@@ -227,6 +238,25 @@ func (s *sim) arrive(idx int) {
 	s.tryDispatch()
 }
 
+// buildServers gives every server its completion handler and an empty
+// batch buffer and builds the shared wake handler, once per Run.
+func (s *sim) buildServers() {
+	n := s.cfg.Servers
+	s.free = make([]int, n)
+	s.busy = make([][]request, n)
+	s.done = make([]desim.Handler, n)
+	for id := range s.done {
+		s.free[id] = id
+		s.done[id] = func(*desim.Engine) { s.complete(id) }
+	}
+	s.wakeFn = func(e *desim.Engine) {
+		if s.wakeTime == e.Now() {
+			s.wakePending = false
+		}
+		s.tryDispatch()
+	}
+}
+
 // wake schedules a dispatch re-check at `at`, deduplicating against an
 // already-pending earlier wake. Stale wake events are harmless:
 // tryDispatch is idempotent.
@@ -236,12 +266,7 @@ func (s *sim) wake(at time.Duration) {
 	}
 	s.wakePending = true
 	s.wakeTime = at
-	s.eng.At(at, func(*desim.Engine) {
-		if s.wakeTime == at {
-			s.wakePending = false
-		}
-		s.tryDispatch()
-	})
+	s.eng.At(at, s.wakeFn)
 }
 
 // tryDispatch hands queued requests to idle servers under the batching
@@ -250,7 +275,7 @@ func (s *sim) wake(at time.Duration) {
 // inside a stall window to its end.
 func (s *sim) tryDispatch() {
 	now := s.eng.Now()
-	for s.idle > 0 && s.qlen() > 0 {
+	for len(s.free) > 0 && s.qlen() > 0 {
 		k := s.qlen()
 		if k > s.cfg.BatchMax {
 			k = s.cfg.BatchMax
@@ -266,13 +291,15 @@ func (s *sim) tryDispatch() {
 			return
 		}
 
-		batch := append([]request(nil), s.queue[s.head:s.head+k]...)
+		id := s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+		batch := append(s.busy[id][:0], s.queue[s.head:s.head+k]...)
+		s.busy[id] = batch
 		s.head += k
 		if s.head == len(s.queue) {
 			s.queue = s.queue[:0]
 			s.head = 0
 		}
-		s.idle--
 		s.batches++
 		s.batchSum += k
 		telBatches.Inc()
@@ -287,15 +314,19 @@ func (s *sim) tryDispatch() {
 			}
 		}
 		dur += s.cfg.Service.PerItem * time.Duration(k-1)
-		s.eng.After(dur, func(*desim.Engine) { s.complete(batch) })
+		s.eng.After(dur, s.done[id])
 	}
 }
 
-// complete records a finished batch and, closed-loop, lets each freed
-// client issue its next request.
-func (s *sim) complete(batch []request) {
+// complete records server id's finished batch and, closed-loop, lets
+// each freed client issue its next request.
+func (s *sim) complete(id int) {
 	now := s.eng.Now()
-	s.idle++
+	// Closed-loop arrivals below may re-dispatch this very server, so
+	// hand it the spare buffer before iterating its batch.
+	batch := s.busy[id]
+	s.busy[id], s.spare = s.spare, batch
+	s.free = append(s.free, id)
 	for _, r := range batch {
 		lat := now - r.arrival
 		if lat > s.maxLat {
@@ -346,11 +377,11 @@ func Run(o Options) (Result, error) {
 		cfg:      srv,
 		mode:     o.Mode,
 		seed:     o.Seed,
-		idle:     srv.Servers,
 		hist:     hist,
 		duration: o.Duration,
 		maxReqs:  maxReqs,
 	}
+	s.buildServers()
 
 	offered := 0
 	switch o.Mode {
@@ -360,9 +391,13 @@ func Run(o Options) (Result, error) {
 			return Result{}, err
 		}
 		offered = len(schedule)
+		// Arrivals are fed from the schedule, never queued: the engine
+		// runs everything before each arrival instant, then the arrival
+		// runs — ahead of any event queued at the same instant, exactly
+		// the order preloading the whole schedule would give.
 		for i, at := range schedule {
-			idx := i
-			s.eng.At(at, func(*desim.Engine) { s.arrive(idx) })
+			s.eng.AdvanceTo(at)
+			s.arrive(i)
 		}
 	case ClosedLoop:
 		// Validate the arrival config anyway: open and closed runs of
@@ -377,7 +412,7 @@ func Run(o Options) (Result, error) {
 		for c := 0; c < clients && s.issued < maxReqs; c++ {
 			idx := s.issued
 			s.issued++
-			s.eng.At(0, func(*desim.Engine) { s.arrive(idx) })
+			s.arrive(idx)
 		}
 	}
 

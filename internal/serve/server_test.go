@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func TestRunDeterministic(t *testing.T) {
@@ -233,5 +235,36 @@ func TestHistReuse(t *testing.T) {
 	}
 	if math.IsNaN(third.Hist.Quantile(0.5)) {
 		t.Fatalf("reused histogram empty after run")
+	}
+}
+
+func TestRunAllocsIndependentOfRequests(t *testing.T) {
+	// An open-loop epoch with a reused histogram allocates a fixed set of
+	// per-epoch structures (schedule, calendar, per-server handlers and
+	// buffers) and nothing per request: quadrupling the epoch — and so
+	// the request count — must leave the allocation count where it was.
+	var hist stats.LogHistogram
+	allocs := func(d time.Duration) (float64, int) {
+		o := Options{
+			Arrival:  ArrivalConfig{Kind: Poisson, Rate: 2000},
+			Server:   ServerConfig{Servers: 2, Service: ServiceConfig{Mean: 500 * time.Microsecond, Sigma: 0.5}},
+			Duration: d,
+			Seed:     5,
+			Hist:     &hist,
+		}
+		res, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { Run(o) }), res.Offered
+	}
+	a1, n1 := allocs(time.Second)
+	a4, n4 := allocs(4 * time.Second)
+	t.Logf("1 s: %.0f allocs for %d requests; 4 s: %.0f allocs for %d requests", a1, n1, a4, n4)
+	if a1 > 256 {
+		t.Errorf("1 s epoch made %.0f allocations, want a per-epoch constant ≤ 256", a1)
+	}
+	if a4 > a1+8 {
+		t.Errorf("allocations grew with requests: %.0f for %d requests vs %.0f for %d", a4, n4, a1, n1)
 	}
 }
