@@ -152,11 +152,12 @@ benchgate:
 
 # scalecheck is the million-rank smoke: the 2^20-rank summary-mode
 # Allreduce must complete as a single sweep with allocations independent
-# of P, and the batch/worker-invariance goldens must hold. No race
-# detector — at this scale it would multiply memory and run time without
-# adding coverage beyond the dedicated race pass in `check`.
+# of P, summary quantiles at 2^16 ranks must match the exact per-rank
+# ones within 1/64, and the batch/worker-invariance goldens must hold.
+# No race detector — at this scale it would multiply memory and run time
+# without adding coverage beyond the dedicated race pass in `check`.
 scalecheck:
-	$(GO) test -run 'TestMillionRankSummarySmoke|TestSummaryAllocsFlat|TestCollectiveBatchWorkerInvariance' \
+	$(GO) test -run 'TestMillionRankSummarySmoke|TestSummaryAllocsFlat|TestSummaryQuantilesMatchExact|TestCollectiveBatchWorkerInvariance' \
 		-count=1 ./internal/cluster
 	$(GO) test -run '^$$' -bench 'BenchmarkCollective.*/p=1048576' -benchtime 1x -benchmem .
 

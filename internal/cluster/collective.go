@@ -11,8 +11,8 @@ import (
 // which every rank completed its part, relative to the operation start.
 // Below the summary threshold (see Config.ResultMode) the exact
 // per-rank times are materialized; at scale the result instead carries
-// a fixed-size quantile sketch, so million-rank collectives allocate a
-// constant number of bytes regardless of P.
+// a fixed-size log-bucketed histogram, so million-rank collectives
+// allocate a constant number of bytes regardless of P.
 type CollectiveResult struct {
 	// PerRank[r] is rank r's completion time relative to the collective's
 	// start (the last moment the rank participates). Nil in summary mode.
@@ -23,9 +23,10 @@ type CollectiveResult struct {
 	// Ranks is the number of participating ranks (= len(PerRank) when
 	// PerRank is present).
 	Ranks int
-	// Summary, in summary mode, sketches the distribution of per-rank
-	// completion times in seconds (quartiles, p95/p99, mean, spread).
-	Summary *stats.QuantileSketch
+	// Summary, in summary mode, is the distribution of per-rank
+	// completion times in seconds: exact count, sum, min and max, and
+	// any quantile within 1/64 relative error.
+	Summary *stats.LogHistogram
 
 	max time.Duration // slowest rank, computed during the final level pass
 }

@@ -30,15 +30,16 @@ import (
 //
 //  3. Allocation-flat results — O(P) working arrays come from a
 //     machine-owned buffer pool reused across invocations, and summary
-//     mode replaces the O(P) PerRank result with a fixed-size quantile
-//     sketch, so steady-state bytes per collective are independent of P.
+//     mode replaces the O(P) PerRank result with a fixed-size
+//     stats.LogHistogram, so steady-state bytes per collective are
+//     independent of P.
 
 // ResultMode selects how collectives report per-rank completion times.
 type ResultMode int
 
 const (
 	// ModeAuto reports exact PerRank below SummaryThreshold ranks and a
-	// summary sketch at or above it.
+	// summary histogram at or above it.
 	ModeAuto ResultMode = iota
 	// ModePerRank always materializes the exact PerRank slice.
 	ModePerRank
@@ -234,20 +235,20 @@ func (m *Machine) runLevel(n int, fn func(i int, fs *FaultStats)) {
 // finishResult packages per-rank completion times (a scratch buffer the
 // caller releases) into a CollectiveResult, computing the cached Max in
 // the same single pass — no later rescans. Exact mode copies into a
-// fresh PerRank slice; summary mode feeds the fixed-size quantile
-// sketch instead of materializing anything O(P).
+// fresh PerRank slice; summary mode records into a fixed-size
+// LogHistogram instead of materializing anything O(P).
 func (m *Machine) finishResult(fin []time.Duration, root time.Duration) CollectiveResult {
 	res := CollectiveResult{Root: root, Ranks: len(fin)}
 	var max time.Duration
 	if m.summaryFor(len(fin)) {
-		sk := stats.NewQuantileSketch()
+		h := new(stats.LogHistogram)
 		for _, d := range fin {
 			if d > max {
 				max = d
 			}
-			sk.Add(d.Seconds())
+			h.Record(d.Seconds())
 		}
-		res.Summary = sk
+		res.Summary = h
 	} else {
 		res.PerRank = make([]time.Duration, len(fin))
 		copy(res.PerRank, fin)

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -214,4 +216,38 @@ func TestDefaultCollectiveWorkers(t *testing.T) {
 			t.Errorf("defaultCollectiveWorkers(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}
+}
+
+// TestSummaryQuantilesMatchExact quantifies the summary-mode error at
+// P=2^16, the default summary threshold: the same seeded Allreduce,
+// packaged per rank and as a summary, must agree exactly on count and
+// extremes, and every reported quantile must lie within the histogram's
+// 1/64 relative error of the exact nearest-rank order statistic.
+func TestSummaryQuantilesMatchExact(t *testing.T) {
+	const p = 1 << 16
+	const seed = 5
+	run := func(mode ResultMode) CollectiveResult {
+		cfg := noisyFaultCfg()
+		cfg.Nodes = p / cfg.CoresPerNode // Daint's noise, grown to 2^16 cores
+		cfg.ResultMode = mode
+		return mustNew(t, cfg, p, seed).Allreduce(64, nil)
+	}
+	exact, summary := run(ModePerRank), run(ModeSummary)
+	xs := exact.PerRankSeconds()
+	sort.Float64s(xs)
+	h := summary.Summary
+	if h.Count() != p || h.Min() != xs[0] || h.Max() != xs[p-1] {
+		t.Fatalf("count/min/max = %d/%g/%g, want %d/%g/%g exactly",
+			h.Count(), h.Min(), h.Max(), p, xs[0], xs[p-1])
+	}
+	worst := 0.0
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.95, 0.99} {
+		want := xs[int(math.Ceil(q*p))-1]
+		rel := math.Abs(h.Quantile(q)-want) / want
+		if rel > 1.0/64 {
+			t.Errorf("p%g = %g, exact %g: relative error %.4f > 1/64", 100*q, h.Quantile(q), want, rel)
+		}
+		worst = math.Max(worst, rel)
+	}
+	t.Logf("P=%d: max relative quantile error %.5f (bound %.5f)", p, worst, 1.0/64)
 }

@@ -5,11 +5,11 @@ import "math"
 // LogHistogram is an HDR-style log-bucketed latency histogram: values are
 // binned by binary exponent with histSubBuckets linear sub-buckets per
 // octave, giving a bounded relative error of 1/histSubBuckets (≈1.6%)
-// across the whole range. It complements QuantileSketch: the sketch
-// tracks a fixed set of quantiles in O(1) memory, while the histogram
-// supports arbitrary-rank queries after the fact — which is what the
-// nonparametric rank-based confidence intervals of internal/ci need for
-// tail percentiles (p99, p999) of service workloads.
+// across the whole range. It is the repository's one streaming-quantile
+// type: telemetry histograms, summary-mode collective results and serve
+// latencies all record into it, and it supports arbitrary-rank queries
+// after the fact — which is what the nonparametric rank-based confidence
+// intervals of internal/ci need for tail percentiles (p99, p999).
 //
 // The geometry is fixed for the whole package (histMinExp..histMaxExp
 // octaves), so any two Histograms are mergeable by element-wise count
@@ -34,11 +34,13 @@ const (
 	histSubBits    = 6
 	histSubBuckets = 1 << histSubBits
 	// histMinExp..histMaxExp are the frexp exponents covered exactly:
-	// 2^(histMinExp-1) ≈ 0.47 ns up to 2^histMaxExp = 1024 s when values
-	// are seconds. Values outside clamp to the first/last bucket (their
-	// exact magnitude survives in Min/Max).
+	// 2^(histMinExp-1) ≈ 2.3e-10 up to 2^histMaxExp ≈ 2.1e9. The range
+	// serves both units the harness records: seconds (sub-nanosecond
+	// collective skews) and microseconds (telemetry durations such as a
+	// ~1e6 µs suite configuration). Values outside clamp to the
+	// first/last bucket (their exact magnitude survives in Min/Max).
 	histMinExp  = -31
-	histMaxExp  = 10
+	histMaxExp  = 31
 	histOctaves = histMaxExp - histMinExp + 1
 	histBuckets = histOctaves * histSubBuckets
 )

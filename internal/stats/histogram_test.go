@@ -20,32 +20,44 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	// Lognormal latencies spanning several octaves: every quantile
-	// estimate must land within the bucket quantization bound of the
-	// exact order statistic.
+	// Every quantile estimate must land within the bucket quantization
+	// bound of the exact order statistic, for latencies in seconds and
+	// for telemetry durations in microseconds alike.
 	rng := rand.New(rand.NewPCG(7, 11))
-	n := 50000
-	xs := make([]float64, n)
-	var h LogHistogram
-	for i := range xs {
-		v := 200e-6 * math.Exp(0.8*rng.NormFloat64())
-		xs[i] = v
-		h.Record(v)
+	cases := []struct {
+		name string
+		draw func() float64
+	}{
+		// Lognormal latencies in seconds spanning several octaves.
+		{"seconds", func() float64 { return 200e-6 * math.Exp(0.8*rng.NormFloat64()) }},
+		// Log-uniform microseconds over 1e2..1e7: fsyncs to whole
+		// suite configurations.
+		{"microseconds", func() float64 { return math.Pow(10, 2+5*rng.Float64()) }},
 	}
-	sort.Float64s(xs)
-	for _, p := range []float64{0.25, 0.5, 0.9, 0.99, 0.999} {
-		exact := xs[int(math.Ceil(p*float64(n)))-1]
-		got := h.Quantile(p)
-		if rel := math.Abs(got-exact) / exact; rel > 1.0/histSubBuckets+1e-9 {
-			t.Errorf("p=%g: hist %.6g vs exact %.6g (rel err %.4f > %.4f)",
-				p, got, exact, rel, 1.0/histSubBuckets)
+	for _, c := range cases {
+		n := 50000
+		xs := make([]float64, n)
+		var h LogHistogram
+		for i := range xs {
+			v := c.draw()
+			xs[i] = v
+			h.Record(v)
 		}
-	}
-	if h.Min() != xs[0] || h.Max() != xs[n-1] {
-		t.Errorf("extremes not exact: min %g/%g max %g/%g", h.Min(), xs[0], h.Max(), xs[n-1])
-	}
-	if math.Abs(h.Mean()-Mean(xs))/Mean(xs) > 1e-9 {
-		t.Errorf("mean %g vs exact %g", h.Mean(), Mean(xs))
+		sort.Float64s(xs)
+		for _, p := range []float64{0.001, 0.25, 0.5, 0.9, 0.99, 0.999} {
+			exact := xs[int(math.Ceil(p*float64(n)))-1]
+			got := h.Quantile(p)
+			if rel := math.Abs(got-exact) / exact; rel > 1.0/histSubBuckets+1e-9 {
+				t.Errorf("%s p=%g: hist %.6g vs exact %.6g (rel err %.4f > %.4f)",
+					c.name, p, got, exact, rel, 1.0/histSubBuckets)
+			}
+		}
+		if h.Min() != xs[0] || h.Max() != xs[n-1] {
+			t.Errorf("%s: extremes not exact: min %g/%g max %g/%g", c.name, h.Min(), xs[0], h.Max(), xs[n-1])
+		}
+		if math.Abs(h.Mean()-Mean(xs))/Mean(xs) > 1e-9 {
+			t.Errorf("%s: mean %g vs exact %g", c.name, h.Mean(), Mean(xs))
+		}
 	}
 }
 

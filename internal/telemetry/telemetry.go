@@ -27,10 +27,6 @@ import (
 	"repro/internal/stats"
 )
 
-// histWindow bounds the recent-value window a histogram keeps for
-// quantile snapshots; the Welford moments cover the full stream.
-const histWindow = 512
-
 // Counter is a monotonically increasing event count. All methods are
 // safe for concurrent use and lock-free.
 type Counter struct {
@@ -64,64 +60,47 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a streaming distribution summary: single-pass Welford
-// moments over the full stream (the paper's own §3.1.2 machinery) plus a
-// bounded window of recent observations from which snapshot quantiles
-// are computed through stats.Sample. Observe takes one short mutex; no
-// allocation after the window fills.
+// Histogram is a streaming distribution summary: one stats.LogHistogram
+// behind a short mutex. Every statistic of a snapshot covers the full
+// stream: quantiles carry ≤1/64 relative error, while count, mean,
+// min and max are exact. Observe never allocates.
 type Histogram struct {
 	mu   sync.Mutex
-	w    stats.Welford
-	ring []float64
-	next int
-	smp  stats.Sample // scratch for Snapshot; reused to stay allocation-lean
+	hist stats.LogHistogram
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(x float64) {
 	h.mu.Lock()
-	h.w.Add(x)
-	if len(h.ring) < histWindow {
-		h.ring = append(h.ring, x)
-	} else {
-		h.ring[h.next] = x
-		h.next = (h.next + 1) % histWindow
-	}
+	h.hist.Record(x)
 	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram: Count,
-// Mean, StdDev, Min, and Max describe every observation ever made; the
-// quantiles describe the most recent Window observations.
+// HistogramSnapshot is a point-in-time summary of every observation a
+// histogram has made, in the unit the values were observed in.
 type HistogramSnapshot struct {
-	Count  int     `json:"count"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Window int     `json:"window"`
-	P50    float64 `json:"p50"`
-	P90    float64 `json:"p90"`
-	P99    float64 `json:"p99"`
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
 }
 
-// Snapshot summarizes the histogram. NaNs (empty or single-observation
-// streams) are reported as zero so the snapshot always serializes to
-// JSON.
+// Snapshot summarizes the histogram. NaNs (empty streams) are reported
+// as zero so the snapshot always serializes to JSON.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.smp.Reset(h.ring)
 	return HistogramSnapshot{
-		Count:  h.w.N(),
-		Mean:   nz(h.w.Mean()),
-		StdDev: nz(h.w.StdDev()),
-		Min:    nz(h.w.Min()),
-		Max:    nz(h.w.Max()),
-		Window: len(h.ring),
-		P50:    nz(h.smp.Quantile(0.5)),
-		P90:    nz(h.smp.Quantile(0.9)),
-		P99:    nz(h.smp.Quantile(0.99)),
+		Count: int(h.hist.Count()),
+		Mean:  nz(h.hist.Mean()),
+		Min:   nz(h.hist.Min()),
+		Max:   nz(h.hist.Max()),
+		P50:   nz(h.hist.Quantile(0.5)),
+		P90:   nz(h.hist.Quantile(0.9)),
+		P99:   nz(h.hist.Quantile(0.99)),
 	}
 }
 

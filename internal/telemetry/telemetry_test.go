@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 )
@@ -38,36 +39,38 @@ func TestHistogramSnapshot(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if s.Count != 100 || s.Window != 100 {
-		t.Fatalf("count=%d window=%d, want 100/100", s.Count, s.Window)
+	if s.Count != 100 {
+		t.Fatalf("count=%d, want 100", s.Count)
 	}
 	if s.Mean != 50.5 || s.Min != 1 || s.Max != 100 {
 		t.Errorf("mean=%g min=%g max=%g", s.Mean, s.Min, s.Max)
 	}
-	if s.P50 < 45 || s.P50 > 56 || s.P99 < 95 {
-		t.Errorf("p50=%g p99=%g implausible", s.P50, s.P99)
+	// Nearest-rank quantiles of 1..100 are 50, 90 and 99.
+	for _, q := range []struct{ got, want float64 }{{s.P50, 50}, {s.P90, 90}, {s.P99, 99}} {
+		if math.Abs(q.got-q.want)/q.want > 1.0/64 {
+			t.Errorf("quantile %g, want %g within 1/64", q.got, q.want)
+		}
 	}
 }
 
-func TestHistogramWindowBounded(t *testing.T) {
+// TestHistogramFullStream pins that snapshot quantiles describe every
+// observation, not a recent window: a window over the last 512 of
+// 0..1535 would put the median above 1024.
+func TestHistogramFullStream(t *testing.T) {
 	h := &Histogram{}
-	for i := 0; i < 3*histWindow; i++ {
+	const n = 1536
+	for i := 0; i < n; i++ {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if s.Count != 3*histWindow {
-		t.Errorf("count = %d, want %d", s.Count, 3*histWindow)
+	if s.Count != n {
+		t.Errorf("count = %d, want %d", s.Count, n)
 	}
-	if s.Window != histWindow {
-		t.Errorf("window = %d, want %d", s.Window, histWindow)
+	if s.Min != 0 || s.Max != n-1 {
+		t.Errorf("min = %g, max = %g, want 0 and %d", s.Min, s.Max, n-1)
 	}
-	// Quantiles come from the most recent window only.
-	if s.P50 < float64(2*histWindow) {
-		t.Errorf("p50 = %g predates the recent window", s.P50)
-	}
-	// Moments cover the full stream.
-	if s.Min != 0 {
-		t.Errorf("min = %g, want 0 (full stream)", s.Min)
+	if want := 767.0; math.Abs(s.P50-want)/want > 1.0/64 {
+		t.Errorf("p50 = %g, want %g within 1/64 (full stream)", s.P50, want)
 	}
 }
 
@@ -83,11 +86,12 @@ func TestEmptyHistogramSerializes(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Histograms["empty"].Count != 0 || snap.Histograms["empty"].Mean != 0 {
-		t.Errorf("empty histogram snapshot = %+v", snap.Histograms["empty"])
+	if got := snap.Histograms["empty"]; got != (HistogramSnapshot{}) {
+		t.Errorf("empty histogram snapshot = %+v, want all zero (NaN sanitized)", got)
 	}
-	if snap.Histograms["one"].StdDev != 0 {
-		t.Errorf("single-observation stddev = %g, want 0 (NaN sanitized)", snap.Histograms["one"].StdDev)
+	want := HistogramSnapshot{Count: 1, Mean: 3, Min: 3, Max: 3, P50: 3, P90: 3, P99: 3}
+	if got := snap.Histograms["one"]; got != want {
+		t.Errorf("single-observation snapshot = %+v, want %+v", got, want)
 	}
 }
 

@@ -566,9 +566,6 @@ type (
 	// CollectiveResultMode selects exact per-rank vs fixed-size summary
 	// collective results (ClusterConfig.ResultMode).
 	CollectiveResultMode = cluster.ResultMode
-	// CollectiveSummary is the streaming quantile sketch a summary-mode
-	// Collective carries instead of O(P) per-rank times.
-	CollectiveSummary = stats.QuantileSketch
 )
 
 // Collective result modes: auto switches to summaries at
