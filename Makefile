@@ -45,12 +45,14 @@ journalcheck:
 
 # shardcheck drives the distributed-execution stack with real executor
 # processes: one SIGKILLed mid-shard (resume from journal on
-# reassignment), one wedged without heartbeats (stall-killed), and the
-# CLI sharded campaign — every merged report byte-identical to its
-# single-process reference.
+# reassignment), one wedged without heartbeats (stall-killed), a
+# heartbeat that stops once measure wedges, the hand-run `scibench
+# shard`/`exec`/`merge` workflow with a SIGKILLed executor, and the CLI
+# sharded campaign (in-process loopback workers) SIGKILLed and rerun —
+# every merged report byte-identical to its single-process reference.
 shardcheck:
-	$(GO) test -run 'TestProcess' -count=1 ./internal/shard
-	$(GO) test -run 'TestShardedCampaignSIGKILLByteIdentity' -count=1 ./cmd/scibench
+	$(GO) test -run 'TestProcess|TestHeartbeatStopsWhenMeasureWedges' -count=1 ./internal/shard
+	$(GO) test -run 'TestShardedCampaignSIGKILLByteIdentity|TestShardedCampaignKillRerunByteIdentity' -count=1 ./cmd/scibench
 
 # remotecheck drives the cross-machine transport: two loopback workers
 # under injected loss/delay/duplication, a mid-shard partition forcing a

@@ -40,10 +40,10 @@ const campaignConfigFile = "config.json"
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	dir := fs.String("dir", "", "campaign directory (required)")
-	shards := fs.Int("shards", 0, "distributed mode: fork this many supervised executor processes")
+	shards := fs.Int("shards", 0, "distributed mode: run the sweep as this many shards on in-process loopback workers (or on -remote agents)")
 	units := fs.Int("units", 8, "sweep units in distributed mode (replications at consecutive seeds)")
 	hbTimeout := fs.Duration("heartbeat-timeout", 5*time.Second, "distributed mode: executor liveness timeout")
-	remoteAddr := fs.String("remote", "", "distributed mode: serve a coordinator on this address and run shards on registered `scibench worker` agents instead of local processes")
+	remoteAddr := fs.String("remote", "", "distributed mode: serve a coordinator on this address and run shards on registered `scibench worker` agents instead of loopback workers")
 	minWorkers := fs.Int("min-workers", 1, "distributed -remote mode: wait for this many workers before starting")
 	cc, budget, workers, telAddr := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -52,14 +52,11 @@ func cmdCampaign(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	if *remoteAddr != "" {
-		if *shards <= 0 {
-			return fmt.Errorf("-remote requires -shards N")
-		}
-		return runRemoteCampaign(*dir, *cc, *units, *shards, *hbTimeout, *remoteAddr, *minWorkers)
+	if *remoteAddr != "" && *shards <= 0 {
+		return fmt.Errorf("-remote requires -shards N")
 	}
 	if *shards > 0 {
-		return runShardedCampaign(*dir, *cc, *units, *shards, *hbTimeout)
+		return runShardedCampaign(*dir, *cc, *units, *shards, *hbTimeout, *remoteAddr, *minWorkers)
 	}
 	if err := writeCampaignConfig(*dir, *cc); err != nil {
 		return err

@@ -59,11 +59,15 @@
 //
 //	scibench campaign -dir DIR -shards N [-units K] [campaign flags]
 //	    Distributed mode: partition a K-unit sweep (unit i = the campaign
-//	    at seed+i) into N shards and fork one supervised executor process
-//	    per shard. Crashed or stalled executors (heartbeat timeout) are
+//	    at seed+i) into N shards and run them on N loopback worker agents
+//	    inside this process, behind the same coordinator as -remote:
+//	    journals ship CRC-framed into DIR, every shard records its host,
+//	    and SIGINT/SIGTERM stop the executors with the campaign. Crashed
+//	    or stalled executors (heartbeat timeout) are fenced and
 //	    reassigned and resume their shard from its journals; exhausted
 //	    retries degrade the merged report with explicit losses (exit 4).
-//	    The merged report is byte-identical to a single-process run.
+//	    Rerunning the command over DIR resumes the sweep. The merged
+//	    report is byte-identical to a single-process run.
 //
 //	scibench shard -dir DIR -shards N -units K [campaign flags]
 //	    Only build the sweep: write sweep.json and the per-shard
@@ -79,7 +83,7 @@
 //	    `scibench worker` agents to register, and run the shards on them.
 //	    Shard manifests are hash-pinned over the wire; journal chunks
 //	    ship back CRC-framed with resumable offsets, so a reconnecting
-//	    worker re-ships only the missing suffix and completed
+//	    worker re-ships only the missing suffix and mirrored
 //	    observations are never re-measured. Workers that crash, stall,
 //	    or partition are fenced (late chunks refused) and their shards
 //	    reassigned to other workers; each worker's Rule 9 host
@@ -118,6 +122,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -169,6 +174,9 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	default:
 		usage()
+	}
+	if errors.Is(err, errShardsLost) {
+		os.Exit(4)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scibench: %v\n", err)

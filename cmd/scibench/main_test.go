@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -283,6 +285,92 @@ func TestShardedCampaignSIGKILLByteIdentity(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "merged.json")); err != nil {
 		t.Errorf("merge recorded no merged.json: %v", err)
+	}
+}
+
+// TestShardedCampaignKillRerunByteIdentity: `campaign -shards 2` runs
+// its executors inside the campaign process, so a SIGKILL of the
+// campaign stops every journal in the sweep at once. Rerunning the
+// identical command restarts the coordinator over the existing mirror,
+// resumes the interrupted units from their mirrored sealed chunks, and
+// merges to the bytes of `campaign -shards 1`.
+func TestShardedCampaignKillRerunByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives real processes with wall-clock pacing")
+	}
+	const beat = 250 * time.Millisecond // the executor's default heartbeat interval
+	refDir := filepath.Join(t.TempDir(), "sweep")
+	ref, err := exec.Command(binPath,
+		append([]string{"campaign", "-shards", "1"}, killSweepArgs(refDir)...)...).Output()
+	if err != nil {
+		t.Fatalf("single-executor campaign: %v", err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "sweep")
+	args := append([]string{"campaign", "-shards", "2"}, killSweepArgs(dir)...)
+	// Workers keep their scratch journals under TMPDIR; confine them.
+	tmp := t.TempDir()
+	env := append(os.Environ(), "TMPDIR="+tmp)
+	victim := exec.Command(binPath, args...)
+	victim.Env = env
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Process.Kill()
+	deadline := time.Now().Add(30 * time.Second)
+	for !midUnit(filepath.Join(dir, "shard-000")) && !midUnit(filepath.Join(dir, "shard-001")) {
+		if time.Now().After(deadline) {
+			t.Fatal("the mirror never showed a shard mid-unit")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := victim.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = victim.Wait()
+
+	// No executor outlives the campaign: not one unit journal grows.
+	journalSizes := func() map[string]int64 {
+		sizes := map[string]int64{}
+		paths, _ := filepath.Glob(filepath.Join(dir, "shard-*", "units", "*", "journal.jsonl"))
+		for _, p := range paths {
+			if fi, err := os.Stat(p); err == nil {
+				sizes[p] = fi.Size()
+			}
+		}
+		return sizes
+	}
+	before := journalSizes()
+	time.Sleep(2 * beat)
+	if after := journalSizes(); !maps.Equal(before, after) {
+		t.Errorf("unit journals kept growing after the campaign was killed:\n  before %v\n  after  %v", before, after)
+	}
+
+	// A SIGKILL leaves the dead campaign's worker scratch behind; the
+	// clean rerun must remove its own.
+	leftover, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	rerun := exec.Command(binPath, args...)
+	rerun.Env = env
+	rerun.Stderr = &stderr
+	got, err := rerun.Output()
+	if err != nil {
+		t.Fatalf("rerun: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "resuming existing sweep") {
+		t.Errorf("rerun did not reopen the existing sweep:\n%s", stderr.String())
+	}
+	if !resumedFromSeal.Match(stderr.Bytes()) {
+		t.Errorf("rerun did not resume a unit from its mirrored journal:\n%s", stderr.String())
+	}
+	if string(got) != string(ref) {
+		t.Errorf("rerun merged report differs from single-executor run:\n--- ref\n%s\n--- got\n%s", ref, got)
+	}
+	if now, err := os.ReadDir(tmp); err != nil || len(now) != len(leftover) {
+		t.Errorf("rerun left worker scratch behind: %d entries before, %d after (%v)", len(leftover), len(now), err)
 	}
 }
 

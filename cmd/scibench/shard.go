@@ -1,7 +1,8 @@
 // Distributed campaigns: the `scibench shard`, `scibench exec`, and
 // `scibench merge` subcommands, plus the `-shards N` mode of
-// `scibench campaign` that forks local executor processes under
-// supervision. A sweep is K independent seeded replications of the
+// `scibench campaign`, which supervises the shards on worker agents —
+// in-process loopback workers, or `scibench worker` agents with
+// -remote. A sweep is K independent seeded replications of the
 // campaign configuration (unit i runs seed+i); its canonical unit
 // order is partitioned into contiguous shards, each shard runs as an
 // independent journaled executor, and the merge reassembles one report
@@ -12,10 +13,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	scibench "repro"
@@ -67,6 +71,10 @@ func buildShardSweep(name string, cc campaignConfig, units, shards int) (scibenc
 	}
 	return scibench.NewShardSweep(name, us, faultFP, campaignEnv(cc), shards)
 }
+
+// errShardsLost makes main exit 4 once every deferred cleanup has run:
+// the merged report is printed but partial (Rule 4).
+var errShardsLost = errors.New("shards lost")
 
 // cliRunner rebuilds a unit's journaled campaign from the recorded
 // config — the executor side of the shard contract.
@@ -160,12 +168,14 @@ func cmdMerge(args []string) error {
 	return nil
 }
 
-// runShardedCampaign is `scibench campaign -shards N`: build the sweep,
-// fork one supervised executor process per shard (this same binary,
-// `scibench exec`), and merge. Executor crashes and stalls are detected
-// by heartbeat and the shard reassigned; a shard that exhausts its
-// retries is reported lost, degrading — never corrupting — the merge.
-func runShardedCampaign(dir string, cc campaignConfig, units, shards int, timeout time.Duration) error {
+// runShardedCampaign is `scibench campaign -shards N`: build (or
+// reopen) the sweep, serve its coordinator on the -remote address or on
+// loopback, supervise the shards on the registered workers — without
+// -remote, one in-process worker per shard, so no executor outlives the
+// campaign — and merge. A shard that exhausts its retries is reported
+// lost (exit 4), degrading — never corrupting — the merge.
+func runShardedCampaign(dir string, cc campaignConfig, units, shards int,
+	timeout time.Duration, remoteAddr string, minWorkers int) error {
 	if _, err := scibench.LoadShardSweep(dir); err != nil {
 		sw, err := buildShardSweep(filepath.Base(dir), cc, units, shards)
 		if err != nil {
@@ -177,13 +187,50 @@ func runShardedCampaign(dir string, cc campaignConfig, units, shards int, timeou
 	} else {
 		fmt.Fprintf(os.Stderr, "resuming existing sweep in %s\n", dir)
 	}
-	self, err := os.Executable()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	listen := remoteAddr
+	if listen == "" {
+		listen = "127.0.0.1:0"
+	}
+	c, err := scibench.NewRemoteCoordinator(dir, scibench.RemoteCoordinatorOptions{
+		Listen: listen,
+		Seed:   cc.Seed,
+		Log:    os.Stderr,
+	})
 	if err != nil {
 		return err
 	}
-	start := scibench.ShardExecutorCommand(os.Stdout, os.Stderr, self, "exec")
-	statuses, err := scibench.SuperviseShards(context.Background(), dir, start,
-		scibench.ShardSuperviseOptions{HeartbeatTimeout: timeout, Log: os.Stderr})
+	defer c.Close()
+	if remoteAddr != "" {
+		fmt.Fprintf(os.Stderr, "coordinator on %s — start agents with: scibench worker -coordinator %s\n",
+			c.URL(), c.URL())
+		fmt.Fprintf(os.Stderr, "waiting for %d worker(s) to register...\n", minWorkers)
+	} else {
+		for i := 0; i < shards; i++ {
+			w, err := scibench.StartRemoteWorker(scibench.RemoteWorkerOptions{
+				Coordinator: c.URL(),
+				Runner:      cliRunner{},
+				Seed:        cc.Seed + uint64(i),
+				Log:         os.Stderr,
+			})
+			if err != nil {
+				return err
+			}
+			defer w.Close()
+		}
+		minWorkers = shards
+	}
+
+	if err := c.WaitForWorkers(ctx, minWorkers); err != nil {
+		return fmt.Errorf("waiting for workers: %w", err)
+	}
+	for _, w := range c.Workers() {
+		fmt.Fprintf(os.Stderr, "  worker %s at %s (%s, env %.12s)\n", w.ID, w.Addr, w.Hostname, w.EnvFP)
+	}
+
+	statuses, err := scibench.SuperviseShards(ctx, dir, c.StartFunc(),
+		scibench.ShardSuperviseOptions{HeartbeatTimeout: timeout, Seed: cc.Seed, Log: os.Stderr})
 	if err != nil {
 		return err
 	}
@@ -205,7 +252,7 @@ func runShardedCampaign(dir string, cc campaignConfig, units, shards int, timeou
 		return err
 	}
 	if lost > 0 {
-		os.Exit(4)
+		return errShardsLost
 	}
 	return nil
 }

@@ -1,12 +1,12 @@
-// Cross-machine campaigns: the `scibench worker` subcommand and the
-// `-remote` mode of `scibench campaign -shards N`. A worker agent
+// Cross-machine campaigns: the `scibench worker` subcommand, the agent
+// `scibench campaign -shards N -remote ADDR` runs shards on. A worker
 // registers with a coordinator, executes assigned shards locally with
 // the same journaled executor `scibench exec` uses, and ships journal
 // chunks back over HTTP with CRC framing and resumable offsets. The
 // coordinator mirrors each shard into the sweep directory, so the
-// supervisor, the merge, and byte-identity work exactly as in the
-// local-process mode — with workers that crash, stall, or partition
-// detected and their shards reassigned.
+// supervisor, the merge, and byte-identity work exactly as with the
+// loopback workers of a plain `-shards N` campaign — with workers that
+// crash, stall, or partition detected and their shards reassigned.
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -78,74 +77,5 @@ func cmdWorker(args []string) error {
 	defer stop()
 	<-ctx.Done()
 	fmt.Fprintln(os.Stderr, "worker: shutting down")
-	return nil
-}
-
-// runRemoteCampaign is `scibench campaign -shards N -remote ADDR`: serve
-// the sweep's coordinator on ADDR, wait for -min-workers agents to
-// register, then supervise the shards across them. Workers that crash,
-// stall, or partition mid-shard are fenced and their shards reassigned
-// to other registered workers, resuming from the shipped journals;
-// per-worker Rule 9 host fingerprints land in the merge.
-func runRemoteCampaign(dir string, cc campaignConfig, units, shards int,
-	timeout time.Duration, listen string, minWorkers int) error {
-	if _, err := scibench.LoadShardSweep(dir); err != nil {
-		sw, err := buildShardSweep(filepath.Base(dir), cc, units, shards)
-		if err != nil {
-			return err
-		}
-		if err := scibench.CreateShardSweep(dir, sw); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "resuming existing sweep in %s\n", dir)
-	}
-	c, err := scibench.NewRemoteCoordinator(dir, scibench.RemoteCoordinatorOptions{
-		Listen: listen,
-		Seed:   cc.Seed,
-		Log:    os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	fmt.Fprintf(os.Stderr, "coordinator on %s — start agents with: scibench worker -coordinator %s\n",
-		c.URL(), c.URL())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "waiting for %d worker(s) to register...\n", minWorkers)
-	if err := c.WaitForWorkers(ctx, minWorkers); err != nil {
-		return fmt.Errorf("waiting for workers: %w", err)
-	}
-	for _, w := range c.Workers() {
-		fmt.Fprintf(os.Stderr, "  worker %s at %s (%s, env %.12s)\n", w.ID, w.Addr, w.Hostname, w.EnvFP)
-	}
-
-	statuses, err := scibench.SuperviseShards(ctx, dir, c.StartFunc(),
-		scibench.ShardSuperviseOptions{HeartbeatTimeout: timeout, Seed: cc.Seed, Log: os.Stderr})
-	if err != nil {
-		return err
-	}
-	lost := 0
-	for _, st := range statuses {
-		if st.Lost {
-			lost++
-			fmt.Fprintf(os.Stderr, "shard %d LOST after %d attempt(s): %v\n", st.Shard, st.Attempts, st.Err)
-		}
-	}
-	rep, err := scibench.MergeShards(dir)
-	if err != nil {
-		return err
-	}
-	if err := scibench.WriteMergedShardManifest(dir, rep); err != nil {
-		return err
-	}
-	if err := rep.WriteReport(os.Stdout); err != nil {
-		return err
-	}
-	if lost > 0 {
-		os.Exit(4)
-	}
 	return nil
 }

@@ -33,6 +33,11 @@ var (
 	telWorkers      = telemetry.Default().Gauge("remote.workers")
 )
 
+// syncFile is the fsync seam of the mirror-durability test, which
+// counts the syncs behind each acknowledgement. Production behaviour is
+// the plain syscall.
+var syncFile = func(f *os.File) error { return f.Sync() }
+
 // errKilled is the Wait result of an attempt the supervisor killed.
 var errKilled = errors.New("remote: attempt fenced off by supervisor kill")
 
@@ -113,8 +118,9 @@ func (l *lease) isDead() bool {
 
 // Coordinator is the sweep-side end of the remote transport: an HTTP
 // server workers register with, a mirror of every shard directory fed
-// by their chunk shipments, and a StartFunc that makes the existing
-// supervisor drive remote attempts exactly like local processes.
+// by their chunk shipments, and the StartFunc through which
+// shard.Supervise drives every sharded campaign — on loopback workers
+// or on other machines.
 type Coordinator struct {
 	sweepDir string
 	sweep    shard.SweepManifest
@@ -460,7 +466,11 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 
 // applyChunk lands one validated, fenced frame in the mirror. The
 // response's ResumeOff is always the mirror's post-apply size — the
-// single source of truth the worker ships from.
+// single source of truth the worker ships from. Every change is fsynced
+// (with the directory entries of new files and directories) before it
+// is acknowledged: the mirror is the copy a rerun resumes from, and the
+// worker's own journal is scratch that dies with it, so an acknowledged
+// sealed record must survive a host crash here.
 func (c *Coordinator) applyChunk(f ChunkFrame) ChunkResponse {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
@@ -475,7 +485,7 @@ func (c *Coordinator) applyChunk(f ChunkFrame) ChunkResponse {
 				Refused: fmt.Sprintf("cannot truncate %s to %d: mirror has %d bytes", f.Path, f.Off, size)}
 		}
 		if f.Off < size {
-			if err := os.Truncate(path, f.Off); err != nil {
+			if err := mutateDurable(path, size, func(fh *os.File) error { return fh.Truncate(f.Off) }); err != nil {
 				return ChunkResponse{OK: false, ResumeOff: size, Refused: err.Error()}
 			}
 			c.logf("shard %d: mirror %s truncated %d → %d (torn tail dropped at resume)\n",
@@ -485,17 +495,11 @@ func (c *Coordinator) applyChunk(f ChunkFrame) ChunkResponse {
 	}
 	switch {
 	case f.Off == size:
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return ChunkResponse{OK: false, ResumeOff: size, Refused: err.Error()}
-		}
-		fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return ChunkResponse{OK: false, ResumeOff: size, Refused: err.Error()}
-		}
-		_, werr := fh.Write(f.Data)
-		cerr := fh.Close()
-		if werr != nil || cerr != nil {
-			return ChunkResponse{OK: false, ResumeOff: size, Refused: "mirror write failed"}
+		if err := mutateDurable(path, size, func(fh *os.File) error {
+			_, err := fh.WriteAt(f.Data, size)
+			return err
+		}); err != nil {
+			return ChunkResponse{OK: false, ResumeOff: size, Refused: "mirror write failed: " + err.Error()}
 		}
 		telChunks.Inc()
 		telChunkBytes.Add(int64(len(f.Data)))
@@ -512,6 +516,64 @@ func (c *Coordinator) applyChunk(f ChunkFrame) ChunkResponse {
 		return ChunkResponse{OK: false, ResumeOff: size,
 			Refused: fmt.Sprintf("offset %d past mirror size %d", f.Off, size)}
 	}
+}
+
+// mutateDurable applies change to path, which holds size bytes, and
+// fsyncs the file. A new file's missing directories are created, and
+// every directory that gained an entry is fsynced too. On failure the
+// file is cut back to size: bytes whose fsync failed must be shipped
+// and synced again, not acknowledged later as duplicates.
+func mutateDurable(path string, size int64, change func(*os.File) error) error {
+	if size == 0 {
+		if err := mkdirDurable(filepath.Dir(path)); err != nil {
+			return err
+		}
+	}
+	fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if err = change(fh); err == nil {
+		err = syncFile(fh)
+	}
+	if err != nil {
+		_ = fh.Truncate(size)
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && size == 0 {
+		err = syncDir(filepath.Dir(path))
+	}
+	return err
+}
+
+// mkdirDurable creates dir and any missing parents, fsyncing the parent
+// of each directory it creates.
+func mkdirDurable(dir string) error {
+	if _, err := os.Stat(dir); err == nil {
+		return nil
+	}
+	if err := mkdirDurable(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !os.IsExist(err) {
+		return err
+	}
+	return syncDir(filepath.Dir(dir))
+}
+
+// syncDir fsyncs a directory so the entries created in it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = syncFile(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -633,6 +635,64 @@ func TestChunkApplySemantics(t *testing.T) {
 	}
 }
 
+// TestMirrorAppendsAreDurable pins that the mirror fsyncs before it
+// acknowledges: the file on every append and truncate, plus each
+// directory that gained an entry when a unit's file is first created.
+// A failed fsync refuses the frame, so the worker re-ships it.
+func TestMirrorAppendsAreDurable(t *testing.T) {
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, shard.ShardDirName(0))
+	if err := os.MkdirAll(filepath.Join(shardDir, shard.UnitsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var synced []string
+	var failSync error
+	orig := syncFile
+	t.Cleanup(func() { syncFile = orig })
+	syncFile = func(f *os.File) error {
+		rel, err := filepath.Rel(dir, f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		synced = append(synced, filepath.ToSlash(rel))
+		return failSync
+	}
+	c := &Coordinator{sweepDir: dir}
+	path := shard.UnitsDir + "/u00-x/" + campaign.JournalFile
+	frame := func(off int64, data []byte, trunc bool) ChunkFrame {
+		return ChunkFrame{WorkerID: "w000", Shard: 0, Attempt: 1, Path: path,
+			Off: off, Data: data, CRC: crc32.ChecksumIEEE(data), Truncate: trunc}
+	}
+	step := func(name string, f ChunkFrame, wantOK bool, want ...string) {
+		t.Helper()
+		synced = nil
+		if resp := c.applyChunk(f); resp.OK != wantOK {
+			t.Fatalf("%s: %+v, want OK=%v", name, resp, wantOK)
+		}
+		if !slices.Equal(synced, want) {
+			t.Fatalf("%s: fsynced %q, want %q", name, synced, want)
+		}
+	}
+	sd := shard.ShardDirName(0)
+	file := sd + "/" + path
+	step("create", frame(0, []byte("aaaa"), false), true,
+		sd+"/"+shard.UnitsDir, file, sd+"/"+shard.UnitsDir+"/u00-x")
+	step("append", frame(4, []byte("bbbb"), false), true, file)
+	step("duplicate", frame(4, []byte("bbbb"), false), true)
+	step("truncate", frame(6, nil, true), true, file)
+	failSync = errors.New("injected fsync failure")
+	step("failed fsync", frame(6, []byte("cc"), false), false, file)
+	failSync = nil
+	step("re-shipped", frame(6, []byte("cc"), false), true, file)
+	got, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(file)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "aaaabbcc" {
+		t.Fatalf("mirror = %q, want aaaabbcc", got)
+	}
+}
+
 func TestChunkFrameValidate(t *testing.T) {
 	good := ChunkFrame{Shard: 0, Attempt: 1, Path: "units/u0/journal.jsonl",
 		Data: []byte("x"), CRC: crc32.ChecksumIEEE([]byte("x"))}
@@ -797,5 +857,73 @@ func TestLocalFilesShipManifestFirst(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("ship order = %v, want %v", got, want)
+	}
+}
+
+// TestWorkerCloseRemovesOwnScratchDir: a worker started without a
+// WorkDir runs its shard in a temp dir it made, and Close removes it; a
+// caller's WorkDir survives Close with its journals intact.
+func TestWorkerCloseRemovesOwnScratchDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives wall-clock supervision loops")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	dir := filepath.Join(t.TempDir(), "sweep")
+	buildSweep(t, dir, 2, 2)
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	given := filepath.Join(t.TempDir(), "given")
+	var workers []*Worker
+	for _, wd := range []string{"", given} { // round-robin: shard i runs on worker i
+		w, err := StartWorker(WorkerOptions{
+			Coordinator:  c.URL(),
+			WorkDir:      wd,
+			Runner:       testRunner{},
+			Heartbeat:    20 * time.Millisecond,
+			ShipInterval: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers = append(workers, w)
+	}
+	if err := c.WaitForWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
+		HeartbeatTimeout: 3 * time.Second,
+		Seed:             3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range statuses {
+		if st.Lost {
+			t.Fatalf("shard %d lost: %+v", st.Shard, st)
+		}
+	}
+	journals := func(root string) []string {
+		m, _ := filepath.Glob(filepath.Join(root, "*", "shard-*", shard.UnitsDir, "*", campaign.JournalFile))
+		return m
+	}
+	scratch := workers[0].workDir
+	if filepath.Dir(scratch) != tmp || len(journals(scratch)) == 0 {
+		t.Fatalf("worker without WorkDir ran no shard in a temp dir under %s (work dir %s)", tmp, scratch)
+	}
+	for _, w := range workers {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(scratch); !os.IsNotExist(err) {
+		t.Errorf("Close left the worker's scratch dir %s behind (stat: %v)", scratch, err)
+	}
+	if len(journals(given)) == 0 {
+		t.Errorf("Close removed journals from the caller's WorkDir %s", given)
 	}
 }

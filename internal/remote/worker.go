@@ -37,7 +37,8 @@ type WorkerOptions struct {
 	// coordinator (default: the listener's address — correct for
 	// loopback; multi-homed machines set it to their reachable IP).
 	AdvertiseHost string
-	// WorkDir is where shard campaigns run locally (default: a temp dir).
+	// WorkDir is where shard campaigns run locally (default: a temp dir
+	// that Close removes; a caller's WorkDir is never removed).
 	WorkDir string
 	// Runner rebuilds each unit's measurement (required).
 	Runner shard.UnitRunner
@@ -120,6 +121,7 @@ type Worker struct {
 	sweepHash string
 	base      string
 	workDir   string
+	tempDir   bool // workDir was made by StartWorker; Close removes it
 	client    *http.Client
 	srv       *http.Server
 	ln        net.Listener
@@ -159,7 +161,7 @@ func StartWorker(opt WorkerOptions) (*Worker, error) {
 			ln.Close()
 			return nil, err
 		}
-		w.workDir = dir
+		w.workDir, w.tempDir = dir, true
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathAssign, w.handleAssign)
@@ -168,7 +170,7 @@ func StartWorker(opt WorkerOptions) (*Worker, error) {
 	w.srv = &http.Server{Handler: mux}
 	go w.srv.Serve(ln)
 	if err := w.register(); err != nil {
-		w.srv.Close()
+		w.Close()
 		return nil, err
 	}
 	return w, nil
@@ -210,7 +212,8 @@ func (w *Worker) ID() string { return w.id }
 // URL returns the worker's own base URL.
 func (w *Worker) URL() string { return w.base }
 
-// Close cancels every running job and stops the agent.
+// Close cancels every running job, stops the agent, and removes the
+// scratch directory StartWorker made when WorkDir was empty.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	for _, j := range w.jobs {
@@ -218,7 +221,11 @@ func (w *Worker) Close() error {
 	}
 	w.mu.Unlock()
 	w.wg.Wait()
-	return w.srv.Close()
+	err := w.srv.Close()
+	if w.tempDir {
+		err = errors.Join(err, os.RemoveAll(w.workDir))
+	}
+	return err
 }
 
 // ---- HTTP handlers (coordinator → worker) ----

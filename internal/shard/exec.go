@@ -95,8 +95,9 @@ func loadUnitDone(unitDir string) (UnitDone, bool) {
 // carrying a completion sentinel are skipped; units with a partial
 // journal (a previous executor died mid-unit) are resumed bit-for-bit
 // via campaign.Resume — completed observations are never re-measured.
-// A heartbeat goroutine publishes liveness for the supervisor the whole
-// time. On success the shard's done.json is written and returned.
+// A heartbeat goroutine publishes progress for the supervisor the whole
+// time: its Seq advances only while measurements complete. On success
+// the shard's done.json is written and returned.
 func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptions) (ShardDone, error) {
 	ctx, span := telemetry.StartSpan(ctx, "shard", filepath.Base(shardDir))
 	defer span.End()
@@ -116,7 +117,7 @@ func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptio
 			return ShardDone{}, fmt.Errorf("shard: executor interrupted before unit %s: %w", u.ID, err)
 		}
 		b.setUnit(u.ID)
-		if err := execUnit(ctx, shardDir, m, u, r, opt); err != nil {
+		if err := execUnit(ctx, shardDir, m, u, r, b, opt); err != nil {
 			return ShardDone{}, err
 		}
 		done.Units = append(done.Units, u.ID)
@@ -129,8 +130,9 @@ func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptio
 	return done, nil
 }
 
-// execUnit runs (or skips, or resumes) one unit campaign.
-func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRunner, opt ExecOptions) error {
+// execUnit runs (or skips, or resumes) one unit campaign, reporting
+// each completed measure call to the beater as progress.
+func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRunner, b *beater, opt ExecOptions) error {
 	dir := UnitDir(shardDir, u.ID)
 	if _, ok := loadUnitDone(dir); ok {
 		telUnitsSkipped.Inc()
@@ -151,6 +153,7 @@ func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRu
 			short(man.FaultFingerprint), short(m.FaultFingerprint))
 	}
 	man.Sweep = &campaign.SweepRef{SweepHash: m.SweepHash, UnitID: u.ID, Shard: m.Index}
+	measure = b.counted(measure)
 
 	var res bench.Result
 	switch _, _, lerr := campaign.Load(dir); {

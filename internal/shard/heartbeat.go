@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,10 +48,13 @@ func WriteHeartbeat(shardDir string, hb Heartbeat) error {
 
 // beater publishes heartbeats for one executor attempt. It resumes the
 // sequence from any heartbeat left by a previous attempt and ticks on a
-// fixed interval until Stop.
+// fixed interval until Stop. A tick advances Seq only if a measurement
+// completed since the previous beat: a live goroutine beside a wedged
+// measure is not progress, and the supervisor must see it stall.
 type beater struct {
 	dir      string
 	interval time.Duration
+	calls    atomic.Uint64 // completed measure calls (see counted)
 
 	mu   sync.Mutex
 	hb   Heartbeat
@@ -82,13 +86,27 @@ func (b *beater) loop() {
 	defer close(b.done)
 	t := time.NewTicker(b.interval)
 	defer t.Stop()
+	var seen uint64
 	for {
 		select {
 		case <-b.stop:
 			return
 		case <-t.C:
-			b.beat()
+			if n := b.calls.Load(); n != seen {
+				seen = n
+				b.beat()
+			}
 		}
+	}
+}
+
+// counted wraps a unit's measure so every completed call is progress
+// the next beat reports.
+func (b *beater) counted(measure func() (float64, error)) func() (float64, error) {
+	return func() (float64, error) {
+		v, err := measure()
+		b.calls.Add(1)
+		return v, err
 	}
 }
 

@@ -89,6 +89,13 @@ func (k *killRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float
 	return man, plan, wrapped, nil
 }
 
+// procHandle is the supervisor's view of one re-exec'd executor
+// process: Kill is a plain SIGKILL of that process.
+type procHandle struct{ cmd *exec.Cmd }
+
+func (h procHandle) Wait() error { return h.cmd.Wait() }
+func (h procHandle) Kill() error { return h.cmd.Process.Kill() }
+
 // procStart builds a StartFunc that re-execs this test binary as a
 // real executor process, with extra per-shard environment (keyed by
 // shard directory basename) for fault injection. With logDir set, each

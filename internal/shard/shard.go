@@ -1,8 +1,8 @@
 // Package shard is the distributed-campaign control plane: it
 // partitions a sweep's canonical config order into shard manifests,
 // runs each shard as an independent journaled campaign in its own
-// executor process, supervises those executors (heartbeats, stall
-// detection, reassignment with backoff), and merges the shard journals
+// executor, supervises those executors (heartbeats, stall detection,
+// reassignment with backoff), and merges the shard journals
 // back into one report that is byte-identical to the single-process
 // run.
 //

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,6 +238,63 @@ func TestHeartbeatSeqContinuesAcrossAttempts(t *testing.T) {
 	}
 	if hb2.Attempt != 2 {
 		t.Fatalf("attempt not recorded: %+v", hb2)
+	}
+}
+
+// wedgeRunner's measure blocks after k completed calls until release is
+// closed — an observation that hangs inside a live executor process.
+type wedgeRunner struct {
+	k       int64
+	calls   atomic.Int64
+	release chan struct{}
+}
+
+func (r *wedgeRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
+	man, plan, measure, err := testRunner{samples: 1000}.Setup(u)
+	wrapped := func() (float64, error) {
+		if r.calls.Add(1) > r.k {
+			<-r.release
+		}
+		return measure()
+	}
+	return man, plan, wrapped, err
+}
+
+// TestHeartbeatStopsWhenMeasureWedges: a heartbeat reports progress,
+// not a live goroutine. Once measure wedges, Seq must stop advancing so
+// the supervisor's timeout can declare the executor stalled.
+func TestHeartbeatStopsWhenMeasureWedges(t *testing.T) {
+	const beat = 20 * time.Millisecond
+	dir := t.TempDir()
+	buildSweep(t, dir, 1, 1)
+	sd := filepath.Join(dir, ShardDirName(0))
+	r := &wedgeRunner{k: 5, release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := ExecShard(ctx, sd, r, ExecOptions{Heartbeat: beat})
+		done <- err
+	}()
+	t.Cleanup(func() {
+		cancel()
+		close(r.release)
+		<-done
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for r.calls.Load() <= r.k {
+		if time.Now().After(deadline) {
+			t.Fatal("measure never wedged")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(3 * beat)
+	hb1, ok := ReadHeartbeat(sd)
+	if !ok || hb1.Seq == 0 {
+		t.Fatalf("no heartbeat while measuring: %+v ok=%v", hb1, ok)
+	}
+	time.Sleep(10 * beat)
+	if hb2, _ := ReadHeartbeat(sd); hb2.Seq != hb1.Seq {
+		t.Fatalf("heartbeat advanced from seq %d to %d while measure was wedged", hb1.Seq, hb2.Seq)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os/exec"
 	"path/filepath"
 	"sync"
 	"time"
@@ -23,8 +22,12 @@ var (
 )
 
 // Handle is a running executor as the supervisor sees it: something it
-// can wait on and kill. Process executors wrap *exec.Cmd; tests may
-// supply in-process fakes.
+// can wait on and kill. The remote coordinator's handles wrap a fenced
+// lease on a worker; tests may supply in-process fakes or processes.
+// A remote Kill is cooperative: the lease is fenced at once, so not
+// one more byte of the attempt lands in the mirror, but the executor
+// only stops when it next checks its context — a measure call that
+// never returns keeps its goroutine on the worker.
 type Handle interface {
 	Wait() error
 	Kill() error
@@ -37,8 +40,11 @@ type StartFunc func(shardDir string, attempt int) (Handle, error)
 type Options struct {
 	// HeartbeatTimeout is how long a shard's heartbeat Seq may stay
 	// unchanged before the executor is declared stalled and killed.
-	// Default 5s; it must comfortably exceed the executor's beat
-	// interval plus its longest single observation.
+	// Seq advances only on a beat after a completed measure call, so
+	// the timeout must comfortably exceed the beat interval plus the
+	// longest gap between two completed calls — which includes a
+	// unit's Setup, journal open and replay, and its end-of-unit
+	// analysis. Default 5s.
 	HeartbeatTimeout time.Duration
 	// Poll is the heartbeat check interval (default HeartbeatTimeout/5,
 	// floor 10ms).
@@ -242,34 +248,6 @@ func runAttempt(ctx context.Context, dir string, attempt int, start StartFunc, o
 		}
 	}
 }
-
-// Command builds a StartFunc that forks argv with "-attempt=N" and the
-// shard directory appended — the single-machine executor launcher
-// behind `scibench campaign -shards N` (argv = self, "exec"). The
-// attempt flag carries reassignment provenance into the executor's
-// heartbeat file. On unix the executor is started in its own process
-// group and Kill takes down the whole group: an executor that forked
-// measurement children must not leave them running (and beating) after
-// the supervisor declares it dead, or a "killed" shard would keep
-// mutating its journal.
-func Command(stdout, stderr io.Writer, argv ...string) StartFunc {
-	return func(shardDir string, attempt int) (Handle, error) {
-		args := append(append([]string{}, argv[1:]...), fmt.Sprintf("-attempt=%d", attempt), shardDir)
-		cmd := exec.Command(argv[0], args...)
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		setProcGroup(cmd)
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return procHandle{cmd}, nil
-	}
-}
-
-type procHandle struct{ cmd *exec.Cmd }
-
-func (h procHandle) Wait() error { return h.cmd.Wait() }
-func (h procHandle) Kill() error { return killProc(h.cmd.Process) }
 
 func logf(opt Options, format string, args ...any) {
 	if opt.Log != nil {

@@ -47,8 +47,8 @@ import (
 	"repro/internal/remote"
 	"repro/internal/report"
 	"repro/internal/rules"
-	"repro/internal/shard"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/suite"
 	"repro/internal/telemetry"
@@ -893,7 +893,7 @@ func BenchEnvFingerprint(env map[string]string) string { return regress.EnvFinge
 
 // Distributed campaign execution (package shard): partition a sweep's
 // canonical config order into shard manifests, run each shard as an
-// independent journaled executor process (heartbeat liveness, crash and
+// independent journaled executor (heartbeat liveness, crash and
 // stall detection, reassignment with resume-from-journal), and merge
 // the shard journals into one report byte-identical to the
 // single-process run. Exhausted-retry shards surface as explicit
@@ -960,13 +960,6 @@ func ExecShard(ctx context.Context, shardDir string, r ShardUnitRunner, opt Shar
 // backoff, explicit loss after the retry budget.
 func SuperviseShards(ctx context.Context, sweepDir string, start ShardStartFunc, opt ShardSuperviseOptions) ([]ShardStatus, error) {
 	return shard.Supervise(ctx, sweepDir, start, opt)
-}
-
-// ShardExecutorCommand builds a StartFunc that forks argv with
-// "-attempt=N" and the shard directory appended — the local-process
-// executor launcher.
-func ShardExecutorCommand(stdout, stderr io.Writer, argv ...string) ShardStartFunc {
-	return shard.Command(stdout, stderr, argv...)
 }
 
 // MergeShards merges every shard's journals into one deterministic
