@@ -19,7 +19,8 @@
 // fan-out.
 //
 // A second workload family measures open-loop service latency instead of
-// collectives (ROADMAP item 2):
+// collectives, sweeping seeded arrivals into simulated servers over an
+// offered-load ramp:
 //
 //	mpibench -workload serve [-arrival poisson|diurnal|onoff]
 //	         [-loads 0.1,0.3,...] [-epoch 10s] [-epochs 6]

@@ -105,8 +105,8 @@
 //
 //	scibench serve [-preset poisson|diurnal2|burst] [-loads 0.1,...]
 //	          [-epoch 5s] [-epochs 6] [-seed 1] [-j 0] [-stall 0] [-dir DIR]
-//	    Sweep a seeded open-loop service workload (ROADMAP item 2)
-//	    through an offered-load ramp: Poisson / two-period diurnal /
+//	    Sweep a seeded open-loop service workload through an
+//	    offered-load ramp: Poisson / two-period diurnal /
 //	    bursty ON-OFF arrivals into simulated batching servers, every
 //	    request latency recorded in a mergeable log-bucketed histogram,
 //	    p50/p99/p999 reported with rank-based nonparametric CIs and the

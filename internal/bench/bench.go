@@ -526,12 +526,15 @@ func run(ctx context.Context, plan Plan, measure func() (float64, error)) (Resul
 }
 
 // Analyze computes the full statistical report for an existing sample
-// (e.g. data loaded from a CSV file) at the given confidence level.
-// Out-of-range confidence levels fall back to 0.95. Samples with fewer
-// than two observations return an error wrapping ErrTooFewSamples.
+// (e.g. data loaded from a CSV file) at the given confidence level. As
+// in Plan, 0 selects 0.95; any other level outside (0, 1) returns an
+// error wrapping ci.ErrConfidence. Samples with fewer than two
+// observations return an error wrapping ErrTooFewSamples.
 func Analyze(xs []float64, confidence float64) (Result, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if confidence == 0 {
 		confidence = 0.95
+	} else if !(confidence > 0 && confidence < 1) {
+		return Result{}, fmt.Errorf("%w: got %g", ci.ErrConfidence, confidence)
 	}
 	return analyze(context.Background(), Result{Raw: xs, Stop: StopFixed}, xs, confidence, 1)
 }

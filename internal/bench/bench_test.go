@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ci"
 	"repro/internal/stats"
 	"repro/internal/timer"
 )
@@ -169,10 +170,49 @@ func TestAnalyzeExistingSample(t *testing.T) {
 	if _, err := Analyze([]float64{1}, 0.95); err == nil {
 		t.Error("tiny sample should error")
 	}
-	// Invalid confidence falls back to 0.95.
-	res2, err := Analyze(xs, 42)
+	// 0 selects 0.95, as in Plan; any other level outside (0, 1) is an
+	// error, not a silent 95% interval.
+	res2, err := Analyze(xs, 0)
 	if err != nil || res2.MeanCI.Confidence != 0.95 {
-		t.Errorf("fallback confidence: %g %v", res2.MeanCI.Confidence, err)
+		t.Errorf("default confidence: %g %v", res2.MeanCI.Confidence, err)
+	}
+	for _, c := range []float64{99, 1, -0.5, math.NaN()} {
+		if _, err := Analyze(xs, c); !errors.Is(err, ci.ErrConfidence) {
+			t.Errorf("Analyze(confidence %g): err = %v, want ci.ErrConfidence", c, err)
+		}
+	}
+}
+
+// TestRunNaNSampleTerminates runs a campaign whose measure returns one
+// NaN. The change-point scan once spun forever on it, so Run runs under
+// a deadline; it must return, and must not report a regime shift it
+// cannot rank.
+func TestRunNaNSampleTerminates(t *testing.T) {
+	calls := 0
+	measure := func() float64 {
+		calls++
+		if calls == 10 {
+			return math.NaN()
+		}
+		return 1 + 0.01*float64(calls%5)
+	}
+	var res Result
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = Run(Plan{MinSamples: 20, MaxSamples: 20}, measure)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run with one NaN sample did not return within 5 s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShiftDetected {
+		t.Errorf("one NaN sample reported as a regime shift (p = %g)", res.ShiftP)
 	}
 }
 

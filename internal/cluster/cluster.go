@@ -109,16 +109,14 @@ type Config struct {
 	// selects per-rank vs summary collective results; ModeAuto switches
 	// to summaries at SummaryThreshold ranks (default 65536).
 	// CollectiveWorkers evaluates each tree level with that many
-	// goroutines and CollectiveBatch sets the per-worker chunk size —
-	// both are pure throughput knobs: per-rank RNG streams make
+	// goroutines — a pure throughput knob: per-rank RNG streams make
 	// collective output bit-identical for a fixed seed regardless of
-	// batch size or worker count. Zero picks the parallel default,
+	// worker count. Zero picks the parallel default,
 	// min(GOMAXPROCS, level/2048); set a negative value (or 1) to force
 	// serial evaluation.
 	ResultMode        ResultMode
 	SummaryThreshold  int
 	CollectiveWorkers int
-	CollectiveBatch   int
 }
 
 // proc is one simulated process (MPI rank analogue).

@@ -25,8 +25,8 @@ import (
 //     pairwise round) is evaluated one level at a time; within a level
 //     every message has a distinct receiver and writes disjoint state,
 //     so the level can be chunked into batches and spread over workers
-//     with bit-identical results for any CollectiveBatch and
-//     CollectiveWorkers settings.
+//     with bit-identical results for any chunk size and
+//     CollectiveWorkers setting.
 //
 //  3. Allocation-flat results — O(P) working arrays come from a
 //     machine-owned buffer pool reused across invocations, and summary
@@ -151,6 +151,11 @@ func (m *Machine) release(b []time.Duration) {
 // identical either way — this is purely a scheduling cutoff).
 const minParallelRound = 2048
 
+// collectiveBatch is the chunk of consecutive level messages a worker
+// evaluates before striding to its next chunk (results are identical
+// for every chunk size).
+const collectiveBatch = 1024
+
 // defaultCollectiveWorkers resolves CollectiveWorkers == 0 for a level
 // of n messages: min(GOMAXPROCS, n/minParallelRound), so each worker
 // owns at least one minimum-size run and small levels never fan out.
@@ -199,10 +204,6 @@ func (m *Machine) runLevel(n int, fn func(i int, fs *FaultStats)) {
 		}
 		return
 	}
-	batch := m.cfg.CollectiveBatch
-	if batch <= 0 {
-		batch = 1024
-	}
 	if len(m.wstats) < workers {
 		m.wstats = make([]FaultStats, workers)
 	}
@@ -212,8 +213,8 @@ func (m *Machine) runLevel(n int, fn func(i int, fs *FaultStats)) {
 		go func(w int) {
 			defer wg.Done()
 			fs := &m.wstats[w]
-			for lo := w * batch; lo < n; lo += workers * batch {
-				hi := lo + batch
+			for lo := w * collectiveBatch; lo < n; lo += workers * collectiveBatch {
+				hi := lo + collectiveBatch
 				if hi > n {
 					hi = n
 				}

@@ -25,7 +25,7 @@ func noisyFaultCfg() Config {
 
 // TestCollectiveBatchWorkerInvariance is the tentpole determinism
 // golden test: for a fixed seed, collective output must be bit-identical
-// for every batch size and worker count, including fault accounting.
+// for every worker count, including fault accounting.
 // P=5000 makes the large tree levels (2048+) cross the parallel cutoff
 // so the worker pool really runs.
 func TestCollectiveBatchWorkerInvariance(t *testing.T) {
@@ -43,21 +43,17 @@ func TestCollectiveBatchWorkerInvariance(t *testing.T) {
 		"gather":    func(m *Machine) CollectiveResult { return m.Gather(64, skew) },
 		"scatter":   func(m *Machine) CollectiveResult { return m.Scatter(64, skew) },
 	}
-	type variant struct{ batch, workers int }
-	// {0, 0} is the shipped default — since the parallel-default change
-	// it resolves to min(GOMAXPROCS, level/2048) workers, so the
-	// reference run itself exercises the auto fan-out; {0, -1} is the
-	// explicit serial opt-out it must match bit-for-bit.
-	variants := []variant{
-		{0, 0}, {0, -1}, {1, 1}, {7, 2}, {256, 8}, {4096, 2}, {1, 8}, {4096, 8},
-	}
+	// 0 is the shipped default — it resolves to min(GOMAXPROCS,
+	// level/2048) workers, so the reference run itself exercises the
+	// auto fan-out; -1 is the explicit serial opt-out it must match
+	// bit-for-bit.
+	workerCounts := []int{0, -1, 1, 2, 8}
 	for name, run := range collectives {
 		var ref CollectiveResult
 		var refStats FaultStats
-		for i, v := range variants {
+		for i, workers := range workerCounts {
 			cfg := noisyFaultCfg()
-			cfg.CollectiveBatch = v.batch
-			cfg.CollectiveWorkers = v.workers
+			cfg.CollectiveWorkers = workers
 			m := mustNew(t, cfg, p, seed)
 			got := run(m)
 			if i == 0 {
@@ -69,18 +65,18 @@ func TestCollectiveBatchWorkerInvariance(t *testing.T) {
 				continue
 			}
 			if got.Root != ref.Root || got.Max() != ref.Max() {
-				t.Errorf("%s batch=%d workers=%d: root/max %v/%v, want %v/%v",
-					name, v.batch, v.workers, got.Root, got.Max(), ref.Root, ref.Max())
+				t.Errorf("%s workers=%d: root/max %v/%v, want %v/%v",
+					name, workers, got.Root, got.Max(), ref.Root, ref.Max())
 			}
 			for r := range ref.PerRank {
 				if got.PerRank[r] != ref.PerRank[r] {
-					t.Fatalf("%s batch=%d workers=%d: rank %d = %v, want %v",
-						name, v.batch, v.workers, r, got.PerRank[r], ref.PerRank[r])
+					t.Fatalf("%s workers=%d: rank %d = %v, want %v",
+						name, workers, r, got.PerRank[r], ref.PerRank[r])
 				}
 			}
 			if m.FaultStats() != refStats {
-				t.Errorf("%s batch=%d workers=%d: fault stats %+v, want %+v",
-					name, v.batch, v.workers, m.FaultStats(), refStats)
+				t.Errorf("%s workers=%d: fault stats %+v, want %+v",
+					name, workers, m.FaultStats(), refStats)
 			}
 		}
 	}
@@ -96,10 +92,9 @@ func TestRingCollectivesBatchInvariance(t *testing.T) {
 		"alltoall":  func(m *Machine) CollectiveResult { return m.Alltoall(64, nil) },
 	} {
 		var ref CollectiveResult
-		for i, v := range []struct{ batch, workers int }{{0, 0}, {3, 2}, {512, 8}} {
+		for i, workers := range []int{0, 2, 8} {
 			cfg := noisyFaultCfg()
-			cfg.CollectiveBatch = v.batch
-			cfg.CollectiveWorkers = v.workers
+			cfg.CollectiveWorkers = workers
 			m := mustNew(t, cfg, p, 99)
 			got := run(m)
 			if i == 0 {
@@ -108,7 +103,7 @@ func TestRingCollectivesBatchInvariance(t *testing.T) {
 			}
 			for r := range ref.PerRank {
 				if got.PerRank[r] != ref.PerRank[r] {
-					t.Fatalf("%s variant %d: rank %d differs", name, i, r)
+					t.Fatalf("%s workers=%d: rank %d differs", name, workers, r)
 				}
 			}
 		}

@@ -101,16 +101,6 @@ func AllocsDeterministic(ds []Delta, tolBytes uint64) bool {
 	return true
 }
 
-// TimesSeconds extracts the elapsed times in seconds for the statistics
-// layer.
-func TimesSeconds(ds []Delta) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Elapsed.Seconds()
-	}
-	return out
-}
-
 // AllocRates derives the allocation rate (B/s) per delta — a *rate*
 // metric that per Rule 3 must be summarized with the harmonic mean (or
 // from the raw costs).

@@ -10,14 +10,7 @@
 // benchmarking decision requires.
 package dist
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain is returned (wrapped) by functions whose argument lies outside
-// the mathematically valid domain.
-var ErrDomain = errors.New("dist: argument outside domain")
+import "math"
 
 // LnGamma returns the natural logarithm of the absolute value of the Gamma
 // function. It is a thin, positively named wrapper over math.Lgamma that
@@ -46,23 +39,6 @@ func GammaP(a, x float64) float64 {
 		return gammaPSeries(a, x)
 	}
 	return 1 - gammaQContinuedFraction(a, x)
-}
-
-// GammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
 }
 
 const (

@@ -61,13 +61,15 @@ func TestGammaPKnownValues(t *testing.T) {
 func TestGammaPComplement(t *testing.T) {
 	for _, a := range []float64{0.3, 1, 2.5, 7, 20, 100} {
 		for _, x := range []float64{0.1, 1, 5, 20, 150} {
-			p := GammaP(a, x)
-			q := GammaQ(a, x)
-			closeTo(t, "P+Q", p+q, 1, 1e-10)
-			if p < 0 || p > 1 {
+			if p := GammaP(a, x); p < 0 || p > 1 {
 				t.Errorf("GammaP(%g,%g) = %g outside [0,1]", a, x, p)
 			}
 		}
+		// GammaP switches from the series for P to the continued
+		// fraction for Q = 1 − P at x = a+1; at the switch both converge,
+		// and they must sum to one.
+		x := a + 1
+		closeTo(t, "P+Q", gammaPSeries(a, x)+gammaQContinuedFraction(a, x), 1, 1e-10)
 	}
 }
 

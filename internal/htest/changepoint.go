@@ -38,30 +38,17 @@ func (c ChangePoint) Significant(alpha float64) bool { return c.P < alpha }
 // with mid-ranks for ties, where r_i is the rank of xs[i] in the whole
 // series; K = max|U_k| and the significance uses the standard
 // approximation p ≈ 2·exp(−6K²/(n³+n²)). At least 8 observations are
-// required for the approximation to be meaningful.
+// required for the approximation to be meaningful; a NaN observation
+// fails with ErrNonFinite.
 func Pettitt(xs []float64) (ChangePoint, error) {
 	n := len(xs)
 	if n < 8 {
 		return ChangePoint{}, ErrSampleSize
 	}
 
-	// Mid-ranks of xs in the full series.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		r := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for t := i; t < j; t++ {
-			ranks[idx[t]] = r
-		}
-		i = j
+	ranks, _, err := midRanks(xs)
+	if err != nil {
+		return ChangePoint{}, err
 	}
 
 	nf := float64(n)

@@ -1,9 +1,7 @@
 package htest
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/stats"
@@ -112,55 +110,33 @@ func OneWayANOVA(groups ...[]float64) (ANOVAResult, error) {
 // groups share the same median. The statistic is corrected for ties, and
 // the p-value uses the χ²(k−1) large-sample approximation (the paper
 // notes exact tables exist for n < 5 per group; the χ² approximation is
-// what practical tools use).
+// what practical tools use). A NaN observation fails with ErrNonFinite.
 func KruskalWallis(groups ...[]float64) (TestResult, error) {
 	k := len(groups)
 	if k < 2 {
 		return TestResult{}, ErrGroups
 	}
-	type obs struct {
-		v     float64
-		group int
-	}
-	var all []obs
-	for gi, g := range groups {
+	var all []float64
+	for _, g := range groups {
 		if len(g) < 2 {
 			return TestResult{}, ErrGroups
 		}
-		for _, v := range g {
-			all = append(all, obs{v, gi})
-		}
+		all = append(all, g...)
 	}
-	n := len(all)
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Mid-ranks with tie correction accumulator.
-	ranks := make([]float64, n)
-	tieCorrection := 0.0
-	for i := 0; i < n; {
-		j := i
-		for j < n && all[j].v == all[i].v {
-			j++
-		}
-		r := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for t := i; t < j; t++ {
-			ranks[t] = r
-		}
-		ties := float64(j - i)
-		tieCorrection += ties*ties*ties - ties
-		i = j
+	ranks, tieCorrection, err := midRanks(all)
+	if err != nil {
+		return TestResult{}, err
 	}
 
-	rankSum := make([]float64, k)
-	groupN := make([]float64, k)
-	for i, o := range all {
-		rankSum[o.group] += ranks[i]
-		groupN[o.group]++
-	}
-	nf := float64(n)
+	nf := float64(len(all))
 	h := 0.0
-	for gi := 0; gi < k; gi++ {
-		h += rankSum[gi] * rankSum[gi] / groupN[gi]
+	for _, g := range groups {
+		rankSum := 0.0
+		for _, r := range ranks[:len(g)] {
+			rankSum += r
+		}
+		ranks = ranks[len(g):]
+		h += rankSum * rankSum / float64(len(g))
 	}
 	h = 12/(nf*(nf+1))*h - 3*(nf+1)
 
@@ -202,32 +178,6 @@ func CompareMedians(xs, ys []float64, alpha float64) (bool, TestResult, error) {
 		return false, res, err
 	}
 	return res.Significant(alpha), res, nil
-}
-
-// PairedTTest tests whether the mean of paired differences yᵢ − xᵢ is
-// zero — the right design when the same workload instances are measured
-// under two configurations (blocking removes instance-to-instance
-// variance). Two-sided p-value.
-func PairedTTest(xs, ys []float64) (TestResult, error) {
-	if len(xs) != len(ys) {
-		return TestResult{}, fmt.Errorf("htest: paired samples differ in length: %d vs %d",
-			len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return TestResult{}, ErrSampleSize
-	}
-	diffs := make([]float64, len(xs))
-	for i := range xs {
-		diffs[i] = ys[i] - xs[i]
-	}
-	sd := stats.StdDev(diffs)
-	if sd == 0 {
-		return TestResult{}, ErrConstant
-	}
-	n := float64(len(diffs))
-	tstat := stats.Mean(diffs) / (sd / math.Sqrt(n))
-	td := dist.StudentT{Nu: n - 1}
-	return TestResult{Name: "t", Stat: tstat, P: 2 * td.CDF(-math.Abs(tstat))}, nil
 }
 
 // MeanDifferenceCI returns the Welch confidence interval for

@@ -322,43 +322,6 @@ func TestTestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestPairedTTest(t *testing.T) {
-	// Paired design: per-instance noise is large but the per-pair shift
-	// is consistent — the paired test sees it, an unpaired test may not.
-	rng := rand.New(rand.NewPCG(31, 31))
-	n := 30
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		instance := 100 * rng.Float64() // huge instance-to-instance spread
-		xs[i] = instance + 0.05*rng.NormFloat64()
-		ys[i] = instance + 0.2 + 0.05*rng.NormFloat64() // consistent +0.2
-	}
-	paired, err := PairedTTest(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !paired.Significant(0.001) {
-		t.Errorf("paired test missed the consistent shift: %v", paired)
-	}
-	unpaired, err := TTest(xs, ys, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unpaired.Significant(0.05) {
-		t.Errorf("unpaired test should drown in instance variance: %v", unpaired)
-	}
-	if _, err := PairedTTest(xs[:3], ys); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := PairedTTest([]float64{1}, []float64{2}); err != ErrSampleSize {
-		t.Error("tiny sample should error")
-	}
-	if _, err := PairedTTest([]float64{1, 2}, []float64{2, 3}); err != ErrConstant {
-		t.Error("constant differences should error")
-	}
-}
-
 func TestMeanDifferenceCI(t *testing.T) {
 	xs := normalSample(200, 10, 1, 51)
 	ys := normalSample(200, 11, 1, 52)

@@ -2,7 +2,6 @@ package htest
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dist"
 )
@@ -32,47 +31,25 @@ type MannWhitneyResult struct {
 //
 // Both samples being entirely one tied value yields p = 1 (no
 // evidence) rather than an error, so constant-but-equal measurement
-// streams compare as indistinguishable.
+// streams compare as indistinguishable. A NaN observation fails with
+// ErrNonFinite.
 func MannWhitney(xs, ys []float64) (MannWhitneyResult, error) {
 	n1, n2 := len(xs), len(ys)
 	if n1 < 2 || n2 < 2 {
 		return MannWhitneyResult{}, ErrSampleSize
 	}
-	type obs struct {
-		v      float64
-		second bool
+	all := append(append(make([]float64, 0, n1+n2), xs...), ys...)
+	ranks, tieCorrection, err := midRanks(all)
+	if err != nil {
+		return MannWhitneyResult{}, err
 	}
-	all := make([]obs, 0, n1+n2)
-	for _, v := range xs {
-		all = append(all, obs{v, false})
-	}
-	for _, v := range ys {
-		all = append(all, obs{v, true})
-	}
-	n := len(all)
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Mid-ranks and the tie-correction term Σ(t³−t).
 	rankSum1 := 0.0
-	tieCorrection := 0.0
-	for i := 0; i < n; {
-		j := i
-		for j < n && all[j].v == all[i].v {
-			j++
-		}
-		r := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for t := i; t < j; t++ {
-			if !all[t].second {
-				rankSum1 += r
-			}
-		}
-		ties := float64(j - i)
-		tieCorrection += ties*ties*ties - ties
-		i = j
+	for _, r := range ranks[:n1] {
+		rankSum1 += r
 	}
 
 	f1, f2 := float64(n1), float64(n2)
-	nf := float64(n)
+	nf := float64(n1 + n2)
 	u1 := rankSum1 - f1*(f1+1)/2
 	u2 := f1*f2 - u1
 	res := MannWhitneyResult{

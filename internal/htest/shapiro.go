@@ -20,6 +20,9 @@ var (
 	ErrSampleSize = errors.New("htest: sample size out of supported range")
 	ErrConstant   = errors.New("htest: sample is constant")
 	ErrGroups     = errors.New("htest: need at least two groups with two observations each")
+	// ErrNonFinite reports a NaN observation given to a rank test: NaN
+	// is unordered, so it has no rank.
+	ErrNonFinite = errors.New("htest: NaN observation has no rank")
 )
 
 // TestResult carries a test statistic and its p-value, along with the

@@ -185,24 +185,3 @@ func (o *Once) Perturb(rng Source, now, d time.Duration) time.Duration {
 
 // Reset re-arms a Once model for a fresh run.
 func (o *Once) Reset() { o.seen = 0 }
-
-// SystemNoise builds the composite model used by the simulated clusters
-// in this repository: a log-normal body (sigma), a rare heavy tail
-// (prob, scale), and OS jitter with the given daemon period/window.
-// Any zero parameter disables that component.
-func SystemNoise(sigma, tailProb float64, tailScale, period, window time.Duration) Model {
-	var s Stack
-	if sigma > 0 {
-		s = append(s, LogNormal{Sigma: sigma})
-	}
-	if tailProb > 0 && tailScale > 0 {
-		s = append(s, ParetoTail{Prob: tailProb, Scale: tailScale, Alpha: 2})
-	}
-	if period > 0 && window > 0 {
-		s = append(s, Periodic{Period: period, Window: window})
-	}
-	if len(s) == 0 {
-		return None{}
-	}
-	return s
-}

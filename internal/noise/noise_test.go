@@ -163,14 +163,14 @@ func TestOnceWarmup(t *testing.T) {
 	}
 }
 
+// TestSystemNoiseComposition stacks the three components of a system's
+// noise — log-normal body, heavy tail, periodic OS jitter — and checks
+// the composite never yields a non-positive duration.
 func TestSystemNoiseComposition(t *testing.T) {
-	if _, ok := SystemNoise(0, 0, 0, 0, 0).(None); !ok {
-		t.Error("all-zero SystemNoise should be None")
-	}
-	m := SystemNoise(0.01, 0.001, time.Microsecond, time.Millisecond, 10*time.Microsecond)
-	s, ok := m.(Stack)
-	if !ok || len(s) != 3 {
-		t.Fatalf("expected 3-element Stack, got %T", m)
+	m := Stack{
+		LogNormal{Sigma: 0.01},
+		ParetoTail{Prob: 0.001, Scale: time.Microsecond, Alpha: 2},
+		Periodic{Period: time.Millisecond, Window: 10 * time.Microsecond},
 	}
 	xs := sample(m, 10000, 100*time.Microsecond, 10)
 	if stats.Min(xs) <= 0 {
@@ -179,7 +179,7 @@ func TestSystemNoiseComposition(t *testing.T) {
 }
 
 func TestDeterministicUnderSeed(t *testing.T) {
-	m := SystemNoise(0.02, 0.01, time.Microsecond, 0, 0)
+	m := Stack{LogNormal{Sigma: 0.02}, ParetoTail{Prob: 0.01, Scale: time.Microsecond, Alpha: 2}}
 	a := sample(m, 1000, time.Microsecond, 42)
 	b := sample(m, 1000, time.Microsecond, 42)
 	for i := range a {

@@ -17,16 +17,6 @@ func (g *GateReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(g)
 }
 
-// ParseGateJSON decodes a gate report previously written by WriteJSON,
-// for tooling that post-processes verdicts.
-func ParseGateJSON(data []byte) (*GateReport, error) {
-	var g GateReport
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return &g, nil
-}
-
 // WriteMarkdown renders the per-benchmark verdict table as GitHub-
 // flavored markdown — the artifact the CI job publishes as its job
 // summary. Every row carries its evidence: medians with their

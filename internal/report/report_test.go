@@ -63,16 +63,6 @@ func TestCSVValidation(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteJSON(&buf, map[string]int{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"x\": 1") {
-		t.Errorf("json = %s", buf.String())
-	}
-}
-
 func sampleData(n int, seed uint64) []float64 {
 	rng := rand.New(rand.NewPCG(seed, 1))
 	xs := make([]float64, n)

@@ -7,7 +7,6 @@ package report
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -174,11 +173,4 @@ func ReadCSVColumn(r io.Reader, name string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// WriteJSON marshals any value as indented JSON.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

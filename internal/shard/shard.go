@@ -42,14 +42,12 @@ const FormatVersion = 1
 //	<dir>/shard-000/heartbeat.json
 //	<dir>/shard-000/done.json    written when the shard completes
 //	<dir>/shard-000/units/<id>/  one journaled campaign per unit
-//	<dir>/report.txt             the canonical merged report
 //	<dir>/merged.json            the merged manifest (per-shard record)
 const (
 	SweepFile    = "sweep.json"
 	ManifestFile = "shard.json"
 	DoneFile     = "done.json"
 	UnitsDir     = "units"
-	ReportFile   = "report.txt"
 	MergedFile   = "merged.json"
 )
 

@@ -212,26 +212,6 @@ func skewnessAbout(xs []float64, m float64) float64 {
 	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
 }
 
-// ExcessKurtosis returns the sample excess kurtosis (g2 = m4/m2² − 3)
-// of xs, NaN for n < 4.
-func ExcessKurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	return m4/(m2*m2) - 3
-}
-
 // Welford accumulates mean and variance online in a single pass using
 // Welford's numerically stable recurrence — the incremental scheme the
 // paper describes for computing the sample deviation without storing all

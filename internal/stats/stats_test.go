@@ -323,20 +323,6 @@ func TestSkewnessSign(t *testing.T) {
 	}
 }
 
-func TestExcessKurtosis(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 1))
-	xs := make([]float64, 100000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	if k := ExcessKurtosis(xs); math.Abs(k) > 0.1 {
-		t.Errorf("normal sample excess kurtosis %g, want ≈0", k)
-	}
-	if !math.IsNaN(ExcessKurtosis([]float64{1, 2, 3})) {
-		t.Error("kurtosis of n=3 should be NaN")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{4, 1, 3, 2, 5}
 	s := Summarize(xs)

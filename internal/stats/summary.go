@@ -132,15 +132,6 @@ func TukeyFences(xs []float64, k float64) (lo, hi float64) {
 	return q1 - k*iqr, q3 + k*iqr
 }
 
-// TukeyFencesSorted is TukeyFences for an already-sorted sample (e.g. a
-// Sample's cached view), skipping the re-sort.
-func TukeyFencesSorted(sorted []float64, k float64) (lo, hi float64) {
-	q1 := Quantile(sorted, 0.25)
-	q3 := Quantile(sorted, 0.75)
-	iqr := q3 - q1
-	return q1 - k*iqr, q3 + k*iqr
-}
-
 // TukeyFilter partitions xs into values inside the Tukey fences and the
 // removed outliers, preserving input order. Per the paper, the number of
 // removed outliers must be reported for each experiment; callers get it

@@ -51,8 +51,6 @@ type ServeConfig struct {
 	// including its JSON encoding — is bit-identical for every worker
 	// count (Rule 9).
 	Workers int
-	// MaxRequests caps each epoch (0 = serve.DefaultMaxRequests).
-	MaxRequests int
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
@@ -245,7 +243,7 @@ func RunServe(ctx context.Context, cfg ServeConfig, w io.Writer) (*ServeResult, 
 			Arrival:     withRate(cfg.Arrival, top.rate),
 			Server:      cfg.Server,
 			Duration:    cfg.Duration,
-			MaxRequests: cfg.MaxRequests,
+			MaxRequests: serve.DefaultMaxRequests,
 			Seed:        top.seeds[0],
 		})
 		if err != nil {
@@ -288,7 +286,7 @@ func measureServePoint(ctx context.Context, cfg ServeConfig, pt servePoint) (Ser
 			Arrival:     withRate(cfg.Arrival, pt.rate),
 			Server:      cfg.Server,
 			Duration:    cfg.Duration,
-			MaxRequests: cfg.MaxRequests,
+			MaxRequests: serve.DefaultMaxRequests,
 			Seed:        pt.seeds[epoch%len(pt.seeds)],
 			Mode:        serve.OpenLoop,
 			Hist:        epochHist,

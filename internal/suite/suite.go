@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/report"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -78,17 +77,6 @@ type Config struct {
 	// ceiling (in µs here, matching the measured unit), and graceful
 	// degradation. Rows then carry the per-configuration loss accounting.
 	Resilience *bench.Resilience
-	// Shards, when > 0, splits the canonical sweep into that many
-	// contiguous shards (shard.Partition over the canonical job order)
-	// and runs only shard Shard (0-based). Seeds are assigned from the
-	// FULL canonical enumeration before the filter, so each shard's rows
-	// are bit-identical to the corresponding rows of the unsharded sweep
-	// and the union over all shards reproduces it exactly (Rule 9 —
-	// partitioning is an execution detail, not a different experiment).
-	// Scaling models are fitted only for groups wholly inside the shard;
-	// cross-shard model fits belong to the merge step.
-	Shard  int
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -158,11 +146,8 @@ func (r *Result) TotalLost() int {
 	return n
 }
 
-// Errors.
-var (
-	ErrUnknownCollective = errors.New("suite: unknown collective")
-	ErrBadShard          = errors.New("suite: invalid shard selection")
-)
+// ErrUnknownCollective reports a collective name outside AllCollectives.
+var ErrUnknownCollective = errors.New("suite: unknown collective")
 
 // job is one configuration of the sweep with its precomputed seed. The
 // seed table is built from the canonical enumeration order before any
@@ -174,7 +159,6 @@ type job struct {
 	bytes int
 	ranks int
 	seed  uint64
-	group int // index into the (collective, bytes) group list
 }
 
 // jobGroup collects the job indices of one (collective, bytes) model
@@ -201,7 +185,7 @@ func enumerate(cfg Config) ([]job, []jobGroup) {
 				g.jobs = append(g.jobs, len(jobs))
 				jobs = append(jobs, job{
 					coll: coll, bytes: bytes, ranks: p,
-					seed: seed, group: len(groups),
+					seed: seed,
 				})
 			}
 			groups = append(groups, g)
@@ -236,14 +220,6 @@ func Run(ctx context.Context, cfg Config, w io.Writer) (*Result, error) {
 		}
 	}
 	jobs, groups := enumerate(cfg)
-	if cfg.Shards > 0 {
-		var err error
-		if jobs, groups, err = shardSlice(cfg, jobs, groups); err != nil {
-			return nil, err
-		}
-	} else if cfg.Shard != 0 {
-		return nil, fmt.Errorf("%w: Shard %d set without Shards", ErrBadShard, cfg.Shard)
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -393,42 +369,6 @@ func Run(ctx context.Context, cfg Config, w io.Writer) (*Result, error) {
 	return res, nil
 }
 
-// shardSlice restricts the canonical job list to the configured shard.
-// It runs AFTER enumerate assigned every job its canonical seed, so the
-// shard measures exactly what the full sweep would have measured for
-// the same configurations. Model groups straddling the shard boundary
-// are dropped: fitting them needs the neighbouring shards' rows.
-func shardSlice(cfg Config, jobs []job, groups []jobGroup) ([]job, []jobGroup, error) {
-	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards || cfg.Shards > len(jobs) {
-		return nil, nil, fmt.Errorf("%w: shard %d of %d over %d configurations",
-			ErrBadShard, cfg.Shard, cfg.Shards, len(jobs))
-	}
-	r := shard.Partition(len(jobs), cfg.Shards)[cfg.Shard]
-	lo, hi := r[0], r[1]
-	var kept []jobGroup
-	for _, g := range groups {
-		inside := jobGroup{coll: g.coll, bytes: g.bytes}
-		for _, ji := range g.jobs {
-			if ji >= lo && ji < hi {
-				inside.jobs = append(inside.jobs, ji-lo)
-			}
-		}
-		if len(inside.jobs) == len(g.jobs) {
-			kept = append(kept, inside)
-		}
-	}
-	sliced := jobs[lo:hi]
-	for i := range sliced {
-		sliced[i].group = -1
-	}
-	for gi, g := range kept {
-		for _, ji := range g.jobs {
-			sliced[ji].group = gi
-		}
-	}
-	return sliced, kept, nil
-}
-
 // rowFlag annotates a progress line with anything that disqualifies the
 // row as a clean measurement.
 func rowFlag(r Row) string {
@@ -558,9 +498,6 @@ func (r *Result) WriteReport(w io.Writer) error {
 		return rows[i].Ranks < rows[j].Ranks
 	})
 	title := "collective microbenchmark suite on " + r.Config.Cluster.Name
-	if r.Config.Shards > 0 {
-		title += fmt.Sprintf(" (shard %d/%d of the canonical sweep)", r.Config.Shard, r.Config.Shards)
-	}
 	if r.Interrupted {
 		title += " (PARTIAL: sweep interrupted)"
 	}

@@ -261,64 +261,6 @@ func TestSuiteWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
-// TestShardUnionEqualsFullSweep pins the distributed-execution
-// contract at the suite layer: because seeds are assigned from the full
-// canonical enumeration before the shard filter, running the sweep as
-// 3 independent shards and concatenating their rows reproduces the
-// unsharded sweep bit-for-bit.
-func TestShardUnionEqualsFullSweep(t *testing.T) {
-	full, err := Run(context.Background(), quickConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 3
-	var union []Row
-	models := 0
-	for s := 0; s < shards; s++ {
-		cfg := quickConfig()
-		cfg.Shard, cfg.Shards = s, shards
-		res, err := Run(context.Background(), cfg, nil)
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		if res.Interrupted {
-			t.Fatalf("shard %d spuriously interrupted", s)
-		}
-		union = append(union, res.Rows...)
-		models += len(res.Models)
-		// A shard only fits groups it holds entirely; every model it does
-		// fit must match the full sweep's fit exactly.
-		for k, m := range res.Models {
-			if full.Models[k] != m {
-				t.Errorf("shard %d: model %s differs from full sweep", s, k)
-			}
-		}
-	}
-	if len(union) != len(full.Rows) {
-		t.Fatalf("union has %d rows, full sweep %d", len(union), len(full.Rows))
-	}
-	for i := range full.Rows {
-		if union[i] != full.Rows[i] {
-			t.Errorf("row %d differs:\n  full  %+v\n  union %+v", i, full.Rows[i], union[i])
-		}
-	}
-	if models > len(full.Models) {
-		t.Errorf("shards fitted %d models, full sweep only %d", models, len(full.Models))
-	}
-}
-
-func TestShardValidation(t *testing.T) {
-	for _, tc := range []struct{ shard, shards int }{
-		{3, 3}, {-1, 3}, {0, 1000}, {1, 0},
-	} {
-		cfg := quickConfig()
-		cfg.Shard, cfg.Shards = tc.shard, tc.shards
-		if _, err := Run(context.Background(), cfg, nil); err == nil {
-			t.Errorf("Shard=%d Shards=%d accepted", tc.shard, tc.shards)
-		}
-	}
-}
-
 // cancelAfterWriter cancels a context once n progress lines were
 // written, interrupting a sweep from inside its own progress stream.
 type cancelAfterWriter struct {

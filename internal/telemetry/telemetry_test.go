@@ -167,7 +167,7 @@ func TestTracerRingWraps(t *testing.T) {
 }
 
 func TestStartSpanContextPropagation(t *testing.T) {
-	tr := DefaultTracer()
+	tr := tracer
 	tr.EnableSink(nil)
 	defer tr.Disable()
 

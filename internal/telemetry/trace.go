@@ -60,9 +60,6 @@ func NewTracer() *Tracer {
 // tracer is the process-wide default the harness instruments.
 var tracer = NewTracer()
 
-// DefaultTracer returns the process-wide tracer served by /trace.
-func DefaultTracer() *Tracer { return tracer }
-
 // EnableSink arms the tracer with a span sink (e.g. a
 // BinaryTraceWriter). Pass nil to keep spans only in the in-memory ring
 // (still served by /trace).
@@ -81,9 +78,6 @@ func (t *Tracer) Disable() {
 	t.sink = nil
 	t.mu.Unlock()
 }
-
-// Enabled reports whether spans are being collected.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
 // Recent returns the retained completed spans, oldest first.
 func (t *Tracer) Recent() []Span {
@@ -205,6 +199,3 @@ func EnableSink(sink SpanSink) { tracer.EnableSink(sink) }
 
 // Disable disarms the default tracer.
 func Disable() { tracer.Disable() }
-
-// Enabled reports whether the default tracer is collecting spans.
-func Enabled() bool { return tracer.Enabled() }

@@ -174,9 +174,6 @@ func decodeTraceChunk(payload []byte) ([]Span, bool) {
 	return spans, true
 }
 
-// IsBinaryTrace sniffs whether data is a binary trace file.
-func IsBinaryTrace(data []byte) bool { return bytes.HasPrefix(data, traceMagic) }
-
 // ReadBinaryTrace decodes a binary trace file, returning the spans of
 // every whole, CRC-verified chunk. torn reports that a trailing partial
 // or corrupt chunk was dropped (the expected shape after a crash). The

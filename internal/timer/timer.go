@@ -143,30 +143,3 @@ func (cal Calibration) MinReliableInterval() time.Duration {
 	}
 	return byResolution
 }
-
-// Stopwatch measures one interval on a Clock.
-type Stopwatch struct {
-	clock Clock
-	start time.Duration
-}
-
-// NewStopwatch creates a stopwatch on the given clock (wall clock when
-// nil) and starts it.
-func NewStopwatch(c Clock) *Stopwatch {
-	if c == nil {
-		c = NewWallClock()
-	}
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Restart resets the start point and returns the elapsed interval that
-// ended now.
-func (s *Stopwatch) Restart() time.Duration {
-	now := s.clock.Now()
-	d := now - s.start
-	s.start = now
-	return d
-}
-
-// Elapsed returns the interval since start without restarting.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }

@@ -91,29 +91,6 @@ func TestMinReliableInterval(t *testing.T) {
 	}
 }
 
-func TestStopwatchOnVirtualClock(t *testing.T) {
-	var c VirtualClock
-	sw := NewStopwatch(&c)
-	c.Advance(42 * time.Microsecond)
-	if sw.Elapsed() != 42*time.Microsecond {
-		t.Errorf("Elapsed = %v", sw.Elapsed())
-	}
-	if d := sw.Restart(); d != 42*time.Microsecond {
-		t.Errorf("Restart = %v", d)
-	}
-	c.Advance(8 * time.Microsecond)
-	if d := sw.Restart(); d != 8*time.Microsecond {
-		t.Errorf("second Restart = %v", d)
-	}
-}
-
-func TestStopwatchDefaultsToWallClock(t *testing.T) {
-	sw := NewStopwatch(nil)
-	if sw.Elapsed() < 0 {
-		t.Error("negative elapsed on wall clock")
-	}
-}
-
 func TestCalibrateMinimumSamples(t *testing.T) {
 	// samples < 16 is clamped, must still work.
 	cal := Calibrate(NewWallClock(), 1)

@@ -13,7 +13,7 @@
 //   - normality diagnostics (Shapiro–Wilk, Q-Q) and sound comparisons
 //     (Welch t-test, one-way ANOVA, Kruskal–Wallis, effect size);
 //   - quantile regression for tail-sensitive comparisons (Fig 4);
-//   - bounds models (ideal, Amdahl, parallel-overhead, machine model);
+//   - bounds models (ideal speedup and the §5.1 machine model);
 //   - the designed-experiment pipeline (Experiment → Results → Audit)
 //     with a twelve-rule compliance audit;
 //   - a simulated parallel machine (clusters, clocks, collectives,
@@ -68,9 +68,6 @@ type (
 	// OutlierPolicy selects Tukey-fence removal (the removed count is
 	// always reported, per §3.1.3).
 	OutlierPolicy = bench.OutlierPolicy
-	// CrossProcess is the Rule 10 summarization of per-process samples
-	// with an ANOVA pooling gate.
-	CrossProcess = bench.CrossProcess
 	// StopReason explains why sample collection ended (see the Stop*
 	// constants).
 	StopReason = bench.StopReason
@@ -121,12 +118,6 @@ func Analyze(xs []float64, confidence float64) (Result, error) {
 	return bench.Analyze(xs, confidence)
 }
 
-// SummarizeAcrossProcesses applies the Rule 10 procedure: ANOVA across
-// the per-process samples decides whether pooling is sound.
-func SummarizeAcrossProcesses(perProc [][]float64, alpha float64) (CrossProcess, error) {
-	return bench.SummarizeAcrossProcesses(perProc, alpha)
-}
-
 // Descriptive statistics (package stats).
 type (
 	// Summary is the descriptive-statistics bundle the paper asks
@@ -149,10 +140,6 @@ func Mean(xs []float64) float64 { return stats.Mean(xs) }
 // HarmonicMean returns the harmonic mean (correct for rates, Rule 3).
 func HarmonicMean(xs []float64) (float64, error) { return stats.HarmonicMean(xs) }
 
-// GeometricMean returns the geometric mean (last resort for ratios,
-// Rule 4).
-func GeometricMean(xs []float64) (float64, error) { return stats.GeometricMean(xs) }
-
 // SummarizeMean dispatches to the correct mean for the metric kind.
 func SummarizeMean(kind MetricKind, xs []float64) (float64, error) {
 	return stats.SummarizeMean(kind, xs)
@@ -163,16 +150,6 @@ func Median(xs []float64) float64 { return stats.Median(xs) }
 
 // Quantile returns the p-quantile of xs (type-7 interpolation).
 func Quantile(xs []float64, p float64) float64 { return stats.QuantileOf(xs, p) }
-
-// TrimmedMean returns the mean after removing the trim fraction from
-// each tail — a robust alternative to outlier removal.
-func TrimmedMean(xs []float64, trim float64) (float64, error) {
-	return stats.TrimmedMean(xs, trim)
-}
-
-// MAD returns the (normal-consistent) median absolute deviation, the
-// robust spread companion to the median.
-func MAD(xs []float64) float64 { return stats.MAD(xs) }
 
 // Summarize computes the full descriptive summary.
 func Summarize(xs []float64) Summary { return stats.Summarize(xs) }
@@ -191,13 +168,9 @@ type Sample = stats.Sample
 func NewSample(xs []float64) *Sample { return stats.NewSample(xs) }
 
 // Confidence intervals (package ci).
-type (
-	// Interval is a two-sided confidence interval around a point
-	// estimate.
-	Interval = ci.Interval
-	// StoppingRule is the §4.2.2 sequential CI-width stopping criterion.
-	StoppingRule = ci.StoppingRule
-)
+
+// Interval is a two-sided confidence interval around a point estimate.
+type Interval = ci.Interval
 
 // MeanCI returns the Student-t confidence interval for the mean.
 func MeanCI(xs []float64, confidence float64) (Interval, error) {
@@ -260,14 +233,6 @@ func MannWhitney(xs, ys []float64) (MannWhitneyResult, error) {
 	return htest.MannWhitney(xs, ys)
 }
 
-// PairedTTest tests the mean of paired differences (blocked designs).
-func PairedTTest(xs, ys []float64) (TestResult, error) { return htest.PairedTTest(xs, ys) }
-
-// MeanDifferenceCI returns the Welch CI for mean(ys) − mean(xs).
-func MeanDifferenceCI(xs, ys []float64, confidence float64) (lo, hi float64, err error) {
-	return htest.MeanDifferenceCI(xs, ys, confidence)
-}
-
 // AndersonDarling tests composite normality with the A² statistic — one
 // of the alternatives Rule 6's discussion compares Shapiro–Wilk against.
 func AndersonDarling(xs []float64) (TestResult, error) { return htest.AndersonDarling(xs) }
@@ -275,11 +240,6 @@ func AndersonDarling(xs []float64) (TestResult, error) { return htest.AndersonDa
 // Lilliefors tests composite normality with the KS statistic and
 // estimated parameters.
 func Lilliefors(xs []float64) (TestResult, error) { return htest.Lilliefors(xs) }
-
-// KolmogorovSmirnov tests xs against a fully specified CDF.
-func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) (TestResult, error) {
-	return htest.KolmogorovSmirnov(xs, cdf)
-}
 
 // IIDDiagnosis bundles independence diagnostics (autocorrelations and
 // the runs test) behind the iid requirement of §3.1.3.
@@ -334,11 +294,6 @@ type (
 	FactorEffect = doe.Effect
 )
 
-// FullFactorial enumerates every factor-level combination.
-func FullFactorial(factors []DesignFactor) (*FactorialDesign, error) {
-	return doe.FullFactorial(factors)
-}
-
 // TwoLevelDesign builds a 2^k design over the named factors.
 func TwoLevelDesign(names ...string) (*FactorialDesign, error) {
 	return doe.TwoLevel(names...)
@@ -389,20 +344,12 @@ func CompareQuantiles(base, alt []float64, taus []float64, confidence float64) (
 
 // Bounds models (package bounds).
 type (
-	// BoundsModel is a scaling lower-bound-on-time model (Rule 11).
-	BoundsModel = bounds.Model
 	// Ideal is the linear-speedup bound.
 	Ideal = bounds.Ideal
-	// Amdahl is the serial-fraction bound.
-	Amdahl = bounds.Amdahl
-	// ParallelOverhead adds a p-dependent overhead term.
-	ParallelOverhead = bounds.ParallelOverhead
 	// MachineModel is the k-dimensional capability vector Γ of §5.1.
 	MachineModel = bounds.MachineModel
 	// Requirements is an application's measured rate vector τ.
 	Requirements = bounds.Requirements
-	// Roofline is the k = 2 machine model.
-	Roofline = bounds.Roofline
 )
 
 // NewMachineModel builds a validated machine model.
@@ -411,32 +358,9 @@ func NewMachineModel(features []string, peaks []float64) (*MachineModel, error) 
 }
 
 // Semi-analytic model fitting (package model, §5.1).
-type (
-	// ModelFit is a fitted linear model with goodness-of-fit.
-	ModelFit = model.Fit
-	// CollectiveModel is the LogP-style T(p) = A + B·log₂p + C·p model.
-	CollectiveModel = model.CollectiveModel
-	// SegmentedModel is the piecewise log-linear model of Fig 7's
-	// reduction overhead.
-	SegmentedModel = model.Segmented
-)
 
-// LeastSquares fits y ≈ X·β by ordinary least squares.
-func LeastSquares(x [][]float64, y []float64, names []string) (ModelFit, error) {
-	return model.LeastSquares(x, y, names)
-}
-
-// FitCollective fits the LogP-style collective model to (p, seconds)
-// measurements.
-func FitCollective(ps []int, seconds []float64) (CollectiveModel, error) {
-	return model.FitCollective(ps, seconds)
-}
-
-// FitSegmented fits a piecewise log-linear model split at the given
-// process-count breakpoints.
-func FitSegmented(ps []int, seconds []float64, breaks []int) (SegmentedModel, error) {
-	return model.FitSegmented(ps, seconds, breaks)
-}
+// CollectiveModel is the LogP-style T(p) = A + B·log₂p + C·p model.
+type CollectiveModel = model.CollectiveModel
 
 // Experiment pipeline (package core).
 type (
@@ -449,8 +373,6 @@ type (
 	Configuration = core.Configuration
 	// Results is an analyzed experiment.
 	Results = core.Results
-	// Comparison is the Rule 7 comparison battery.
-	Comparison = core.Comparison
 )
 
 // Rules audit (package rules).
@@ -530,9 +452,6 @@ var (
 	ErrBadPlan = bench.ErrBadPlan
 	// ErrTooFewSamples reports a sample too small to analyze.
 	ErrTooFewSamples = bench.ErrTooFewSamples
-	// ErrTooFewProcesses reports a cross-process summary over fewer than
-	// two processes.
-	ErrTooFewProcesses = bench.ErrTooFewProcesses
 	// ErrMeasurePanic wraps a panic recovered from a measure closure.
 	ErrMeasurePanic = bench.ErrMeasurePanic
 	// ErrSampleTimeout reports a sample attempt that exceeded the
@@ -576,12 +495,6 @@ const (
 	CollectiveModeSummary = cluster.ModeSummary
 )
 
-// ParseCollectiveResultMode parses "auto", "perrank"/"exact" or
-// "summary" (CLI -mode flags).
-func ParseCollectiveResultMode(s string) (CollectiveResultMode, error) {
-	return cluster.ParseResultMode(s)
-}
-
 // NewCluster instantiates a simulated machine with `ranks` processes.
 func NewCluster(cfg ClusterConfig, ranks int, seed uint64) (*Cluster, error) {
 	return cluster.New(cfg, ranks, seed)
@@ -617,13 +530,8 @@ func RunSuite(cfg SuiteConfig, w io.Writer) (*SuiteResult, error) {
 	return suite.Run(context.Background(), cfg, w)
 }
 
-// RunSuiteCtx is RunSuite under a context: cancellation checkpoints the
-// sweep and returns the partial result marked Interrupted.
-func RunSuiteCtx(ctx context.Context, cfg SuiteConfig, w io.Writer) (*SuiteResult, error) {
-	return suite.Run(ctx, cfg, w)
-}
-
-// Open-loop service workloads (packages serve and suite; ROADMAP item 2).
+// Open-loop service workloads (packages serve and suite): seeded arrival
+// processes into simulated servers, swept over offered load.
 type (
 	// ArrivalConfig parametrizes a seeded open-loop arrival process:
 	// Poisson, multi-period diurnal, or bursty ON/OFF.
@@ -751,9 +659,6 @@ type (
 	// CampaignManifest binds a journal to the setup that produced it:
 	// seed, config hash, fault-schedule fingerprint, environment.
 	CampaignManifest = campaign.Manifest
-	// CampaignJournal is an open write-ahead journal; attach it via
-	// Plan.Record to make collection events durable, 64 to a chunk.
-	CampaignJournal = campaign.Journal
 	// CampaignState is the collection state replayed from a journal,
 	// with any torn tail dropped.
 	CampaignState = campaign.State
@@ -811,12 +716,6 @@ func LoadCampaign(dir string) (CampaignManifest, CampaignState, error) {
 	return campaign.Load(dir)
 }
 
-// CampaignBoundaryShift checks whether a significant regime shift
-// localizes at a suspend/resume boundary index (Rule 6 quarantine).
-func CampaignBoundaryShift(xs []float64, boundary int, alpha float64) (ChangePoint, bool, error) {
-	return campaign.BoundaryShift(xs, boundary, alpha)
-}
-
 // Sentinel errors of the campaign layer, for errors.Is branching.
 var (
 	// ErrManifestDrift reports a resume whose current setup differs from
@@ -870,13 +769,6 @@ const (
 	GateInconclusive = regress.VerdictInconclusive
 )
 
-// ParseBenchReport decodes a BENCH_*.json document (schema v2 or
-// legacy v1).
-func ParseBenchReport(data []byte) (*BenchReport, error) { return regress.ParseReport(data) }
-
-// LoadBenchReport reads and parses a BENCH_*.json file.
-func LoadBenchReport(path string) (*BenchReport, error) { return regress.LoadReport(path) }
-
 // ParseBenchOutput parses `go test -bench` text output into a
 // BenchReport, grouping `-count N` repetitions into per-run samples.
 func ParseBenchOutput(r io.Reader) (*BenchReport, error) { return regress.ParseBench(r) }
@@ -906,8 +798,6 @@ type (
 	// ShardSweep is the partitioned sweep: the full unit table, its
 	// hash, and the shard count.
 	ShardSweep = shard.SweepManifest
-	// ShardManifest pins one shard's slice of the sweep.
-	ShardManifest = shard.Manifest
 	// ShardUnitRunner rebuilds a unit's campaign (manifest, plan,
 	// measure closure) from its recorded config.
 	ShardUnitRunner = shard.UnitRunner
@@ -1043,8 +933,6 @@ type (
 	// TelemetryRegistry is a named collection of counters, gauges, and
 	// streaming histograms.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time capture of every metric.
-	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetryServer is a running /metrics + /trace + pprof endpoint.
 	TelemetryServer = telemetry.Server
 	// TraceSpan is one completed interval of harness work (campaign →

@@ -1,4 +1,4 @@
-// Benchmarks for the open-loop service workload (ROADMAP item 2): the
+// Benchmarks for the open-loop service workload (package serve): the
 // simulation hot paths the benchgate tracks. BenchmarkHistogramRecord
 // additionally asserts the 0 allocs/op contract the serve loop's
 // memory-speed latency recording depends on.
