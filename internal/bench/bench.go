@@ -135,9 +135,9 @@ func (p Plan) withDefaults() (Plan, error) {
 		return p, fmt.Errorf("%w: negative MaxSamples %d", ErrBadPlan, p.MaxSamples)
 	case p.BatchSize < 0:
 		return p, fmt.Errorf("%w: negative BatchSize %d", ErrBadPlan, p.BatchSize)
-	case p.Confidence != 0 && (p.Confidence <= 0 || p.Confidence >= 1):
+	case p.Confidence != 0 && !(p.Confidence > 0 && p.Confidence < 1):
 		return p, fmt.Errorf("%w: Confidence %g outside (0, 1)", ErrBadPlan, p.Confidence)
-	case p.RelErr < 0 || p.RelErr >= 1:
+	case !(p.RelErr >= 0 && p.RelErr < 1):
 		return p, fmt.Errorf("%w: RelErr %g outside [0, 1)", ErrBadPlan, p.RelErr)
 	case p.EventsPerSample < 0:
 		return p, fmt.Errorf("%w: negative EventsPerSample %d", ErrBadPlan, p.EventsPerSample)

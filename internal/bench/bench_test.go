@@ -362,7 +362,9 @@ func TestPlanRejectsNonsense(t *testing.T) {
 		{BatchSize: -2},
 		{Confidence: 1.5},
 		{Confidence: -0.5},
+		{Confidence: math.NaN()},
 		{RelErr: -0.1},
+		{RelErr: math.NaN()},
 		{RelErr: 1}, // a 100% relative error target is meaningless
 		{EventsPerSample: -3},
 		{Resilience: &Resilience{MaxRetries: -1}},

@@ -65,7 +65,7 @@ var (
 // It assumes xs are independent samples of a (near) normal distribution;
 // callers should verify normality first (Rule 6).
 func MeanCI(xs []float64, confidence float64) (Interval, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return Interval{}, ErrConfidence
 	}
 	n := len(xs)
@@ -80,7 +80,7 @@ func MeanCI(xs []float64, confidence float64) (Interval, error) {
 // Welford recurrence can differ from the two-pass mean/deviation in the
 // last ulp; both are valid estimates of the same interval.
 func MeanCISample(s *stats.Sample, confidence float64) (Interval, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return Interval{}, ErrConfidence
 	}
 	if s.N() < 2 {
@@ -125,10 +125,10 @@ func MedianCISample(s *stats.Sample, confidence float64) (Interval, error) {
 // six observations are required to bound the median nonparametrically
 // (§4.2.2 notes n > 5).
 func QuantileCI(xs []float64, p, confidence float64) (Interval, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return Interval{}, ErrConfidence
 	}
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) {
 		return Interval{}, fmt.Errorf("ci: quantile p=%g outside (0,1)", p)
 	}
 	if len(xs) < 6 {
@@ -141,10 +141,10 @@ func QuantileCI(xs []float64, p, confidence float64) (Interval, error) {
 // cached sorted view instead of re-sorting. The interval is bit-identical
 // to QuantileCI on the same data.
 func QuantileCISample(s *stats.Sample, p, confidence float64) (Interval, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return Interval{}, ErrConfidence
 	}
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) {
 		return Interval{}, fmt.Errorf("ci: quantile p=%g outside (0,1)", p)
 	}
 	if s.N() < 6 {
@@ -185,10 +185,10 @@ func quantileCISorted(s []float64, p, confidence float64) Interval {
 // endpoints inherit the histogram's ≤1/64 bucket quantization on top of
 // the usual order-statistic conservatism.
 func QuantileCIHist(h *stats.LogHistogram, p, confidence float64) (Interval, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return Interval{}, ErrConfidence
 	}
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) {
 		return Interval{}, fmt.Errorf("ci: quantile p=%g outside (0,1)", p)
 	}
 	n := h.Count()
@@ -230,10 +230,10 @@ func RequiredSamples(pilot []float64, confidence, relErr float64) (int, error) {
 // a pilot sample as n = (s·t(n−1, α/2) / (e·x̄))² (§4.2.2). The result is
 // never below the pilot size's minimum of 2.
 func RequiredSamplesNormal(pilot []float64, confidence, relErr float64) (int, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return 0, ErrConfidence
 	}
-	if relErr <= 0 {
+	if !(relErr > 0) {
 		return 0, fmt.Errorf("ci: relative error %g must be positive", relErr)
 	}
 	n := len(pilot)

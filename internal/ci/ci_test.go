@@ -40,6 +40,44 @@ func TestMeanCIErrors(t *testing.T) {
 	}
 }
 
+// TestNaNArgumentsRejected: a NaN confidence, quantile or relative error
+// fails every range check of the form c <= 0 || c >= 1, so each check is
+// written !(c > 0 && c < 1). A NaN that got through once panicked with an
+// index out of range in the rank arithmetic.
+func TestNaNArgumentsRejected(t *testing.T) {
+	nan := math.NaN()
+	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	s := stats.NewSample(xs)
+	var h stats.LogHistogram
+	for _, x := range xs {
+		h.Record(x)
+	}
+	for name, f := range map[string]func(c float64) error{
+		"MeanCI":           func(c float64) error { _, err := MeanCI(xs, c); return err },
+		"MeanCISample":     func(c float64) error { _, err := MeanCISample(s, c); return err },
+		"QuantileCI":       func(c float64) error { _, err := QuantileCI(xs, 0.5, c); return err },
+		"QuantileCISample": func(c float64) error { _, err := QuantileCISample(s, 0.5, c); return err },
+		"QuantileCIHist":   func(c float64) error { _, err := QuantileCIHist(&h, 0.5, c); return err },
+		"RequiredSamples":  func(c float64) error { _, err := RequiredSamplesNormal(xs, c, 0.1); return err },
+	} {
+		if err := f(nan); err != ErrConfidence {
+			t.Errorf("%s(confidence NaN): err = %v, want ErrConfidence", name, err)
+		}
+	}
+	if _, err := QuantileCI(xs, nan, 0.95); err == nil {
+		t.Error("QuantileCI accepted p = NaN")
+	}
+	if _, err := QuantileCISample(s, nan, 0.95); err == nil {
+		t.Error("QuantileCISample accepted p = NaN")
+	}
+	if _, err := QuantileCIHist(&h, nan, 0.95); err == nil {
+		t.Error("QuantileCIHist accepted p = NaN")
+	}
+	if _, err := RequiredSamplesNormal(xs, 0.95, nan); err == nil {
+		t.Error("RequiredSamplesNormal accepted relErr = NaN")
+	}
+}
+
 // TestMeanCICoverage checks the frequentist guarantee: across many
 // repetitions, the 95% CI contains the true mean close to 95% of the time.
 func TestMeanCICoverage(t *testing.T) {

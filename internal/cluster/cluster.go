@@ -6,8 +6,12 @@
 // heterogeneity and OS jitter, and the message-passing collectives the
 // paper measures (ping-pong, binomial-tree reduce and broadcast,
 // dissemination barrier) plus the delay-window time synchronization of
-// §4.2.1. All randomness flows from one seeded PCG stream, so every
-// experiment reproduces bit-for-bit.
+// §4.2.1. All randomness derives from the machine's seed: point-to-point
+// paths, compute phases and machine construction draw from one shared
+// PCG stream, while collectives draw from per-rank streams reseeded per
+// invocation from (seed, invocation, rank), so every experiment
+// reproduces bit-for-bit for any worker count. Log-normal factors use
+// rng.Exp, whose bits do not depend on the CPU architecture.
 package cluster
 
 import (
@@ -204,7 +208,7 @@ func New(cfg Config, ranks int, seed uint64) (*Machine, error) {
 	for n := 0; n < cfg.Nodes; n++ {
 		speeds[n] = 1.0
 		if cfg.NodeSigma > 0 {
-			speeds[n] = math.Exp(cfg.NodeSigma * m.rng.NormFloat64())
+			speeds[n] = rng.Exp(cfg.NodeSigma * m.rng.NormFloat64())
 		}
 		if n < cfg.DaemonNodes && cfg.DaemonPeriod > 0 && cfg.DaemonWindow > 0 {
 			daemons[n] = noise.Periodic{
@@ -258,13 +262,13 @@ func (m *Machine) Advance(d time.Duration) {
 // executions) use it to model per-run system state — batch allocation
 // quality, global network load — that per-event noise cannot capture.
 func (m *Machine) Lognormal(sigma float64) float64 {
-	return math.Exp(sigma * m.rng.NormFloat64())
+	return rng.Exp(sigma * m.rng.NormFloat64())
 }
 
 // HalfLognormal draws exp(sigma·|Z|), a one-sided multiplicative
 // slowdown of at least 1 — interference only ever delays.
 func (m *Machine) HalfLognormal(sigma float64) float64 {
-	return math.Exp(sigma * math.Abs(m.rng.NormFloat64()))
+	return rng.Exp(sigma * math.Abs(m.rng.NormFloat64()))
 }
 
 // NodeOf returns the node hosting a rank.
@@ -313,23 +317,17 @@ func (m *Machine) GlobalFromLocal(rank int, local time.Duration) time.Duration {
 	return g
 }
 
-// msgLatency draws one one-way message latency between two ranks at
+// msgLatencySrc draws one one-way message latency between two ranks at
 // global time `at`, including the bandwidth term for the payload and any
 // scheduled faults: a crashed endpoint turns the transfer into a
 // CrashWait timeout, bursts multiply the inter-node path, stragglers
 // stretch everything their node touches, and the loss protocol adds
-// retransmission waits.
-func (m *Machine) msgLatency(from, to, bytes int, at time.Duration) time.Duration {
-	telMessages.Inc()
-	return m.msgLatencySrc(m.rng, &m.fstats, from, to, bytes, at)
-}
-
-// msgLatencySrc is msgLatency with an explicit draw source and fault
-// accounting sink. Point-to-point paths pass the machine's shared
-// stream; the collective engine passes the RECEIVER's per-rank stream
+// retransmission waits. Draws come from src and fault events go to fs:
+// point-to-point paths pass the machine's shared stream and fault
+// stats; the collective engine passes the RECEIVER's per-rank stream
 // and a per-worker FaultStats, which is what makes level-batched and
-// multi-worker evaluation bit-identical to serial evaluation (telemetry
-// message counts are added per level there, not here).
+// multi-worker evaluation bit-identical to serial evaluation. Callers
+// add their messages to the telemetry count once per call, not here.
 func (m *Machine) msgLatencySrc(src noise.Source, fs *FaultStats, from, to, bytes int, at time.Duration) time.Duration {
 	f := m.cfg.Faults
 	if f != nil && (f.CrashedAt(from, at) || f.CrashedAt(to, at)) {
@@ -347,10 +345,10 @@ func (m *Machine) msgLatencySrc(src noise.Source, fs *FaultStats, from, to, byte
 			lat = float64(m.cfg.LatFloor) / 4
 		}
 		// Intra-node transfers still jitter a little.
-		lat *= math.Exp(m.cfg.LatSigma / 2 * src.NormFloat64())
+		lat *= rng.Exp(m.cfg.LatSigma / 2 * src.NormFloat64())
 	} else {
 		lat = float64(m.cfg.LatFloor) + float64(m.hopExtra(pf.node, pt.node)) +
-			float64(m.cfg.LatBody)*math.Exp(m.cfg.LatSigma*src.NormFloat64())
+			float64(m.cfg.LatBody)*rng.Exp(m.cfg.LatSigma*src.NormFloat64())
 		if m.cfg.TailProb > 0 && src.Float64() < m.cfg.TailProb {
 			u := src.Float64()
 			for u == 0 {
@@ -448,13 +446,14 @@ func (m *Machine) PingPongCtx(ctx context.Context, a, b, bytes, rounds int) []ti
 	out := make([]time.Duration, 0, rounds)
 	for i := 0; i < rounds; i++ {
 		if ctx != nil && ctx.Err() != nil {
-			return out
+			break
 		}
-		fwd := m.msgLatency(a, b, bytes, m.now)
+		fwd := m.msgLatencySrc(m.rng, &m.fstats, a, b, bytes, m.now)
 		m.now += fwd
-		back := m.msgLatency(b, a, bytes, m.now)
+		back := m.msgLatencySrc(m.rng, &m.fstats, b, a, bytes, m.now)
 		m.now += back
 		out = append(out, (fwd+back+2*m.cfg.SendOverhead)/2)
 	}
+	telMessages.Add(2 * int64(len(out)))
 	return out
 }

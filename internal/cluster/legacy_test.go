@@ -9,8 +9,8 @@ import (
 
 // This file pins the level-wise per-rank-stream engine against the
 // pre-rewrite sequential implementations, kept verbatim below (modulo
-// the msgLatency/opCost entry points, which now take the drawing stream
-// explicitly). Two contracts are pinned:
+// the msgLatencySrc/opCostSrc entry points, which now take the drawing
+// stream explicitly). Two contracts are pinned:
 //
 //  1. On a noise-free (Quiet) system every draw is value-neutral, so the
 //     rendezvous computation graph — not the RNG discipline — fully
@@ -23,6 +23,10 @@ import (
 
 func refOpCost(m *Machine, rank int, at time.Duration) time.Duration {
 	return m.opCostSrc(m.rng, rank, at)
+}
+
+func refMsgLatency(m *Machine, from, to, bytes int, at time.Duration) time.Duration {
+	return m.msgLatencySrc(m.rng, &m.fstats, from, to, bytes, at)
 }
 
 // refReduce is the pre-rewrite Reduce: one high-to-low pass on the
@@ -55,7 +59,7 @@ func refReduce(m *Machine, bytes int, skew []time.Duration) CollectiveResult {
 			if cur > begin {
 				begin = cur
 			}
-			arrive := begin + m.msgLatency(src, r, bytes, begin)
+			arrive := begin + refMsgLatency(m, src, r, bytes, begin)
 			finish(src, arrive)
 			if arrive > cur {
 				cur = arrive
@@ -106,7 +110,7 @@ func refBcast(m *Machine, bytes int, skew []time.Duration) CollectiveResult {
 			if skew != nil && skew[r] > sendAt {
 				sendAt = skew[r]
 			}
-			arrive := sendAt + m.msgLatency(r, dst, bytes, sendAt)
+			arrive := sendAt + refMsgLatency(m, r, dst, bytes, sendAt)
 			if skew != nil && skew[dst] > arrive {
 				arrive = skew[dst]
 			}
@@ -141,7 +145,7 @@ func refBarrier(m *Machine, skew []time.Duration) CollectiveResult {
 		for r := 0; r < p; r++ {
 			src := ((r-1<<k)%p + p) % p
 			sendAt := cur[src] + m.cfg.SendOverhead
-			arrive := sendAt + m.msgLatency(src, r, 1, sendAt)
+			arrive := sendAt + refMsgLatency(m, src, r, 1, sendAt)
 			if cur[r] > arrive {
 				next[r] = cur[r]
 			} else {

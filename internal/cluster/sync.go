@@ -79,10 +79,10 @@ func (m *Machine) DelayWindowSync(window time.Duration, pingRounds int) SyncResu
 		var best time.Duration
 		for i := 0; i < pingRounds; i++ {
 			t0 := m.now
-			fwd := m.msgLatency(0, r, 16, t0)
+			fwd := m.msgLatencySrc(m.rng, &m.fstats, 0, r, 16, t0)
 			arrive := t0 + fwd
 			remote := m.LocalTime(r, arrive)
-			back := m.msgLatency(r, 0, 16, arrive)
+			back := m.msgLatencySrc(m.rng, &m.fstats, r, 0, 16, arrive)
 			t1 := arrive + back
 			m.now = t1
 			rtt := t1 - t0
@@ -94,6 +94,7 @@ func (m *Machine) DelayWindowSync(window time.Duration, pingRounds int) SyncResu
 		}
 		offset[r] = best
 	}
+	telMessages.Add(2 * int64(p-1) * int64(pingRounds))
 
 	// Phase 2: broadcast the start time (master-local clock) and wait.
 	startLocal0 := m.LocalTime(0, m.now) + window

@@ -12,6 +12,8 @@ package noise
 import (
 	"math"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Source is the randomness a noise model may consume. Both
@@ -62,8 +64,8 @@ type LogNormal struct {
 }
 
 // Perturb applies the log-normal slowdown.
-func (l LogNormal) Perturb(rng Source, _, d time.Duration) time.Duration {
-	return time.Duration(float64(d) * math.Exp(l.Sigma*rng.NormFloat64()))
+func (l LogNormal) Perturb(src Source, _, d time.Duration) time.Duration {
+	return time.Duration(float64(d) * rng.Exp(l.Sigma*src.NormFloat64()))
 }
 
 // ParetoTail adds, with probability Prob per event, a heavy-tailed delay

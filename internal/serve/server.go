@@ -209,7 +209,7 @@ func (s *sim) serviceDraw(i int) time.Duration {
 		rng.Mix64(s.seed^serviceSaltHi^uint64(i)),
 		rng.Mix64(s.seed^serviceSaltLo^uint64(i)),
 	)
-	return time.Duration(math.Round(float64(svc.Mean) * math.Exp(svc.Sigma*st.NormFloat64())))
+	return time.Duration(math.Round(float64(svc.Mean) * rng.Exp(svc.Sigma*st.NormFloat64())))
 }
 
 // stallClear returns the earliest time ≥ t at which dispatch is allowed.

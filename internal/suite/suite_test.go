@@ -2,7 +2,9 @@ package suite
 
 import (
 	"context"
+	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,6 +104,13 @@ func TestSuiteValidation(t *testing.T) {
 	cfg.Collectives = []string{"mystery"}
 	if _, err := Run(context.Background(), cfg, nil); err == nil {
 		t.Error("unknown collective should error")
+	}
+	// A NaN level once slipped through every range check and panicked
+	// in the rank arithmetic of the median CI.
+	cfg = quickConfig()
+	cfg.Confidence = math.NaN()
+	if _, err := Run(context.Background(), cfg, nil); !errors.Is(err, bench.ErrBadPlan) {
+		t.Errorf("NaN confidence: err = %v, want bench.ErrBadPlan", err)
 	}
 }
 

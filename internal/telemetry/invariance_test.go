@@ -181,6 +181,11 @@ func TestTelemetrySmoke(t *testing.T) {
 	telemetry.EnableSink(nil)
 	defer telemetry.Disable()
 
+	// The occupancy bound below is about this sweep alone; earlier tests
+	// in the binary ran sweeps with more workers into the same
+	// process-wide histogram.
+	telemetry.Default().Histogram("suite.occupancy").Reset()
+
 	// Generate activity through every instrumented layer: a sweep
 	// (suite → bench → cluster) and a journaled campaign (fsync path).
 	if _, err := suite.Run(context.Background(), identConfig(2), io.Discard); err != nil {

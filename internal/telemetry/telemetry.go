@@ -76,6 +76,14 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
+// Reset empties the histogram, so the observations that follow are read
+// without those of earlier runs in the same process.
+func (h *Histogram) Reset() {
+	h.mu.Lock()
+	h.hist.Reset()
+	h.mu.Unlock()
+}
+
 // HistogramSnapshot is a point-in-time summary of every observation a
 // histogram has made, in the unit the values were observed in.
 type HistogramSnapshot struct {
