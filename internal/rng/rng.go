@@ -58,7 +58,7 @@ func (s *Stream) Seed(seed1, seed2 uint64) {
 	s.spare = 0
 }
 
-// Uint64 returns the next output of the PCG XSL-RR 128/64 generator.
+// Uint64 returns the next output of the PCG-DXSM 128/64 generator.
 func (s *Stream) Uint64() uint64 {
 	const (
 		mulHi = 2549297995355413924
@@ -90,7 +90,9 @@ func (s *Stream) Float64() float64 {
 // method, caching the second value of each generated pair. The sequence
 // is deterministic per stream but deliberately NOT the same as
 // math/rand/v2's ziggurat — streams are independent noise sources, not
-// drop-in replays of the shared generator.
+// drop-in replays of the shared generator. Its bits are the same on
+// every GOARCH: the squares are rounded before they are added, the log
+// is Log, and math.Sqrt and division are correctly rounded everywhere.
 func (s *Stream) NormFloat64() float64 {
 	if s.hasSpare {
 		s.hasSpare = false
@@ -99,11 +101,11 @@ func (s *Stream) NormFloat64() float64 {
 	for {
 		u := 2*s.Float64() - 1
 		v := 2*s.Float64() - 1
-		q := u*u + v*v
+		q := float64(u*u) + float64(v*v)
 		if q == 0 || q >= 1 {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(q) / q)
+		f := math.Sqrt(-2 * Log(q) / q)
 		s.spare = v * f
 		s.hasSpare = true
 		return u * f

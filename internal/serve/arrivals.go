@@ -78,7 +78,7 @@ func (c ArrivalConfig) withDefaults() (ArrivalConfig, error) {
 			if p.Period <= 0 {
 				return c, fmt.Errorf("%w: diurnal period %v must be positive", ErrBadArrivals, p.Period)
 			}
-			if p.Amplitude < 0 || p.Amplitude > 1 {
+			if !(p.Amplitude >= 0 && p.Amplitude <= 1) {
 				return c, fmt.Errorf("%w: diurnal amplitude %g outside [0, 1]", ErrBadArrivals, p.Amplitude)
 			}
 		}
@@ -99,8 +99,8 @@ func (c ArrivalConfig) withDefaults() (ArrivalConfig, error) {
 			c.OnFactor = float64(c.MeanOn+c.MeanOff) / float64(c.MeanOn)
 			c.OffFactor = 0
 		}
-		if c.OnFactor < 0 || c.OffFactor < 0 {
-			return c, fmt.Errorf("%w: negative ON/OFF rate factors", ErrBadArrivals)
+		if !(c.OnFactor >= 0) || !(c.OffFactor >= 0) || math.IsInf(c.OnFactor, 1) || math.IsInf(c.OffFactor, 1) {
+			return c, fmt.Errorf("%w: ON/OFF rate factors %g, %g must be non-negative and finite", ErrBadArrivals, c.OnFactor, c.OffFactor)
 		}
 		if c.OnFactor == 0 && c.OffFactor == 0 {
 			return c, fmt.Errorf("%w: ON/OFF factors both zero generate no traffic", ErrBadArrivals)
@@ -124,7 +124,7 @@ const (
 // rate (events per second).
 func expDraw(st *rng.Stream, rate float64) float64 {
 	// 1-U ∈ (0, 1]: the log never sees zero.
-	return -math.Log(1-st.Float64()) / rate
+	return -rng.Log(1-st.Float64()) / rate
 }
 
 // Schedule generates the deterministic open-loop arrival schedule:

@@ -176,6 +176,11 @@ func TestScheduleErrors(t *testing.T) {
 		{Kind: Diurnal, Rate: 1, Periods: []DiurnalPeriod{{Period: time.Second, Amplitude: 1.5}}},
 		{Kind: OnOff, Rate: 1, MeanOn: -time.Second},
 		{Kind: OnOff, Rate: 1, OnFactor: -1},
+		// NaN and +Inf parameters are rejected like out-of-range ones.
+		{Kind: Diurnal, Rate: 1, Periods: []DiurnalPeriod{{Period: time.Second, Amplitude: math.NaN()}}},
+		{Kind: OnOff, Rate: 1, OnFactor: math.NaN()},
+		{Kind: OnOff, Rate: 1, OnFactor: 2, OffFactor: math.NaN()},
+		{Kind: OnOff, Rate: 1, OnFactor: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.Schedule(time.Second, 0, 1); !errors.Is(err, ErrBadArrivals) {

@@ -76,8 +76,11 @@ func (c ServerConfig) withDefaults() (ServerConfig, error) {
 	if c.Service.Mean == 0 {
 		c.Service.Mean = time.Millisecond
 	}
-	if c.Service.Mean < 0 || c.Service.Sigma < 0 || c.Service.PerItem < 0 {
+	if c.Service.Mean < 0 || c.Service.PerItem < 0 {
 		return c, fmt.Errorf("%w: negative service-time parameters", ErrBadServer)
+	}
+	if !(c.Service.Sigma >= 0) || math.IsInf(c.Service.Sigma, 1) {
+		return c, fmt.Errorf("%w: service sigma %g must be non-negative and finite", ErrBadServer, c.Service.Sigma)
 	}
 	for i, s := range c.Stalls {
 		if s.At < 0 || s.Dur <= 0 {
@@ -114,9 +117,7 @@ type Options struct {
 	Arrival  ArrivalConfig
 	Server   ServerConfig
 	Duration time.Duration
-	// MaxRequests caps the epoch (0 = DefaultMaxRequests).
-	MaxRequests int
-	Seed        uint64
+	Seed     uint64
 	// Mode defaults to OpenLoop.
 	Mode LoopMode
 	// Clients is the closed-loop concurrency (0 = Servers).
@@ -194,7 +195,6 @@ type sim struct {
 
 	// Closed-loop issue state.
 	duration time.Duration
-	maxReqs  int
 	issued   int
 }
 
@@ -335,7 +335,7 @@ func (s *sim) complete(id int) {
 		s.hist.Record(lat.Seconds())
 		s.completed++
 		telRequests.Inc()
-		if s.mode == ClosedLoop && now < s.duration && s.issued < s.maxReqs {
+		if s.mode == ClosedLoop && now < s.duration && s.issued < DefaultMaxRequests {
 			idx := s.issued
 			s.issued++
 			s.arrive(idx)
@@ -363,10 +363,6 @@ func Run(o Options) (Result, error) {
 	if o.Mode != OpenLoop && o.Mode != ClosedLoop {
 		return Result{}, fmt.Errorf("%w: unknown mode %q", ErrBadServer, o.Mode)
 	}
-	maxReqs := o.MaxRequests
-	if maxReqs <= 0 {
-		maxReqs = DefaultMaxRequests
-	}
 	hist := o.Hist
 	if hist == nil {
 		hist = &stats.LogHistogram{}
@@ -379,14 +375,13 @@ func Run(o Options) (Result, error) {
 		seed:     o.Seed,
 		hist:     hist,
 		duration: o.Duration,
-		maxReqs:  maxReqs,
 	}
 	s.buildServers()
 
 	offered := 0
 	switch o.Mode {
 	case OpenLoop:
-		schedule, err := o.Arrival.Schedule(o.Duration, maxReqs, o.Seed)
+		schedule, err := o.Arrival.Schedule(o.Duration, DefaultMaxRequests, o.Seed)
 		if err != nil {
 			return Result{}, err
 		}
@@ -409,7 +404,7 @@ func Run(o Options) (Result, error) {
 		if clients <= 0 {
 			clients = srv.Servers
 		}
-		for c := 0; c < clients && s.issued < maxReqs; c++ {
+		for c := 0; c < clients && s.issued < DefaultMaxRequests; c++ {
 			idx := s.issued
 			s.issued++
 			s.arrive(idx)

@@ -185,12 +185,17 @@ func TestServiceDrawIsPerRequest(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	base := Options{Arrival: ArrivalConfig{Rate: 100}, Duration: time.Second}
 	for name, mutate := range map[string]func(*Options){
-		"zero duration":  func(o *Options) { o.Duration = 0 },
-		"bad mode":       func(o *Options) { o.Mode = "half-open" },
-		"bad arrivals":   func(o *Options) { o.Arrival.Rate = -1 },
-		"neg servers":    func(o *Options) { o.Server.Servers = -1 },
-		"neg service":    func(o *Options) { o.Server.Service.Mean = -time.Second },
-		"stall overlap":  func(o *Options) { o.Server.Stalls = []Stall{{At: time.Second, Dur: time.Second}, {At: 0, Dur: time.Second}} },
+		"zero duration": func(o *Options) { o.Duration = 0 },
+		"bad mode":      func(o *Options) { o.Mode = "half-open" },
+		"bad arrivals":  func(o *Options) { o.Arrival.Rate = -1 },
+		"neg servers":   func(o *Options) { o.Server.Servers = -1 },
+		"neg service":   func(o *Options) { o.Server.Service.Mean = -time.Second },
+		"neg sigma":     func(o *Options) { o.Server.Service.Sigma = -0.5 },
+		"NaN sigma":     func(o *Options) { o.Server.Service.Sigma = math.NaN() },
+		"Inf sigma":     func(o *Options) { o.Server.Service.Sigma = math.Inf(1) },
+		"stall overlap": func(o *Options) {
+			o.Server.Stalls = []Stall{{At: time.Second, Dur: time.Second}, {At: 0, Dur: time.Second}}
+		},
 		"zero-dur stall": func(o *Options) { o.Server.Stalls = []Stall{{At: 0, Dur: 0}} },
 	} {
 		o := base

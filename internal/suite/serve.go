@@ -240,11 +240,10 @@ func RunServe(ctx context.Context, cfg ServeConfig, w io.Writer) (*ServeResult, 
 	if len(cfg.Server.Stalls) > 0 && len(pts) > 0 {
 		top := pts[len(pts)-1]
 		chk, err := serve.CheckCoordinatedOmission(serve.Options{
-			Arrival:     withRate(cfg.Arrival, top.rate),
-			Server:      cfg.Server,
-			Duration:    cfg.Duration,
-			MaxRequests: serve.DefaultMaxRequests,
-			Seed:        top.seeds[0],
+			Arrival:  withRate(cfg.Arrival, top.rate),
+			Server:   cfg.Server,
+			Duration: cfg.Duration,
+			Seed:     top.seeds[0],
 		})
 		if err != nil {
 			return nil, err
@@ -283,13 +282,12 @@ func measureServePoint(ctx context.Context, cfg ServeConfig, pt servePoint) (Ser
 		Workers:    1, // epochs are serial inside a point: merge order is canonical
 	}, func() (float64, error) {
 		r, err := serve.Run(serve.Options{
-			Arrival:     withRate(cfg.Arrival, pt.rate),
-			Server:      cfg.Server,
-			Duration:    cfg.Duration,
-			MaxRequests: serve.DefaultMaxRequests,
-			Seed:        pt.seeds[epoch%len(pt.seeds)],
-			Mode:        serve.OpenLoop,
-			Hist:        epochHist,
+			Arrival:  withRate(cfg.Arrival, pt.rate),
+			Server:   cfg.Server,
+			Duration: cfg.Duration,
+			Seed:     pt.seeds[epoch%len(pt.seeds)],
+			Mode:     serve.OpenLoop,
+			Hist:     epochHist,
 		})
 		if err != nil {
 			return 0, err
