@@ -124,10 +124,11 @@ bench:
 # smoke pass doesn't recompile and run empty test binaries for the rest.
 BENCH_PKGS = $(shell grep -rl --include='*_test.go' 'func Benchmark' . | xargs -n1 dirname | sort -u)
 
-# bench-smoke compiles and runs every benchmark once: catches
-# benchmarks that no longer build or crash, without being a perf gate.
+# bench-smoke compiles and runs every benchmark once on one and on two
+# procs: catches benchmarks that no longer build or crash, and runs each
+# parallel path both serial and fanned out, without being a perf gate.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench=. -benchtime=1x -cpu 1,2 $(BENCH_PKGS)
 
 # The harness benchmarks the committed baseline tracks (suite engine,
 # bootstrap, analysis fast path, collective scaling at P=1k/64k/1M).

@@ -246,7 +246,9 @@ var allExperiments = []string{
 }
 
 // runAll renders every experiment on up to jobs goroutines (0 =
-// GOMAXPROCS). Experiments are independent given their seeds, so each
+// GOMAXPROCS). On two procs the default ran `figures -quick all` in
+// 0.59 s against 1.22 s on one (2.07×, 10 of 10 pairs; EXPERIMENTS.md).
+// Experiments are independent given their seeds, so each
 // renders into its own buffer; buffers are flushed to w in canonical
 // order as soon as every earlier experiment has finished, making the
 // output byte-identical to a serial run. On the first (canonical-order)

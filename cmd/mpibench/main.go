@@ -10,8 +10,7 @@
 //	mpibench [-system daint|dora|pilatus] [-collectives reduce,bcast,...]
 //	         [-ranks 2,4,8,16,32] [-bytes 8,1024] [-relerr 0.05]
 //	         [-seed 1] [-faults straggler,burst] [-ceiling 0]
-//	         [-budget 0] [-j 0] [-mode auto] [-summary-threshold 0]
-//	         [-coll-workers 0] [-v]
+//	         [-budget 0] [-j 0] [-mode auto] [-summary-threshold 0] [-v]
 //
 // -j measures up to N configurations concurrently (0 = GOMAXPROCS); the
 // report is bit-identical for every worker count because per-
@@ -71,7 +70,6 @@ func main() {
 		workers = flag.Int("j", 0, "configurations to measure concurrently (0 = GOMAXPROCS); results are worker-count invariant")
 		mode    = flag.String("mode", "auto", "collective result mode: auto|perrank|summary (summary keeps million-rank sweeps allocation-flat)")
 		sumThr  = flag.Int("summary-threshold", 0, "rank count at which auto mode switches to summary results (0 = engine default)")
-		collJ   = flag.Int("coll-workers", 0, "worker goroutines per collective level (0 = serial); output is bit-identical for every value")
 		verbose = flag.Bool("v", false, "stream per-configuration progress")
 		telAddr = flag.String("telemetry", "", "serve /metrics, /trace, and /debug/pprof on this address (e.g. :8080); also enables span tracing")
 
@@ -144,7 +142,6 @@ func main() {
 		os.Exit(2)
 	}
 	clusterCfg.SummaryThreshold = *sumThr
-	clusterCfg.CollectiveWorkers = *collJ
 
 	cfg := suite.Config{
 		Cluster: clusterCfg,

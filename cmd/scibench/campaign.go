@@ -45,7 +45,7 @@ func cmdCampaign(args []string) error {
 	hbTimeout := fs.Duration("heartbeat-timeout", 5*time.Second, "distributed mode: executor liveness timeout")
 	remoteAddr := fs.String("remote", "", "distributed mode: serve a coordinator on this address and run shards on registered `scibench worker` agents instead of loopback workers")
 	minWorkers := fs.Int("min-workers", 1, "distributed -remote mode: wait for this many workers before starting")
-	cc, budget, workers, telAddr := campaignFlags(fs)
+	cc, budget, telAddr := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,7 +71,6 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	plan.Workers = *workers
 	ctx, stop := campaignContext(*budget)
 	defer stop()
 
@@ -81,7 +80,7 @@ func cmdCampaign(args []string) error {
 
 func cmdResume(args []string) error {
 	fs := flag.NewFlagSet("resume", flag.ExitOnError)
-	cc, budget, workers, telAddr := campaignFlags(fs)
+	cc, budget, telAddr := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -107,7 +106,6 @@ func cmdResume(args []string) error {
 	if err != nil {
 		return err
 	}
-	plan.Workers = *workers
 	ctx, stop := campaignContext(*budget)
 	defer stop()
 
@@ -139,12 +137,8 @@ func cmdResume(args []string) error {
 }
 
 // campaignFlags registers the flags shared by campaign and resume; the
-// returned config holds the parsed values after fs.Parse. The analysis
-// worker count is returned separately: it changes only how fast the
-// statistics are computed, never their values, so it is deliberately NOT
-// part of the recorded campaign identity (running a campaign with -j 1
-// and resuming it with -j 8 is not drift).
-func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *int, *string) {
+// returned config holds the parsed values after fs.Parse.
+func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *string) {
 	cc := &campaignConfig{}
 	fs.StringVar(&cc.System, "system", "daint", "simulated system: daint|dora|pilatus")
 	fs.IntVar(&cc.Samples, "samples", 200, "sample budget (adaptive max)")
@@ -153,11 +147,10 @@ func campaignFlags(fs *flag.FlagSet) (*campaignConfig, *time.Duration, *int, *st
 	fs.StringVar(&cc.Faults, "faults", "", "fault preset(s) to inject (see `scibench generate`)")
 	fs.DurationVar(&cc.Throttle, "throttle", 0, "wall-clock pause before each observation (pacing)")
 	budget := fs.Duration("budget", 0, "wall-clock campaign budget (e.g. 10m); 0 means unlimited")
-	workers := fs.Int("j", 0, "analysis workers (0 = GOMAXPROCS); results are worker-count invariant")
-	// Telemetry observes the harness but never steers it, so — like -j —
-	// it is deliberately NOT part of the recorded campaign identity.
+	// Telemetry observes the harness but never steers it, so it is
+	// deliberately NOT part of the recorded campaign identity.
 	telAddr := fs.String("telemetry", "", "serve /metrics, /trace, and /debug/pprof on this address (e.g. :8080); spans also stream to <dir>/trace.bin (read it with scibench dump)")
-	return cc, budget, workers, telAddr
+	return cc, budget, telAddr
 }
 
 // startTelemetry arms span tracing (appending the trace out-of-band of

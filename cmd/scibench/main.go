@@ -110,8 +110,9 @@
 //	    bursty ON-OFF arrivals into simulated batching servers, every
 //	    request latency recorded in a mergeable log-bucketed histogram,
 //	    p50/p99/p999 reported with rank-based nonparametric CIs and the
-//	    detected latency knee. -dir records merged.json, bit-identical
-//	    for every -j (Rule 9); -stall injects a mid-epoch dispatch stall
+//	    detected latency knee. -j runs that many load points at once
+//	    (0 = GOMAXPROCS); -dir records merged.json, bit-identical for
+//	    every -j (Rule 9); -stall injects a mid-epoch dispatch stall
 //	    and reports the coordinated-omission ratio (open- vs closed-loop
 //	    p99 on the identical schedule).
 //

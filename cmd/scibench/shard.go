@@ -94,7 +94,7 @@ func cmdShard(args []string) error {
 	dir := fs.String("dir", "", "sweep directory (required)")
 	shards := fs.Int("shards", 2, "number of shards (executor processes)")
 	units := fs.Int("units", 8, "sweep units: independent replications with consecutive seeds")
-	cc, _, _, _ := campaignFlags(fs)
+	cc, _, _ := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

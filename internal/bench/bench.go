@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,14 +94,6 @@ type Plan struct {
 	// the calibration's §4.2.1 quality thresholds; violations are
 	// counted in Result.TimerWarnings. Observations are in seconds.
 	Timer *timer.Calibration
-	// Workers bounds the analysis-phase parallelism: the independent
-	// statistical tasks (summary + intervals, change-point scan,
-	// normality diagnostics) run on up to Workers goroutines. Zero
-	// selects GOMAXPROCS; 1 forces the serial path; negative values are
-	// rejected. The analysis is deterministic for every worker count —
-	// the tasks share the one sorted Sample view and merge into disjoint
-	// Result fields.
-	Workers int
 	// Resilience, when non-nil, arms the fault-tolerant collection loop:
 	// per-sample watchdog, fault-suspect value ceiling, bounded retry
 	// with backoff, panic recovery, and graceful degradation into a
@@ -141,8 +132,6 @@ func (p Plan) withDefaults() (Plan, error) {
 		return p, fmt.Errorf("%w: RelErr %g outside [0, 1)", ErrBadPlan, p.RelErr)
 	case p.EventsPerSample < 0:
 		return p, fmt.Errorf("%w: negative EventsPerSample %d", ErrBadPlan, p.EventsPerSample)
-	case p.Workers < 0:
-		return p, fmt.Errorf("%w: negative Workers %d", ErrBadPlan, p.Workers)
 	}
 	if p.MinSamples == 0 {
 		p.MinSamples = 10
@@ -522,7 +511,7 @@ func run(ctx context.Context, plan Plan, measure func() (float64, error)) (Resul
 		xs = kept
 	}
 	res.Raw = xs
-	return analyze(ctx, res, xs, p.Confidence, p.Workers)
+	return analyze(ctx, res, xs, p.Confidence)
 }
 
 // Analyze computes the full statistical report for an existing sample
@@ -536,17 +525,17 @@ func Analyze(xs []float64, confidence float64) (Result, error) {
 	} else if !(confidence > 0 && confidence < 1) {
 		return Result{}, fmt.Errorf("%w: got %g", ci.ErrConfidence, confidence)
 	}
-	return analyze(context.Background(), Result{Raw: xs, Stop: StopFixed}, xs, confidence, 1)
+	return analyze(context.Background(), Result{Raw: xs, Stop: StopFixed}, xs, confidence)
 }
 
 // analyze computes the statistical report over one shared stats.Sample,
 // so the sample is sorted exactly once however many statistics read it.
-// The three independent task groups — intervals, the change-point scan,
-// and the normality diagnostics — run concurrently when workers permits
-// (0 = GOMAXPROCS); each computes into its own locals that are merged
-// after the barrier, so the result is bit-identical for every worker
-// count.
-func analyze(ctx context.Context, res Result, xs []float64, confidence float64, workers int) (Result, error) {
+// The three stages — intervals, the change-point scan, and the normality
+// diagnostics — run serially. On two procs, fanning them out over
+// goroutines took 58.6 µs against 50.9 µs serial at n=200, and saved
+// 26 µs, within the run-to-run spread, at n=1000: microseconds once per
+// campaign (EXPERIMENTS.md, "Parallel knobs on two cores").
+func analyze(ctx context.Context, res Result, xs []float64, confidence float64) (Result, error) {
 	_, span := telemetry.StartSpan(ctx, "analysis", fmt.Sprintf("n=%d", len(xs)))
 	defer span.End()
 	t0 := time.Now()
@@ -560,89 +549,46 @@ func analyze(ctx context.Context, res Result, xs []float64, confidence float64, 
 	res.Summary = smp.Summarize()
 	res.Deterministic = res.Summary.Min == res.Summary.Max
 
-	var meanIV, medianIV ci.Interval
-	var meanOK, medianOK bool
-	intervals := func() {
-		defer observeStage(telIntervalsUs, time.Now())
-		if iv, err := ci.MeanCISample(smp, confidence); err == nil {
-			meanIV, meanOK = iv, true
-		}
-		if iv, err := ci.MedianCISample(smp, confidence); err == nil {
-			medianIV, medianOK = iv, true
-		}
+	start := time.Now()
+	if iv, err := ci.MeanCISample(smp, confidence); err == nil {
+		res.MeanCI = iv
 	}
+	if iv, err := ci.MedianCISample(smp, confidence); err == nil {
+		res.MedianCI = iv
+	}
+	observeStage(telIntervalsUs, start)
 
 	// Contamination check: the ordered stream must be one regime
 	// (§3.1.3's iid requirement; a mid-campaign shift silently mixes
 	// distributions and invalidates every summary below).
-	var cp htest.ChangePoint
-	var cpOK bool
-	shift := func() {
-		defer observeStage(telShiftUs, time.Now())
-		if len(xs) >= minShiftSamples && !res.Deterministic {
-			if c, err := htest.Pettitt(xs); err == nil {
-				cp, cpOK = c, true
-			}
+	start = time.Now()
+	if len(xs) >= minShiftSamples && !res.Deterministic {
+		if cp, err := htest.Pettitt(xs); err == nil {
+			res.ShiftP = cp.P
+			res.ShiftIndex = cp.Index
+			res.ShiftDetected = cp.Significant(shiftAlpha)
 		}
 	}
+	observeStage(telShiftUs, start)
+	res.FaultSuspected = res.SamplesLost > 0 || res.Retries > 0 ||
+		res.Panics > 0 || res.ShiftDetected
 
-	swW, swP := math.NaN(), math.NaN()
-	plausible := false
-	normality := func() {
-		defer observeStage(telNormalityUs, time.Now())
-		if res.Deterministic {
-			return
-		}
+	start = time.Now()
+	if !res.Deterministic {
+		res.ShapiroW, res.ShapiroP = math.NaN(), math.NaN()
 		if n := len(xs); n <= 5000 {
 			if sw, err := htest.ShapiroWilkSorted(smp.Sorted()); err == nil {
-				swW, swP = sw.Stat, sw.P
-				plausible = sw.P >= 0.05 ||
+				res.ShapiroW, res.ShapiroP = sw.Stat, sw.P
+				res.PlausiblyNormal = sw.P >= 0.05 ||
 					(n > 1000 && stats.QQCorrelationSorted(smp.Sorted()) > 0.999)
 			}
 		} else if sw, err := htest.ShapiroWilk(xs[:5000]); err == nil {
 			// Above Shapiro–Wilk's range: report W over the leading 5000
 			// observations; the plausibility predicate stays false.
-			swW, swP = sw.Stat, sw.P
+			res.ShapiroW, res.ShapiroP = sw.Stat, sw.P
 		}
 	}
-
-	if workers == 1 {
-		intervals()
-		shift()
-		normality()
-	} else {
-		var wg sync.WaitGroup
-		for _, task := range []func(){intervals, shift, normality} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				task()
-			}()
-		}
-		wg.Wait()
-	}
-
-	if meanOK {
-		res.MeanCI = meanIV
-	}
-	if medianOK {
-		res.MedianCI = medianIV
-	}
-	if cpOK {
-		res.ShiftP = cp.P
-		res.ShiftIndex = cp.Index
-		res.ShiftDetected = cp.Significant(shiftAlpha)
-	}
-	res.FaultSuspected = res.SamplesLost > 0 || res.Retries > 0 ||
-		res.Panics > 0 || res.ShiftDetected
-
-	if res.Deterministic {
-		res.PlausiblyNormal = false
-		return res, nil
-	}
-	res.ShapiroW = swW
-	res.ShapiroP = swP
-	res.PlausiblyNormal = plausible
+	observeStage(telNormalityUs, start)
 	return res, nil
 }
 

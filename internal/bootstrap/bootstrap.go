@@ -57,7 +57,9 @@ func CI(xs []float64, stat Statistic, method Method, b int, confidence float64, 
 }
 
 // CIWorkers is CI with the resamples sharded over up to workers
-// goroutines (0 = GOMAXPROCS, 1 = serial). Each resample draws from its
+// goroutines (0 = GOMAXPROCS, 1 = serial). On two procs the default ran
+// a BCa median interval (B=1000, n=200) in 9.9 ms against 16.8 ms on one
+// (1.70×, 10 of 10 pairs; EXPERIMENTS.md). Each resample draws from its
 // own PCG stream derived from two rng draws, so the interval — and the
 // caller rng's position afterwards — is identical for every worker
 // count. The statistic must be safe for concurrent calls on distinct

@@ -112,15 +112,8 @@ type Config struct {
 	// Collective engine controls (see collective_engine.go). ResultMode
 	// selects per-rank vs summary collective results; ModeAuto switches
 	// to summaries at SummaryThreshold ranks (default 65536).
-	// CollectiveWorkers evaluates each tree level with that many
-	// goroutines — a pure throughput knob: per-rank RNG streams make
-	// collective output bit-identical for a fixed seed regardless of
-	// worker count. Zero picks the parallel default,
-	// min(GOMAXPROCS, level/2048); set a negative value (or 1) to force
-	// serial evaluation.
-	ResultMode        ResultMode
-	SummaryThreshold  int
-	CollectiveWorkers int
+	ResultMode       ResultMode
+	SummaryThreshold int
 }
 
 // proc is one simulated process (MPI rank analogue).
@@ -149,12 +142,16 @@ type Machine struct {
 
 	// Collective engine state (collective_engine.go): per-rank RNG
 	// streams reseeded per invocation, reusable O(P) scratch buffers,
-	// and per-worker fault accounting.
-	collSeq    uint64
-	streams    []rng.Stream
-	forceExact int
-	bufPool    [][]time.Duration
-	wstats     []FaultStats
+	// and per-worker fault accounting. collWorkers overrides the level
+	// fan-out for the worker-invariance tests: 0 selects
+	// defaultCollectiveWorkers, any other value that many workers
+	// (1 or less is serial).
+	collSeq     uint64
+	streams     []rng.Stream
+	forceExact  int
+	bufPool     [][]time.Duration
+	wstats      []FaultStats
+	collWorkers int
 }
 
 // FaultStats counts the fault events the machine absorbed — the

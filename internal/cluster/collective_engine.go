@@ -25,8 +25,7 @@ import (
 //     pairwise round) is evaluated one level at a time; within a level
 //     every message has a distinct receiver and writes disjoint state,
 //     so the level can be chunked into batches and spread over workers
-//     with bit-identical results for any chunk size and
-//     CollectiveWorkers setting.
+//     with bit-identical results for any chunk size and worker count.
 //
 //  3. Allocation-flat results — O(P) working arrays come from a
 //     machine-owned buffer pool reused across invocations, and summary
@@ -156,12 +155,14 @@ const minParallelRound = 2048
 // for every chunk size).
 const collectiveBatch = 1024
 
-// defaultCollectiveWorkers resolves CollectiveWorkers == 0 for a level
-// of n messages: min(GOMAXPROCS, n/minParallelRound), so each worker
-// owns at least one minimum-size run and small levels never fan out.
-// The engine is race-clean by construction (per-rank streams, static
-// partitions) and bit-identical for every worker count, so parallel is
-// safe as the default; an explicit negative (or 1) still forces serial.
+// defaultCollectiveWorkers is the level fan-out for a level of n
+// messages: min(GOMAXPROCS, n/minParallelRound), so each worker owns at
+// least one minimum-size run and small levels never fan out. It is the
+// only setting: on two procs against one, Allreduce took 11.2 ms against
+// 15.6 ms at P=2^16 (1.40×, 10 of 10 pairs) and 168 ms against 248 ms at
+// P=2^20 (1.47×, 9 of 10; EXPERIMENTS.md, "Parallel knobs on two
+// cores"). The engine is race-clean by construction (per-rank streams,
+// static partitions) and bit-identical for every worker count.
 func defaultCollectiveWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if per := n / minParallelRound; w > per {
@@ -173,12 +174,12 @@ func defaultCollectiveWorkers(n int) int {
 	return w
 }
 
-// collectiveWorkers resolves the configured worker count for a level of
-// n messages. It exists so runLevel's `workers` is assigned exactly
-// once: the level goroutines capture the variable, and a reassigned
-// capture is moved to the heap — one allocation per level, even on the
-// serial path, which would break the allocation-flat summary guarantee
-// (TestSummaryAllocsFlat).
+// collectiveWorkers resolves the worker count for a level of n
+// messages, cfg being Machine.collWorkers. It exists so runLevel's
+// `workers` is assigned exactly once: the level goroutines capture the
+// variable, and a reassigned capture is moved to the heap — one
+// allocation per level, even on the serial path, which would break the
+// allocation-flat summary guarantee (TestSummaryAllocsFlat).
 func collectiveWorkers(cfg, n int) int {
 	if cfg != 0 {
 		return cfg
@@ -197,7 +198,7 @@ func (m *Machine) runLevel(n int, fn func(i int, fs *FaultStats)) {
 		return
 	}
 	telMessages.Add(int64(n))
-	workers := collectiveWorkers(m.cfg.CollectiveWorkers, n)
+	workers := collectiveWorkers(m.collWorkers, n)
 	if workers <= 1 || n < minParallelRound {
 		for i := 0; i < n; i++ {
 			fn(i, &m.fstats)

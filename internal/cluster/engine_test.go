@@ -45,16 +45,15 @@ func TestCollectiveBatchWorkerInvariance(t *testing.T) {
 	}
 	// 0 is the shipped default — it resolves to min(GOMAXPROCS,
 	// level/2048) workers, so the reference run itself exercises the
-	// auto fan-out; -1 is the explicit serial opt-out it must match
+	// auto fan-out; -1 and 1 force the serial path it must match
 	// bit-for-bit.
 	workerCounts := []int{0, -1, 1, 2, 8}
 	for name, run := range collectives {
 		var ref CollectiveResult
 		var refStats FaultStats
 		for i, workers := range workerCounts {
-			cfg := noisyFaultCfg()
-			cfg.CollectiveWorkers = workers
-			m := mustNew(t, cfg, p, seed)
+			m := mustNew(t, noisyFaultCfg(), p, seed)
+			m.collWorkers = workers
 			got := run(m)
 			if i == 0 {
 				ref = got
@@ -93,9 +92,8 @@ func TestRingCollectivesBatchInvariance(t *testing.T) {
 	} {
 		var ref CollectiveResult
 		for i, workers := range []int{0, 2, 8} {
-			cfg := noisyFaultCfg()
-			cfg.CollectiveWorkers = workers
-			m := mustNew(t, cfg, p, 99)
+			m := mustNew(t, noisyFaultCfg(), p, 99)
+			m.collWorkers = workers
 			got := run(m)
 			if i == 0 {
 				ref = got
@@ -195,9 +193,9 @@ func TestExactPerRankOverride(t *testing.T) {
 	}
 }
 
-// TestDefaultCollectiveWorkers pins the CollectiveWorkers == 0
-// resolution: parallel by default, scaled so each worker owns at least
-// one minimum-size run, never exceeding GOMAXPROCS, floored at 1.
+// TestDefaultCollectiveWorkers pins the level fan-out: parallel by
+// default, scaled so each worker owns at least one minimum-size run,
+// never exceeding GOMAXPROCS, floored at 1.
 func TestDefaultCollectiveWorkers(t *testing.T) {
 	maxProcs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct{ n, want int }{

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/rules"
 	"repro/internal/shard"
 
@@ -249,9 +250,9 @@ type CancelRequest struct {
 // journal. The heartbeat travels on its own message, and done.json is
 // written only by the coordinator after inventory verification.
 var shardFiles = []string{
-	"manifest.json", // write-once (atomic rename)
-	"journal.jsonl", // append-only; may truncate once at resume
-	"result.json",   // write-once completion sentinel
+	campaign.ManifestFile, // write-once (atomic rename)
+	campaign.JournalFile,  // append-only; may truncate once at resume
+	shard.UnitResultFile,  // write-once completion sentinel
 }
 
 // ValidChunkPath accepts exactly the relative paths a worker may write
@@ -261,29 +262,13 @@ func ValidChunkPath(p string) bool {
 	if len(parts) != 3 || parts[0] != "units" {
 		return false
 	}
-	return safeID(parts[1]) && slices.Contains(shardFiles, parts[2])
+	return shard.SafeID(parts[1]) && slices.Contains(shardFiles, parts[2])
 }
 
 // ValidSeedPath additionally accepts the heartbeat file, which a seed
 // carries so the heartbeat sequence stays monotonic across workers.
 func ValidSeedPath(p string) bool {
 	return p == shard.HeartbeatFile || ValidChunkPath(p)
-}
-
-// safeID mirrors the shard package's directory-name discipline.
-func safeID(id string) bool {
-	if id == "" || id[0] == '.' {
-		return false
-	}
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '.' || r == '_' || r == '-':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // hash64 folds a string into the jitter seed.

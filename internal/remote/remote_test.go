@@ -71,7 +71,7 @@ func (r testRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (
 		}
 		return cfg.Base * (1 + 0.05*rng.Float64()), nil
 	}
-	plan := bench.Plan{Warmup: 2, MinSamples: 12, Workers: 1}
+	plan := bench.Plan{Warmup: 2, MinSamples: 12}
 	if r.samples > 0 {
 		plan.MinSamples = r.samples
 	}

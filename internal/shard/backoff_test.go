@@ -30,3 +30,16 @@ func TestReassignBackoffSeeded(t *testing.T) {
 		t.Error("eight shards, two seeds, identical jitter everywhere — backoff is not seeded")
 	}
 }
+
+// TestReassignBackoffSaturates: a large Retries budget reaches attempts
+// whose doubled base would overflow; the delay must stay positive and
+// saturate at the ceiling (plus at most half of it in jitter).
+func TestReassignBackoffSaturates(t *testing.T) {
+	opt := Options{Seed: 42}
+	for attempt := 2; attempt <= 100; attempt++ {
+		d := ReassignBackoff(opt, 1, attempt)
+		if d <= 0 || d > maxReassignBackoff*3/2 {
+			t.Fatalf("attempt %d: backoff %s outside (0, 1.5×%s]", attempt, d, maxReassignBackoff)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func FuzzLoadSweep(f *testing.F) {
 			t.Fatalf("partition covers %d of %d units", next, len(sw.Units))
 		}
 		for _, u := range sw.Units {
-			if !safeID(u.ID) {
+			if !SafeID(u.ID) {
 				t.Fatalf("accepted sweep with unsafe unit ID %q", u.ID)
 			}
 		}

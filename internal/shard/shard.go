@@ -143,7 +143,7 @@ func NewSweep(name string, units []Unit, faultFP string, env rules.Environment, 
 	}
 	seen := make(map[string]bool, len(units))
 	for _, u := range units {
-		if !safeID(u.ID) {
+		if !SafeID(u.ID) {
 			return SweepManifest{}, fmt.Errorf("%w: unit ID %q is not filesystem-safe ([A-Za-z0-9._-]+, no leading dot)", ErrBadSweep, u.ID)
 		}
 		if seen[u.ID] {
@@ -167,8 +167,8 @@ func NewSweep(name string, units []Unit, faultFP string, env rules.Environment, 
 	}, nil
 }
 
-// safeID accepts IDs that are usable verbatim as directory names.
-func safeID(id string) bool {
+// SafeID accepts IDs that are usable verbatim as directory names.
+func SafeID(id string) bool {
 	if id == "" || id[0] == '.' {
 		return false
 	}

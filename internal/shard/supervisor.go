@@ -70,15 +70,23 @@ type Options struct {
 	Log io.Writer
 }
 
+// maxReassignBackoff caps the exponential base of ReassignBackoff, so a
+// large Retries budget neither waits for days nor overflows the shift.
+const maxReassignBackoff = time.Minute
+
 // ReassignBackoff is the delay before reassignment attempt (attempt ≥ 2)
-// of one shard: Backoff doubled per prior reassignment, plus a jitter
-// fraction in [0, 0.5) of that base derived from (Seed, shard, attempt)
-// via the splitmix64 finalizer. Same inputs, same schedule — the
-// supervisor's retry timing is part of the experiment, so it is seeded
-// like everything else.
+// of one shard: Backoff doubled per prior reassignment and saturated at
+// maxReassignBackoff, plus a jitter fraction in [0, 0.5) of that base
+// derived from (Seed, shard, attempt) via the splitmix64 finalizer. Same
+// inputs, same schedule — the supervisor's retry timing is part of the
+// experiment, so it is seeded like everything else.
 func ReassignBackoff(opt Options, shardIdx, attempt int) time.Duration {
 	opt = opt.withDefaults()
-	base := opt.Backoff << (attempt - 2)
+	base := opt.Backoff
+	for i := 2; i < attempt && base < maxReassignBackoff; i++ {
+		base *= 2
+	}
+	base = min(base, maxReassignBackoff)
 	h := rng.Mix64(opt.Seed ^ uint64(shardIdx)*0x9e3779b97f4a7c15 ^ uint64(attempt))
 	frac := float64(h>>11) / (1 << 53)
 	return base + time.Duration(frac*float64(base)/2)

@@ -45,7 +45,9 @@ type ServeConfig struct {
 	KneeFactor float64
 	Seed       uint64
 	// Workers bounds how many load points run concurrently. Zero selects
-	// GOMAXPROCS; 1 is the serial path. Every epoch's seed is assigned
+	// GOMAXPROCS; 1 is the serial path. On two procs the default ran
+	// `scibench serve` in 81 ms against 129 ms on one (1.59×, 10 of 10
+	// pairs; EXPERIMENTS.md). Every epoch's seed is assigned
 	// from the canonical (point, epoch) enumeration before fan-out and
 	// each point's epochs run serially inside its job, so the Result —
 	// including its JSON encoding — is bit-identical for every worker
@@ -279,7 +281,6 @@ func measureServePoint(ctx context.Context, cfg ServeConfig, pt servePoint) (Ser
 		MinSamples: cfg.Epochs,
 		MaxSamples: cfg.Epochs,
 		Confidence: cfg.Confidence,
-		Workers:    1, // epochs are serial inside a point: merge order is canonical
 	}, func() (float64, error) {
 		r, err := serve.Run(serve.Options{
 			Arrival:  withRate(cfg.Arrival, pt.rate),

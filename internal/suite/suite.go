@@ -67,7 +67,9 @@ type Config struct {
 	Confidence  float64  // CI level (default 0.95)
 	Seed        uint64
 	// Workers bounds how many configurations are measured concurrently.
-	// Zero selects GOMAXPROCS; 1 is the serial path. Every configuration's
+	// Zero selects GOMAXPROCS; 1 is the serial path. On two procs the
+	// default ran BenchmarkSuiteRun in 1.65 ms against 2.11 ms on one
+	// (1.28×, 10 of 10 pairs; EXPERIMENTS.md). Every configuration's
 	// seed is assigned from the canonical sweep order before fan-out, so
 	// the Result is bit-identical for every worker count — parallelism
 	// buys wall-clock time, never reproducibility (Rule 9).
@@ -465,9 +467,6 @@ func measure(ctx context.Context, cfg Config, coll string, ranks, bytes int, see
 		Confidence: cfg.Confidence,
 		BatchSize:  10,
 		Resilience: cfg.Resilience,
-		// The suite parallelizes across configurations; keep the
-		// per-configuration analysis serial to avoid oversubscription.
-		Workers: 1,
 	}, run)
 	if err != nil {
 		return Row{}, err

@@ -58,9 +58,7 @@ import (
 // Measurement campaign configuration and results (package bench).
 type (
 	// Plan configures a measurement campaign: warmup, fixed or adaptive
-	// sample counts, confidence level, outlier policy, and the analysis
-	// worker count (Plan.Workers, 0 = GOMAXPROCS; results are
-	// worker-count invariant).
+	// sample counts, confidence level, and outlier policy.
 	Plan = bench.Plan
 	// Result is a fully analyzed campaign: summary statistics, CIs of
 	// mean and median, normality diagnostics, and provenance.
