@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: all build test vet race check bench bench-smoke bench-json benchgate \
 	coverage coverage-check figures telemetry-smoke durability journalcheck \
-	shardcheck remotecheck scalecheck loadcheck fuzzcheck profile-cluster
+	shardcheck remotecheck scalecheck loadcheck fuzzcheck profile-cluster \
+	conformance
 
 all: check
 
@@ -76,6 +77,12 @@ loadcheck:
 	$(GO) test -run 'TestRunServeWorkerInvariance|TestRunServeKneeDetection|TestQuantileCIHist' \
 		-count=1 ./internal/suite ./internal/ci
 	$(GO) test -run 'TestServeMergedJSONWorkerInvariance' -count=1 ./cmd/scibench
+
+# conformance runs the full seeded coverage grid of ci.RatioCI (more
+# distributions and sizes, 4000 trials a cell, a Bonferroni floor);
+# the plain suite runs a short grid of the same test.
+conformance:
+	$(GO) test -run 'TestRatioCIConformance' -count=1 -v ./internal/ci -args -conformance
 
 # Every fuzz target in the repo with its package, one per line:
 # "<package-dir> <FuzzTarget>". CI's fuzz matrix and the local fuzzcheck

@@ -1,12 +1,15 @@
 // Command benchgate is the statistical performance-regression gate:
 // it compares a candidate `BENCH_*.json` (written by benchjson) against
 // a committed baseline using the paper's own machinery — Tukey outlier
-// policy, nonparametric median CIs (Le Boudec), Mann–Whitney rank
-// tests with an effect-size threshold, and the §4.2.2 power check —
-// and exits nonzero when any benchmark REGRESSED. Rules 5–8 applied to
-// the repo's own perf trajectory: no verdict from a bare mean, no PASS
-// from an underpowered non-result, no build failed by noise-level
-// wobble.
+// policy, nonparametric median CIs (Le Boudec), and one distribution-
+// free interval on the candidate/baseline ratio (Mann–Whitney inverted
+// on log costs) — and exits nonzero when any benchmark REGRESSED. The
+// verdict is where that interval sits against the threshold t:
+// REGRESSED above 1+t, IMPROVED below 1−t, PASS inside [1−t, 1+t], and
+// INCONCLUSIVE when it straddles either end or cannot be formed.
+// Rules 5–8 applied to the repo's own perf trajectory: no verdict from
+// a bare mean, no PASS from an interval too wide to resolve t, no build
+// failed by noise-level wobble.
 //
 // Usage:
 //
@@ -38,9 +41,8 @@ func main() {
 	var (
 		baselinePath  = flag.String("baseline", "BENCH_harness.json", "committed baseline `file`")
 		candidatePath = flag.String("candidate", "", "candidate `file` to gate (required)")
-		threshold     = flag.String("threshold", "5%", "minimum relative median shift treated as real (e.g. 5% or 0.05)")
-		alpha         = flag.Float64("alpha", 0.05, "rank-test significance level")
-		confidence    = flag.Float64("confidence", 0.95, "median CI confidence level")
+		threshold     = flag.String("threshold", "5%", "smallest candidate/baseline ratio shift treated as real (e.g. 5% or 0.05)")
+		confidence    = flag.Float64("confidence", 0.95, "ratio and median CI confidence level")
 		tukeyK        = flag.Float64("tukey", 1.5, "Tukey outlier fence multiplier (negative disables)")
 		unit          = flag.String("unit", "ns/op", "gated metric unit")
 		asJSON        = flag.Bool("json", false, "emit the gate report as JSON")
@@ -49,7 +51,7 @@ func main() {
 		update        = flag.Bool("update-baseline", false, "refresh the baseline from the candidate (with provenance) and exit")
 	)
 	flag.Parse()
-	code, err := run(*baselinePath, *candidatePath, *threshold, *alpha, *confidence,
+	code, err := run(*baselinePath, *candidatePath, *threshold, *confidence,
 		*tukeyK, *unit, *asJSON, *asMarkdown, *advisory, *update)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -58,7 +60,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(baselinePath, candidatePath, thresholdStr string, alpha, confidence, tukeyK float64,
+func run(baselinePath, candidatePath, thresholdStr string, confidence, tukeyK float64,
 	unit string, asJSON, asMarkdown, advisory, update bool) (int, error) {
 	if candidatePath == "" {
 		return 0, fmt.Errorf("-candidate is required")
@@ -82,7 +84,6 @@ func run(baselinePath, candidatePath, thresholdStr string, alpha, confidence, tu
 	}
 	gate, err := regress.Compare(baseline, candidate, regress.Options{
 		Threshold:  threshold,
-		Alpha:      alpha,
 		Confidence: confidence,
 		TukeyK:     tukeyK,
 		Unit:       unit,

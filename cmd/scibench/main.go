@@ -366,6 +366,12 @@ func cmdCompare(args []string) error {
 	}
 	fmt.Printf("median %s: %v\nmedian %s: %v\nCIs overlap: %v\n",
 		*a, ia, *b, ib, ia.Overlaps(ib))
+	if r, err := scibench.RatioCI(xa, xb, 1-*alpha); err == nil {
+		fmt.Printf("median ratio %s/%s = %.6g [%.6g, %.6g] (%.0f%% CI)\n",
+			*b, *a, r.Center, r.Lo, r.Hi, 100*r.Confidence)
+	} else {
+		fmt.Printf("median ratio %s/%s: %v\n", *b, *a, err)
+	}
 
 	pts, err := scibench.CompareQuantiles(xa, xb, []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99}, 1-*alpha)
 	if err != nil {

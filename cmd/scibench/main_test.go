@@ -518,3 +518,23 @@ func TestCampaignRefusesExistingDir(t *testing.T) {
 		t.Errorf("unexpected refusal message:\n%s", out)
 	}
 }
+
+// TestCompareRatioInterval: `scibench compare` reports the B/A ratio
+// with its interval; a column that is exactly twice the other reads 2.
+func TestCompareRatioInterval(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("a,b\n")
+	for i := 1; i <= 12; i++ {
+		x := 100 + float64(i*i%7)
+		fmt.Fprintf(&csv, "%g,%g\n", x, 2*x)
+	}
+	cmd := exec.Command(binPath, "compare", "-a", "a", "-b", "b")
+	cmd.Stdin = strings.NewReader(csv.String())
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("compare: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`median ratio b/a = 2 \[1\.9\d*, 2\.0\d*\] \(95% CI\)`).Match(out) {
+		t.Errorf("no ratio line for b = 2a:\n%s", out)
+	}
+}

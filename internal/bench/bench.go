@@ -95,8 +95,8 @@ type Plan struct {
 	// counted in Result.TimerWarnings. Observations are in seconds.
 	Timer *timer.Calibration
 	// Resilience, when non-nil, arms the fault-tolerant collection loop:
-	// per-sample watchdog, fault-suspect value ceiling, bounded retry
-	// with backoff, panic recovery, and graceful degradation into a
+	// per-sample watchdog, fault-suspect value ceiling, bounded
+	// immediate retry, panic recovery, and graceful degradation into a
 	// partial Result with explicit loss accounting (Rule 4 in spirit:
 	// report all data, including the failures).
 	Resilience *Resilience
@@ -354,7 +354,7 @@ func run(ctx context.Context, plan Plan, measure func() (float64, error)) (Resul
 		return v, nil
 	}
 
-	// observe adds retry-with-backoff and the fault-suspect value
+	// observe adds retries and the fault-suspect value
 	// ceiling on top of observation, journaling every event. Without
 	// resilience it is a single attempt whose error aborts the campaign
 	// (lost = false, err != nil).
@@ -375,7 +375,6 @@ func run(ctx context.Context, plan Plan, measure func() (float64, error)) (Resul
 				if err := emit(EventRetry, 0); err != nil {
 					return 0, false, err
 				}
-				rs.backoff(attempt)
 			}
 			res.Attempts++
 			v, err := observation()

@@ -371,7 +371,6 @@ func TestPlanRejectsNonsense(t *testing.T) {
 		{Resilience: &Resilience{MaxLossFraction: 1.5}},
 		{Resilience: &Resilience{SampleTimeout: -time.Second}},
 		{Resilience: &Resilience{ValueCeiling: -1}},
-		{Resilience: &Resilience{RetryBackoff: -time.Millisecond}},
 	}
 	for i, p := range bad {
 		if _, err := p.withDefaults(); !errors.Is(err, ErrBadPlan) {

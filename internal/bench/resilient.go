@@ -19,7 +19,7 @@ var (
 // rules assume every measurement completes; on real systems nodes
 // straggle, daemons interfere, and processes crash. Rather than abort —
 // or worse, silently drop the bad samples (a Rule 4 violation) — the
-// resilient loop bounds each attempt, retries with backoff, and reports
+// resilient loop bounds each attempt, retries it at once, and reports
 // every loss in the Result.
 type Resilience struct {
 	// SampleTimeout, when positive, arms a wall-clock watchdog per
@@ -39,10 +39,6 @@ type Resilience struct {
 	// MaxRetries bounds extra attempts per observation slot. Zero
 	// selects the default of 2; negative values are rejected.
 	MaxRetries int
-	// RetryBackoff, when positive, sleeps backoff·2^(attempt−1) before
-	// each retry (wall clock). Zero means retry immediately — correct
-	// for simulated targets where wall-clock waiting buys nothing.
-	RetryBackoff time.Duration
 	// MaxLossFraction is the degradation threshold: once more than this
 	// fraction of attempts has been lost (after a minimal probe of 10),
 	// collection stops with StopDegraded and a partial Result. Zero
@@ -60,8 +56,6 @@ func (r Resilience) withDefaults() (Resilience, error) {
 		return r, fmt.Errorf("%w: negative ValueCeiling %g", ErrBadPlan, r.ValueCeiling)
 	case r.MaxRetries < 0:
 		return r, fmt.Errorf("%w: negative MaxRetries %d", ErrBadPlan, r.MaxRetries)
-	case r.RetryBackoff < 0:
-		return r, fmt.Errorf("%w: negative RetryBackoff %v", ErrBadPlan, r.RetryBackoff)
 	case r.MaxLossFraction < 0 || r.MaxLossFraction > 1:
 		return r, fmt.Errorf("%w: MaxLossFraction %g outside [0, 1]", ErrBadPlan, r.MaxLossFraction)
 	}
@@ -108,17 +102,4 @@ func (r *Resilience) guard(measure func() (float64, error)) (float64, error) {
 		telWatchdog.Inc()
 		return 0, ErrSampleTimeout
 	}
-}
-
-// backoff sleeps before retry number attempt (1-based), doubling each
-// time. No-op when RetryBackoff is zero.
-func (r *Resilience) backoff(attempt int) {
-	if r == nil || r.RetryBackoff <= 0 {
-		return
-	}
-	d := r.RetryBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
-	time.Sleep(d)
 }

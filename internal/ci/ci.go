@@ -218,7 +218,7 @@ func QuantileCIHist(h *stats.LogHistogram, p, confidence float64) (Interval, err
 // RequiredSamples is the §4.2.2 sample-size planner: the number of
 // measurements needed so the 1−α confidence interval stays within
 // ±relErr of the estimate, judged from a pilot sample. It is the entry
-// point callers (e.g. the regression gate's power check) should use;
+// point callers (the public facade, to plan an experiment) should use;
 // today it applies the normal-approximation rule of
 // RequiredSamplesNormal, the paper's analytic planning formula.
 func RequiredSamples(pilot []float64, confidence, relErr float64) (int, error) {

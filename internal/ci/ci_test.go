@@ -244,8 +244,8 @@ func TestRequiredSamplesNormal(t *testing.T) {
 }
 
 func TestRequiredSamplesEntryPoint(t *testing.T) {
-	// RequiredSamples is the planner entry point (the regression gate's
-	// power check); today it must agree with the normal-approximation
+	// RequiredSamples is the planner entry point (the facade's
+	// RequiredSamples); today it must agree with the normal-approximation
 	// rule exactly.
 	rng := rand.New(rand.NewPCG(7, 8))
 	pilot := make([]float64, 25)

@@ -1,7 +1,7 @@
 // Package regress implements the repo's statistical performance-
 // regression gate: it applies the paper's own machinery (median +
-// rank-based CIs per Le Boudec, Mann–Whitney rank tests, Tukey outlier
-// policy, §4.2.2 sample-size planning) to `go test -bench` sample sets,
+// rank-based CIs per Le Boudec, a rank interval on the candidate/
+// baseline ratio, Tukey outlier policy) to `go test -bench` sample sets,
 // so performance claims about the harness itself are held to Rules 5–8
 // instead of eyeballed means from single runs.
 //

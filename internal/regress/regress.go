@@ -2,88 +2,69 @@ package regress
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/ci"
-	"repro/internal/htest"
 	"repro/internal/stats"
 )
 
 // Verdict is the gate's per-benchmark conclusion.
 type Verdict string
 
+// Every verdict reads the ci.RatioCI interval [lo, hi] on the
+// candidate/baseline ratio against the threshold t.
 const (
-	// VerdictPass: no supportable evidence of a slowdown at or above
-	// the effect threshold.
+	// VerdictPass: the whole interval lies inside [1−t, 1+t], so any
+	// shift the data support is below the threshold.
 	VerdictPass Verdict = "PASS"
-	// VerdictRegressed: the candidate's median is significantly higher
-	// (rank test, p < alpha) AND the shift is at least the effect
-	// threshold — noise-level wobble never reaches this verdict.
+	// VerdictRegressed: lo > 1+t, the candidate is slower by more than
+	// the threshold at the configured confidence — noise-level wobble
+	// never reaches this verdict.
 	VerdictRegressed Verdict = "REGRESSED"
-	// VerdictImproved: significantly lower median, at or beyond the
-	// threshold.
+	// VerdictImproved: hi < 1−t, faster by more than the threshold.
 	VerdictImproved Verdict = "IMPROVED"
 	// VerdictInconclusive: the comparison cannot support any claim —
-	// too few samples for the rank test, or the sample sizes are below
-	// the §4.2.2 requirement for the requested resolution (an
-	// underpowered non-rejection is not a PASS).
+	// the interval straddles 1−t or 1+t, or there are too few (or no
+	// positive) samples for an interval at all. A non-result too wide
+	// to resolve the threshold is not a PASS.
 	VerdictInconclusive Verdict = "INCONCLUSIVE"
 )
 
 // Options configures a gate run. The zero value is usable: 5% effect
-// threshold, α = 0.05, 95% CIs, Tukey k = 1.5.
+// threshold, 95% CIs, Tukey k = 1.5. The GateReport records them after
+// defaulting, so a verdict table carries the thresholds it was judged
+// under.
 type Options struct {
-	// Threshold is the minimum relative median shift treated as a real
-	// effect (0.05 = 5%). Shifts below it never fail the gate, however
-	// significant — the effect-size discipline of §3.2.2.
-	Threshold float64
-	// Alpha is the rank-test significance level (default 0.05).
-	Alpha float64
-	// Confidence is the level for the median CIs (default 0.95).
-	Confidence float64
+	// Threshold is the minimum relative shift treated as a real effect
+	// (0.05 = 5%). Shifts below it never fail the gate, however well
+	// resolved — the effect-size discipline of §3.2.2.
+	Threshold float64 `json:"threshold"`
+	// Confidence is the level for the ratio and median CIs (default
+	// 0.95).
+	Confidence float64 `json:"confidence"`
 	// TukeyK is the outlier-fence multiplier (default 1.5); negative
 	// disables outlier removal. Removed counts are always reported
 	// (§3.1.3).
-	TukeyK float64
+	TukeyK float64 `json:"tukey_k"`
 	// Unit is the gated metric (default "ns/op"). Other recorded units
 	// are reported as informational deltas.
-	Unit string
+	Unit string `json:"unit"`
 }
 
-func (o Options) threshold() float64 {
+func (o Options) withDefaults() Options {
 	if o.Threshold <= 0 {
-		return 0.05
+		o.Threshold = 0.05
 	}
-	return o.Threshold
-}
-
-func (o Options) alpha() float64 {
-	if o.Alpha <= 0 {
-		return 0.05
-	}
-	return o.Alpha
-}
-
-func (o Options) confidence() float64 {
 	if o.Confidence <= 0 || o.Confidence >= 1 {
-		return 0.95
+		o.Confidence = 0.95
 	}
-	return o.Confidence
-}
-
-func (o Options) tukeyK() float64 {
 	if o.TukeyK == 0 {
-		return 1.5
+		o.TukeyK = 1.5
 	}
-	return o.TukeyK
-}
-
-func (o Options) unit() string {
 	if o.Unit == "" {
-		return "ns/op"
+		o.Unit = "ns/op"
 	}
-	return o.Unit
+	return o
 }
 
 // MetricDelta is an informational (non-gated) metric comparison:
@@ -124,17 +105,10 @@ type Comparison struct {
 	// Delta is the relative median shift (candidate − baseline) /
 	// baseline; positive = slower for cost metrics like ns/op.
 	Delta float64 `json:"delta"`
-	// P is the two-sided Mann–Whitney p-value (NaN when the test could
-	// not run).
-	P float64 `json:"p"`
-	// RankBiserial is the rank-test effect size in [−1, 1].
-	RankBiserial float64 `json:"rank_biserial"`
-
-	// RequiredN is the §4.2.2 sample count needed to resolve the
-	// threshold at the configured confidence (0 when not computable);
-	// Underpowered marks comparisons whose sides fall short of it.
-	RequiredN    int  `json:"required_n,omitempty"`
-	Underpowered bool `json:"underpowered"`
+	// Ratio is the ci.RatioCI interval on candidate/baseline the
+	// verdict is read from, over all runs before outlier removal (nil
+	// when too few or non-positive samples leave none).
+	Ratio *ci.Interval `json:"ratio,omitempty"`
 
 	// Secondary holds the non-gated metric deltas (B/op, allocs/op,
 	// custom units), sorted by unit.
@@ -144,10 +118,10 @@ type Comparison struct {
 // Caveats lists everything that weakens this comparison's verdict as
 // evidence — the Rule 9 disclosures a reader needs before acting on a
 // REGRESSED row: environment drift between the two collections (the
-// shared-runner false-positive mode narrated in EXPERIMENTS.md), Tukey
-// outliers silently absent from the medians (§3.1.3), and an n below
-// the §4.2.2 requirement for the gated threshold. envMismatch is the
-// report-level fingerprint verdict (it applies to every row).
+// shared-runner false-positive mode narrated in EXPERIMENTS.md) and
+// Tukey outliers silently absent from the medians (§3.1.3).
+// envMismatch is the report-level fingerprint verdict (it applies to
+// every row).
 func (c Comparison) Caveats(envMismatch bool) []string {
 	var cv []string
 	if envMismatch {
@@ -156,9 +130,6 @@ func (c Comparison) Caveats(envMismatch bool) []string {
 	if c.BaselineOutliers > 0 || c.CandidateOutliers > 0 {
 		cv = append(cv, fmt.Sprintf("outliers removed %d/%d", c.BaselineOutliers, c.CandidateOutliers))
 	}
-	if c.Underpowered && c.RequiredN > 0 {
-		cv = append(cv, fmt.Sprintf("underpowered n<%d", c.RequiredN))
-	}
 	return cv
 }
 
@@ -166,8 +137,8 @@ func (c Comparison) Caveats(envMismatch bool) []string {
 // cross-cutting caveats (benchmarks present on only one side,
 // environment fingerprint mismatch).
 type GateReport struct {
-	Options     ResolvedOptions `json:"options"`
-	Comparisons []Comparison    `json:"comparisons"`
+	Options     Options      `json:"options"`
+	Comparisons []Comparison `json:"comparisons"`
 	// MissingInCandidate / MissingInBaseline list benchmark keys found
 	// on only one side (renames, new benchmarks, deletions).
 	MissingInCandidate []string `json:"missing_in_candidate,omitempty"`
@@ -200,8 +171,8 @@ func (g *GateReport) Regressed() bool {
 }
 
 // Compare runs the gate: for every benchmark present in both reports
-// it applies the outlier policy, computes median + rank CIs, runs the
-// Mann–Whitney test, checks §4.2.2 power, and issues a verdict.
+// it applies the outlier policy, computes the medians with their rank
+// CIs and the ratio interval, and issues the interval's verdict.
 // Comparisons are ordered by benchmark key for deterministic output.
 func Compare(baseline, candidate *Report, opt Options) (*GateReport, error) {
 	if err := baseline.Validate(); err != nil {
@@ -210,12 +181,7 @@ func Compare(baseline, candidate *Report, opt Options) (*GateReport, error) {
 	if err := candidate.Validate(); err != nil {
 		return nil, fmt.Errorf("candidate: %w", err)
 	}
-	g := &GateReport{}
-	g.Options.Threshold = opt.threshold()
-	g.Options.Alpha = opt.alpha()
-	g.Options.Confidence = opt.confidence()
-	g.Options.TukeyK = opt.tukeyK()
-	g.Options.Unit = opt.unit()
+	g := &GateReport{Options: opt.withDefaults()}
 
 	baseIdx := indexByKey(baseline)
 	candIdx := indexByKey(candidate)
@@ -258,25 +224,14 @@ func indexByKey(rep *Report) map[string]Result {
 	return m
 }
 
-// ResolvedOptions is the Options value after defaulting — recorded in
-// the GateReport so a verdict table carries the thresholds it was
-// judged under.
-type ResolvedOptions struct {
-	Threshold  float64 `json:"threshold"`
-	Alpha      float64 `json:"alpha"`
-	Confidence float64 `json:"confidence"`
-	TukeyK     float64 `json:"tukey_k"`
-	Unit       string  `json:"unit"`
-}
-
-func compareOne(b, c Result, opt ResolvedOptions) Comparison {
+func compareOne(b, c Result, opt Options) Comparison {
 	cmp := Comparison{Name: b.Name, Package: b.Package, Unit: opt.Unit}
 
-	bs, bOut := applyOutlierPolicy(b.Sample(opt.Unit), opt.TukeyK)
-	cs, cOut := applyOutlierPolicy(c.Sample(opt.Unit), opt.TukeyK)
+	braw, craw := b.Sample(opt.Unit), c.Sample(opt.Unit)
+	bs, bOut := applyOutlierPolicy(braw, opt.TukeyK)
+	cs, cOut := applyOutlierPolicy(craw, opt.TukeyK)
 	cmp.BaselineN, cmp.CandidateN = len(bs), len(cs)
 	cmp.BaselineOutliers, cmp.CandidateOutliers = bOut, cOut
-	cmp.P = math.NaN()
 	cmp.Secondary = secondaryDeltas(b, c, opt.Unit)
 
 	if len(bs) == 0 || len(cs) == 0 {
@@ -295,56 +250,32 @@ func compareOne(b, c Result, opt ResolvedOptions) Comparison {
 	if iv, err := ci.MedianCI(cs, opt.Confidence); err == nil {
 		cmp.CandidateCI = &iv
 	}
-	// §4.2.2 power check against the threshold the gate must resolve,
-	// judged from the baseline side (the committed reference).
-	if need, err := ci.RequiredSamples(bs, opt.Confidence, opt.Threshold); err == nil {
-		cmp.RequiredN = need
-		cmp.Underpowered = len(bs) < need || len(cs) < need
-	}
 
-	if len(bs) < 2 || len(cs) < 2 {
-		cmp.Verdict = VerdictInconclusive
-		cmp.Reason = fmt.Sprintf("n=%d vs n=%d: too few samples for a rank test (single-run v1 baseline?)",
-			len(bs), len(cs))
-		return cmp
-	}
-	if cmp.BaselineMedian == 0 {
-		cmp.Verdict = VerdictInconclusive
-		cmp.Reason = "baseline median is zero; relative shift undefined"
-		return cmp
-	}
-
-	mw, err := htest.MannWhitney(bs, cs)
+	// The interval reads every run: it bounds each run's influence by
+	// itself, and Tukey fences can cut 5 runs to 3, where it needs 4.
+	iv, err := ci.RatioCI(braw, craw, opt.Confidence)
 	if err != nil {
 		cmp.Verdict = VerdictInconclusive
-		cmp.Reason = fmt.Sprintf("rank test unavailable: %v", err)
+		cmp.Reason = fmt.Sprintf("n=%d vs n=%d: no %.0f%% ratio interval: %v", len(braw), len(craw), 100*opt.Confidence, err)
 		return cmp
 	}
-	cmp.P = mw.P
-	cmp.RankBiserial = mw.RankBiserial
+	cmp.Ratio = &iv
 
-	significant := mw.P < opt.Alpha
-	big := math.Abs(cmp.Delta) >= opt.Threshold
+	t := opt.Threshold
+	basis := fmt.Sprintf("ratio %.4g [%.4g, %.4g]", iv.Center, iv.Lo, iv.Hi)
 	switch {
-	case significant && big && cmp.Delta > 0:
+	case iv.Lo > 1+t:
 		cmp.Verdict = VerdictRegressed
-		cmp.Reason = fmt.Sprintf("median +%.1f%% (≥ %.1f%% threshold), U test p=%.3g < %.2g",
-			100*cmp.Delta, 100*opt.Threshold, mw.P, opt.Alpha)
-	case significant && big:
+		cmp.Reason = fmt.Sprintf("%s > %.4g: slower by more than %.3g%%", basis, 1+t, 100*t)
+	case iv.Hi < 1-t:
 		cmp.Verdict = VerdictImproved
-		cmp.Reason = fmt.Sprintf("median %.1f%% (≥ %.1f%% threshold), U test p=%.3g < %.2g",
-			100*cmp.Delta, 100*opt.Threshold, mw.P, opt.Alpha)
-	case significant:
+		cmp.Reason = fmt.Sprintf("%s < %.4g: faster by more than %.3g%%", basis, 1-t, 100*t)
+	case iv.Lo >= 1-t && iv.Hi <= 1+t:
 		cmp.Verdict = VerdictPass
-		cmp.Reason = fmt.Sprintf("significant (p=%.3g) but |Δmedian| %.1f%% < %.1f%% threshold: noise-level wobble",
-			mw.P, 100*math.Abs(cmp.Delta), 100*opt.Threshold)
-	case cmp.Underpowered:
-		cmp.Verdict = VerdictInconclusive
-		cmp.Reason = fmt.Sprintf("not significant (p=%.3g) but underpowered: n=%d/%d < required %d for ±%.1f%% (§4.2.2)",
-			mw.P, len(bs), len(cs), cmp.RequiredN, 100*opt.Threshold)
+		cmp.Reason = fmt.Sprintf("%s inside [%.4g, %.4g]", basis, 1-t, 1+t)
 	default:
-		cmp.Verdict = VerdictPass
-		cmp.Reason = fmt.Sprintf("no significant shift (p=%.3g, Δmedian %+.1f%%)", mw.P, 100*cmp.Delta)
+		cmp.Verdict = VerdictInconclusive
+		cmp.Reason = fmt.Sprintf("%s: interval straddles ±%.3g%%", basis, 100*t)
 	}
 	return cmp
 }

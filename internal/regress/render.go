@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"repro/internal/ci"
@@ -20,28 +19,29 @@ func (g *GateReport) WriteJSON(w io.Writer) error {
 // WriteMarkdown renders the per-benchmark verdict table as GitHub-
 // flavored markdown — the artifact the CI job publishes as its job
 // summary. Every row carries its evidence: medians with their
-// nonparametric CIs, the relative shift, the rank-test p-value, and
-// the sample accounting (Rule 5: never a bare mean).
+// nonparametric CIs, the relative shift, the ratio interval the
+// verdict is read from, and the sample accounting (Rule 5: never a
+// bare mean).
 func (g *GateReport) WriteMarkdown(w io.Writer) error {
 	bw := &errWriter{w: w}
 	counts := g.Counts()
 	fmt.Fprintf(bw, "### benchgate — %d benchmark(s): %d PASS, %d REGRESSED, %d IMPROVED, %d INCONCLUSIVE\n\n",
 		len(g.Comparisons), counts[VerdictPass], counts[VerdictRegressed],
 		counts[VerdictImproved], counts[VerdictInconclusive])
-	fmt.Fprintf(bw, "Gate: |Δmedian| ≥ %.1f%% **and** Mann–Whitney p < %.2g (%.0f%% median CIs, Tukey k=%.1f on %s).\n\n",
-		100*g.Options.Threshold, g.Options.Alpha, 100*g.Options.Confidence,
-		g.Options.TukeyK, g.Options.Unit)
+	t := g.Options.Threshold
+	fmt.Fprintf(bw, "Gate: %.0f%% interval [lo, hi] on the candidate/baseline ratio over all runs — REGRESSED if lo > %.4g, IMPROVED if hi < %.4g, PASS if inside [%.4g, %.4g], else INCONCLUSIVE (medians and n after Tukey k=%.1f on %s).\n\n",
+		100*g.Options.Confidence, 1+t, 1-t, 1-t, 1+t, g.Options.TukeyK, g.Options.Unit)
 	if g.EnvMismatch {
 		fmt.Fprintf(bw, "> ⚠️ %s\n\n", g.EnvNote)
 	}
-	fmt.Fprintln(bw, "| benchmark | baseline median | candidate median | Δ | p (U) | n | verdict | caveats |")
+	fmt.Fprintln(bw, "| benchmark | baseline median | candidate median | Δ | ratio [CI] | n | verdict | caveats |")
 	fmt.Fprintln(bw, "|---|---|---|---|---|---|---|---|")
 	for _, c := range g.Comparisons {
 		fmt.Fprintf(bw, "| %s | %s | %s | %+.1f%% | %s | %d/%d | %s %s | %s |\n",
 			c.Name,
 			medianCell(c.BaselineMedian, c.BaselineCI, c.Unit),
 			medianCell(c.CandidateMedian, c.CandidateCI, c.Unit),
-			100*c.Delta, pCell(c.P), c.BaselineN, c.CandidateN,
+			100*c.Delta, ratioCell(c.Ratio), c.BaselineN, c.CandidateN,
 			verdictEmoji(c.Verdict), c.Verdict, caveatCell(c.Caveats(g.EnvMismatch)))
 	}
 	fmt.Fprintln(bw)
@@ -62,15 +62,16 @@ func (g *GateReport) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, "benchgate: %d benchmark(s): %d PASS, %d REGRESSED, %d IMPROVED, %d INCONCLUSIVE\n",
 		len(g.Comparisons), counts[VerdictPass], counts[VerdictRegressed],
 		counts[VerdictImproved], counts[VerdictInconclusive])
-	fmt.Fprintf(bw, "gate: |dmedian| >= %.1f%% and Mann-Whitney p < %.2g (unit %s)\n",
-		100*g.Options.Threshold, g.Options.Alpha, g.Options.Unit)
+	t := g.Options.Threshold
+	fmt.Fprintf(bw, "gate: %.0f%% ratio interval [lo, hi]: REGRESSED if lo > %.4g, IMPROVED if hi < %.4g, PASS inside [%.4g, %.4g] (unit %s)\n",
+		100*g.Options.Confidence, 1+t, 1-t, 1-t, 1+t, g.Options.Unit)
 	if g.EnvMismatch {
 		fmt.Fprintf(bw, "warning: %s\n", g.EnvNote)
 	}
 	for _, c := range g.Comparisons {
-		fmt.Fprintf(bw, "  %-14s %-40s %12.6g -> %-12.6g %+7.1f%%  p=%-8s n=%d/%d\n",
+		fmt.Fprintf(bw, "  %-14s %-40s %12.6g -> %-12.6g %+7.1f%%  ratio %-24s n=%d/%d\n",
 			c.Verdict, c.Name, c.BaselineMedian, c.CandidateMedian,
-			100*c.Delta, pCell(c.P), c.BaselineN, c.CandidateN)
+			100*c.Delta, ratioCell(c.Ratio), c.BaselineN, c.CandidateN)
 		if c.Verdict != VerdictPass {
 			fmt.Fprintf(bw, "  %-14s   %s\n", "", c.Reason)
 		}
@@ -107,11 +108,11 @@ func caveatCell(cv []string) string {
 	return strings.Join(cv, "; ")
 }
 
-func pCell(p float64) string {
-	if math.IsNaN(p) {
+func ratioCell(iv *ci.Interval) string {
+	if iv == nil {
 		return "—"
 	}
-	return fmt.Sprintf("%.3g", p)
+	return fmt.Sprintf("%.4g [%.4g, %.4g]", iv.Center, iv.Lo, iv.Hi)
 }
 
 func verdictEmoji(v Verdict) string {

@@ -301,7 +301,7 @@ func (c *Coordinator) pickWorker(shardIdx int) (*workerRec, error) {
 
 // assign delivers one assignment with bounded seeded-backoff retries.
 func (c *Coordinator) assign(w *workerRec, req AssignRequest) error {
-	key := fmt.Sprintf("assign/%d/%d", req.Shard, req.Attempt)
+	key := uint64(req.Shard)<<32 | uint64(req.Attempt)
 	var last error
 	for try := 1; try <= c.opt.AssignRetries; try++ {
 		var resp AssignResponse
@@ -313,7 +313,7 @@ func (c *Coordinator) assign(w *workerRec, req AssignRequest) error {
 			return nil
 		}
 		last = err
-		time.Sleep(SeededBackoff(c.opt.Seed, key, try, 50*time.Millisecond, time.Second))
+		time.Sleep(shard.SeededBackoff(c.opt.Seed, key, try, 50*time.Millisecond, time.Second))
 	}
 	return last
 }

@@ -28,13 +28,10 @@ import (
 	"hash/crc32"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/rules"
 	"repro/internal/shard"
-
-	"repro/internal/rng"
 )
 
 // ProtocolVersion identifies the wire protocol; a version mismatch at
@@ -269,40 +266,4 @@ func ValidChunkPath(p string) bool {
 // carries so the heartbeat sequence stays monotonic across workers.
 func ValidSeedPath(p string) bool {
 	return p == shard.HeartbeatFile || ValidChunkPath(p)
-}
-
-// hash64 folds a string into the jitter seed.
-func hash64(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// SeededBackoff is the retry schedule of every network loop in this
-// package: exponential growth from base, capped at ceiling, with
-// deterministic jitter in [1, 1.5)× derived from (seed, key, try) — so
-// tests reproduce the exact timing of a retry storm, and concurrent
-// retriers with different keys decorrelate instead of thundering.
-func SeededBackoff(seed uint64, key string, try int, base, ceiling time.Duration) time.Duration {
-	if try < 1 {
-		try = 1
-	}
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if ceiling <= 0 {
-		ceiling = 5 * time.Second
-	}
-	d := base
-	for i := 1; i < try && d < ceiling; i++ {
-		d *= 2
-	}
-	if d > ceiling {
-		d = ceiling
-	}
-	frac := float64(rng.Mix64(seed^hash64(key)^uint64(try))>>11) / (1 << 53)
-	return d + time.Duration(frac*float64(d)/2)
 }

@@ -717,20 +717,24 @@ func TestChunkFrameValidate(t *testing.T) {
 	}
 }
 
+// TestSeededBackoffDeterministic pins the retry schedule the transport's
+// network loops share with shard reassignment, at the transport's keys
+// (shard<<32 | attempt) and bases.
 func TestSeededBackoffDeterministic(t *testing.T) {
-	a := SeededBackoff(7, "assign/0/2", 3, 50*time.Millisecond, 5*time.Second)
-	b := SeededBackoff(7, "assign/0/2", 3, 50*time.Millisecond, 5*time.Second)
+	const key = 2 // shard 0 (high word), attempt 2
+	a := shard.SeededBackoff(7, key, 3, 50*time.Millisecond, 5*time.Second)
+	b := shard.SeededBackoff(7, key, 3, 50*time.Millisecond, 5*time.Second)
 	if a != b {
 		t.Fatalf("same inputs, different backoff: %s vs %s", a, b)
 	}
-	if c := SeededBackoff(8, "assign/0/2", 3, 50*time.Millisecond, 5*time.Second); c == a {
+	if c := shard.SeededBackoff(8, key, 3, 50*time.Millisecond, 5*time.Second); c == a {
 		t.Error("different seeds produced identical jitter (suspicious)")
 	}
 	base := 200 * time.Millisecond // try 3 → base 50ms<<2
 	if a < base || a >= base+base/2 {
 		t.Errorf("backoff %s outside [%s, %s)", a, base, base+base/2)
 	}
-	if got := SeededBackoff(7, "x", 50, 50*time.Millisecond, time.Second); got >= 1500*time.Millisecond {
+	if got := shard.SeededBackoff(7, 0, 50, 50*time.Millisecond, time.Second); got >= 1500*time.Millisecond {
 		t.Errorf("ceiling not applied: %s", got)
 	}
 }

@@ -201,7 +201,7 @@ func (w *Worker) register() error {
 		} else {
 			last = err
 		}
-		time.Sleep(SeededBackoff(w.opt.Seed, "register", try, 50*time.Millisecond, 2*time.Second))
+		time.Sleep(shard.SeededBackoff(w.opt.Seed, 0, try, 50*time.Millisecond, 2*time.Second))
 	}
 	return fmt.Errorf("remote: registering with %s: %w", w.opt.Coordinator, last)
 }
@@ -468,7 +468,7 @@ func (w *Worker) finish(ctx context.Context, j *job, sh *shipper) {
 		}
 		if !sh.allShipped(ctx) {
 			// Network trouble mid-pass: back off and re-ship the rest.
-			time.Sleep(SeededBackoff(w.opt.Seed, fmt.Sprintf("finish/%d/%d", j.shardIdx, j.attempt), try, 50*time.Millisecond, 2*time.Second))
+			time.Sleep(shard.SeededBackoff(w.opt.Seed, uint64(j.shardIdx)<<32|uint64(j.attempt), try, 50*time.Millisecond, 2*time.Second))
 			continue
 		}
 		inv, err := w.inventory(j)
@@ -503,7 +503,7 @@ func (w *Worker) finish(ctx context.Context, j *job, sh *shipper) {
 				}
 			}
 		}
-		time.Sleep(SeededBackoff(w.opt.Seed, fmt.Sprintf("done/%d/%d", j.shardIdx, j.attempt), try, 50*time.Millisecond, 2*time.Second))
+		time.Sleep(shard.SeededBackoff(w.opt.Seed, uint64(j.shardIdx)<<32|uint64(j.attempt), try, 50*time.Millisecond, 2*time.Second))
 	}
 }
 
@@ -539,7 +539,7 @@ func (w *Worker) reportFail(ctx context.Context, j *job, msg string) {
 		}, &resp); err == nil {
 			return
 		}
-		time.Sleep(SeededBackoff(w.opt.Seed, fmt.Sprintf("fail/%d/%d", j.shardIdx, j.attempt), try, 50*time.Millisecond, time.Second))
+		time.Sleep(shard.SeededBackoff(w.opt.Seed, uint64(j.shardIdx)<<32|uint64(j.attempt), try, 50*time.Millisecond, time.Second))
 	}
 }
 

@@ -56,8 +56,8 @@ type Options struct {
 	// accounting — never silently dropped.
 	Retries int
 	// Backoff is the delay before the first reassignment, doubling per
-	// subsequent one (default 100ms) — the same doubling schedule the
-	// resilient collection loop uses for sample retries.
+	// subsequent one (default 100ms) — the SeededBackoff schedule the
+	// remote transport's retry loops use too.
 	Backoff time.Duration
 	// Seed derives the reassignment jitter deterministically (campaign
 	// seed by convention). Jitter spreads concurrent reassignments in
@@ -75,21 +75,25 @@ type Options struct {
 const maxReassignBackoff = time.Minute
 
 // ReassignBackoff is the delay before reassignment attempt (attempt ≥ 2)
-// of one shard: Backoff doubled per prior reassignment and saturated at
-// maxReassignBackoff, plus a jitter fraction in [0, 0.5) of that base
-// derived from (Seed, shard, attempt) via the splitmix64 finalizer. Same
-// inputs, same schedule — the supervisor's retry timing is part of the
-// experiment, so it is seeded like everything else.
+// of one shard: SeededBackoff from Backoff, keyed by the shard.
 func ReassignBackoff(opt Options, shardIdx, attempt int) time.Duration {
 	opt = opt.withDefaults()
-	base := opt.Backoff
-	for i := 2; i < attempt && base < maxReassignBackoff; i++ {
-		base *= 2
+	return SeededBackoff(opt.Seed, uint64(shardIdx)*0x9e3779b97f4a7c15, attempt-1, opt.Backoff, maxReassignBackoff)
+}
+
+// SeededBackoff is the retry schedule of every failure path here and in
+// the remote transport: before retry try (≥ 1), base doubled per prior
+// try and saturated at ceiling, plus a jitter in [0, 0.5) of that from
+// (seed, key, try) via splitmix64 — seeded, so a test replays a retry
+// storm exactly, and retriers with different keys spread out.
+func SeededBackoff(seed, key uint64, try int, base, ceiling time.Duration) time.Duration {
+	d := base
+	for i := 1; i < try && d < ceiling; i++ {
+		d *= 2
 	}
-	base = min(base, maxReassignBackoff)
-	h := rng.Mix64(opt.Seed ^ uint64(shardIdx)*0x9e3779b97f4a7c15 ^ uint64(attempt))
-	frac := float64(h>>11) / (1 << 53)
-	return base + time.Duration(frac*float64(base)/2)
+	d = min(d, ceiling)
+	frac := float64(rng.Mix64(seed^key^uint64(try))>>11) / (1 << 53)
+	return d + time.Duration(frac*float64(d)/2)
 }
 
 func (o Options) withDefaults() Options {

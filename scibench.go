@@ -185,6 +185,12 @@ func QuantileCI(xs []float64, p, confidence float64) (Interval, error) {
 	return ci.QuantileCI(xs, p, confidence)
 }
 
+// RatioCI returns the distribution-free CI on the ratio cand/base of
+// two samples of positive costs (Mann–Whitney inverted on log values).
+func RatioCI(base, cand []float64, confidence float64) (Interval, error) {
+	return ci.RatioCI(base, cand, confidence)
+}
+
 // RequiredSamples computes the sample size needed for a target relative
 // error at a confidence level, from a normal pilot sample (§4.2.2).
 func RequiredSamples(pilot []float64, confidence, relErr float64) (int, error) {
@@ -736,9 +742,10 @@ var (
 // recorded multi-run sample set (`BENCH_*.json`, schema v2 with raw
 // per-run samples; legacy v1 single-run files still parse);
 // CompareBenchReports turns a baseline/candidate pair into
-// per-benchmark PASS / REGRESSED / IMPROVED / INCONCLUSIVE verdicts
-// backed by median rank CIs, Mann–Whitney tests, and the §4.2.2 power
-// check. cmd/benchjson records reports; cmd/benchgate gates on them.
+// per-benchmark PASS / REGRESSED / IMPROVED / INCONCLUSIVE verdicts,
+// each read off where the RatioCI interval on candidate/baseline sits
+// against the effect threshold. cmd/benchjson records reports;
+// cmd/benchgate gates on them.
 type (
 	// BenchReport is one recorded benchmark run set with its Rule 9
 	// environment block and optional provenance.
@@ -747,7 +754,7 @@ type (
 	BenchRecord = regress.Result
 	// BenchProvenance documents where a committed baseline came from.
 	BenchProvenance = regress.Provenance
-	// GateOptions configures the gate (effect threshold, alpha,
+	// GateOptions configures the gate (effect threshold, interval
 	// confidence, Tukey k, gated unit); the zero value is usable.
 	GateOptions = regress.Options
 	// GateReport is a completed gate run: per-benchmark comparisons
