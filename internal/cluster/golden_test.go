@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/suite"
 	"repro/internal/telemetry"
 )
@@ -94,4 +97,91 @@ func (c *cancelAfter) Err() error {
 	}
 	c.n--
 	return nil
+}
+
+// pointToPointCase is one machine driven through `calls` ping-pong
+// exchanges of 2048 rounds, then one DelayWindowSync(1ms, 3).
+type pointToPointCase struct {
+	name               string
+	want               string // SHA-256 of the rounds, clock, fault stats and skews
+	cfg                cluster.Config
+	topo               cluster.TopologyConfig
+	seed               uint64
+	a, b, bytes, calls int
+}
+
+// pointToPointCases reach the point-to-point paths TestSimulatorGoldenBytes
+// does not: inter-node exchanges with their tail and bandwidth terms
+// (and a dragonfly hop), the intra-node LatFloor/4 fallback without a
+// payload, and an exchange under a fault schedule.
+func pointToPointCases() []pointToPointCase {
+	intraFallback := cluster.PizDaint()
+	intraFallback.IntraNodeLat = 0
+	storm, err := faults.Preset("storm")
+	if err != nil {
+		panic(err)
+	}
+	storm.Crashes = []faults.Crash{{Rank: 63, At: 300 * time.Millisecond}}
+	storm.CrashTimeout = 100 * time.Microsecond
+	faulty := cluster.PizDora()
+	faulty.Faults = storm
+	return []pointToPointCase{
+		{name: "daint-inter", cfg: cluster.PizDaint(), seed: 1, a: 0, b: 63, bytes: 64, calls: 50,
+			want: "5329fae7f71c694bb547bad614f89567e8e8689f8b8bb0e7cca241094fc441c8"},
+		{name: "dora-inter", cfg: cluster.PizDora(), seed: 2, a: 0, b: 63, bytes: 64, calls: 50,
+			want: "af0c60a4693d7a96b40932695d3e76182875aac5359198e756b9e9853224196b"},
+		{name: "daint-dragonfly-hop", cfg: cluster.PizDaint(), seed: 3, a: 0, b: 63, bytes: 64, calls: 10,
+			topo: cluster.TopologyConfig{Kind: cluster.TopoDragonfly, GroupSize: 4, HopLatency: 500 * time.Nanosecond},
+			want: "be313c08b198b22313861c7398aa59ccf4e23d5a499453ee6b82143a6b2ea2f5"},
+		{name: "intra-floor-fallback", cfg: intraFallback, seed: 4, a: 0, b: 1, bytes: 0, calls: 50,
+			want: "117bee150dfd310a5e9ba335e7df6652116c85d146af6912c87af507dcd88a18"},
+		{name: "dora-storm-faults", cfg: faulty, seed: 5, a: 0, b: 63, bytes: 64, calls: 20,
+			want: "42d0df9ddd6cf5b080991c30de60af55dcc12c6caf75ac14df9b90c7d3537834"},
+	}
+}
+
+// runPointToPoint builds the case's 64-rank machine and writes every
+// round, the final clock and fault stats, and the skews of one
+// delay-window synchronization to h.
+func runPointToPoint(t *testing.T, c pointToPointCase, h hash.Hash) {
+	t.Helper()
+	m, err := cluster.New(c.cfg, 64, c.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTopology(c.topo)
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for i := 0; i < c.calls; i++ {
+		for _, d := range m.PingPong(c.a, c.b, c.bytes, 2048) {
+			put(int64(d))
+		}
+	}
+	fs := m.FaultStats()
+	put(int64(m.Now()))
+	put(int64(fs.Retransmits))
+	put(int64(fs.LostMessages))
+	put(int64(fs.CrashTimeouts))
+	for _, d := range m.DelayWindowSync(time.Millisecond, 3).Skew {
+		put(int64(d))
+	}
+}
+
+// TestPointToPointGoldenBytes pins the point-to-point output bytes of
+// pointToPointCases, recorded before ping-pong learned to resolve its
+// links once per call; any change to how a message latency is drawn
+// must leave them as they are.
+func TestPointToPointGoldenBytes(t *testing.T) {
+	for _, c := range pointToPointCases() {
+		t.Run(c.name, func(t *testing.T) {
+			h := sha256.New()
+			runPointToPoint(t, c, h)
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+				t.Errorf("digest = %s, want %s", got, c.want)
+			}
+		})
+	}
 }
