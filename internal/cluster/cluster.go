@@ -121,9 +121,9 @@ type proc struct {
 	rank        int
 	node        int
 	clockOffset time.Duration
-	clockDrift  float64 // fractional (1e-6 per ppm)
-	speed       float64 // node speed factor (1 = nominal)
-	daemon      noise.Model
+	clockDrift  float64        // fractional (1e-6 per ppm)
+	speed       float64        // node speed factor (1 = nominal)
+	daemon      noise.Periodic // OS-jitter daemon of the node (zero Period = none)
 }
 
 // Machine is an instantiated simulated system with a fixed number of
@@ -201,7 +201,7 @@ func New(cfg Config, ranks int, seed uint64) (*Machine, error) {
 
 	// Per-node characteristics.
 	speeds := make([]float64, cfg.Nodes)
-	daemons := make([]noise.Model, cfg.Nodes)
+	daemons := make([]noise.Periodic, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		speeds[n] = 1.0
 		if cfg.NodeSigma > 0 {
@@ -379,7 +379,7 @@ func (m *Machine) msgLatencySrc(src noise.Source, fs *FaultStats, from, to, byte
 		}
 	}
 	// Receiver-side daemon interference can delay delivery processing.
-	if pt.daemon != nil {
+	if pt.daemon.Period > 0 {
 		d = pt.daemon.Perturb(src, at+d, d)
 	}
 	if d < 0 {
@@ -400,7 +400,7 @@ func (m *Machine) ComputeTime(rank int, flops float64, at time.Duration) time.Du
 	if m.cfg.CPUNoise != nil {
 		d = m.cfg.CPUNoise.Perturb(m.rng, at, d)
 	}
-	if p.daemon != nil {
+	if p.daemon.Period > 0 {
 		d = p.daemon.Perturb(m.rng, at, d)
 	}
 	if f := m.cfg.Faults; f != nil {
@@ -439,18 +439,116 @@ func (m *Machine) PingPong(a, b, bytes, rounds int) []time.Duration {
 // long sweep hands control back promptly instead of finishing a large
 // fixed batch. The machine's clock only advances for completed rounds,
 // keeping an interrupted exchange resumable deterministically.
+//
+// Without a fault schedule every message of the exchange crosses one of
+// two fixed directed links, so both are resolved once (see link) and
+// each round draws only what varies. With faults, whose effects depend
+// on the instant of each message, every message goes through
+// msgLatencySrc. Both paths draw the same values in the same order.
 func (m *Machine) PingPongCtx(ctx context.Context, a, b, bytes, rounds int) []time.Duration {
 	out := make([]time.Duration, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			break
+	if m.cfg.Faults == nil {
+		ab, ba := m.link(a, b, bytes), m.link(b, a, bytes)
+		for i := 0; i < rounds; i++ {
+			if ctx != nil && ctx.Err() != nil {
+				break
+			}
+			fwd := ab.latency(m.rng, m.now)
+			m.now += fwd
+			back := ba.latency(m.rng, m.now)
+			m.now += back
+			out = append(out, (fwd+back+2*m.cfg.SendOverhead)/2)
 		}
-		fwd := m.msgLatencySrc(m.rng, &m.fstats, a, b, bytes, m.now)
-		m.now += fwd
-		back := m.msgLatencySrc(m.rng, &m.fstats, b, a, bytes, m.now)
-		m.now += back
-		out = append(out, (fwd+back+2*m.cfg.SendOverhead)/2)
+	} else {
+		for i := 0; i < rounds; i++ {
+			if ctx != nil && ctx.Err() != nil {
+				break
+			}
+			fwd := m.msgLatencySrc(m.rng, &m.fstats, a, b, bytes, m.now)
+			m.now += fwd
+			back := m.msgLatencySrc(m.rng, &m.fstats, b, a, bytes, m.now)
+			m.now += back
+			out = append(out, (fwd+back+2*m.cfg.SendOverhead)/2)
+		}
 	}
 	telMessages.Add(2 * int64(len(out)))
 	return out
+}
+
+// link is one directed point-to-point path of a fault-free machine with
+// everything msgLatencySrc derives from the endpoints and the payload
+// resolved: the latency model's constant terms and the receiver's
+// daemon. The collective engine keeps calling msgLatencySrc, whose
+// endpoints change every message.
+type link struct {
+	inter     bool
+	base      float64 // jitter-free latency: intra-node, or floor plus hop
+	sigma     float64 // log-normal sigma of the jitter factor
+	body      float64 // inter-node median of the variable part
+	tailProb  float64
+	tailScale float64
+	invAlpha  float64 // 1/TailAlpha of the Pareto tail
+	perByte   float64 // bytes/BandwidthBps, 0 without a bandwidth term
+	daemon    noise.Periodic
+}
+
+// link resolves the path from rank `from` to rank `to` for a payload of
+// `bytes`. Every value is computed with the operations msgLatencySrc
+// uses, so latency rounds exactly as msgLatencySrc does.
+func (m *Machine) link(from, to, bytes int) link {
+	pf, pt := &m.procs[from], &m.procs[to]
+	l := link{inter: pf.node != pt.node, daemon: pt.daemon}
+	if !l.inter {
+		l.base = float64(m.cfg.IntraNodeLat)
+		if l.base <= 0 {
+			l.base = float64(m.cfg.LatFloor) / 4
+		}
+		l.sigma = m.cfg.LatSigma / 2
+	} else {
+		l.base = float64(m.cfg.LatFloor) + float64(m.hopExtra(pf.node, pt.node))
+		l.sigma = m.cfg.LatSigma
+		l.body = float64(m.cfg.LatBody)
+		l.tailProb = m.cfg.TailProb
+		l.tailScale = float64(m.cfg.TailScale)
+		alpha := m.cfg.TailAlpha
+		if alpha <= 0 {
+			alpha = 2
+		}
+		l.invAlpha = 1 / alpha
+	}
+	if m.cfg.BandwidthBps > 0 && bytes > 0 {
+		l.perByte = float64(bytes) / m.cfg.BandwidthBps
+	}
+	return l
+}
+
+// latency draws one message latency over l at global time `at` from r,
+// in msgLatencySrc's draw order. The bandwidth product stays per message
+// so that targets which fuse a multiply into the following add (arm64)
+// fuse it here as they do in msgLatencySrc.
+func (l *link) latency(r *rand.Rand, at time.Duration) time.Duration {
+	var lat float64
+	if !l.inter {
+		lat = l.base * rng.Exp(l.sigma*r.NormFloat64())
+	} else {
+		lat = l.base + l.body*rng.Exp(l.sigma*r.NormFloat64())
+		if l.tailProb > 0 && r.Float64() < l.tailProb {
+			u := r.Float64()
+			for u == 0 {
+				u = r.Float64()
+			}
+			lat += l.tailScale / math.Pow(u, l.invAlpha)
+		}
+	}
+	if l.perByte > 0 {
+		lat += l.perByte * float64(time.Second)
+	}
+	d := time.Duration(lat)
+	if l.daemon.Period > 0 {
+		d = l.daemon.Perturb(r, at+d, d)
+	}
+	if d < 0 {
+		d = 0
+	}
+	return d
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,11 +146,7 @@ func pointToPointCases() []pointToPointCase {
 // delay-window synchronization to h.
 func runPointToPoint(t *testing.T, c pointToPointCase, h hash.Hash) {
 	t.Helper()
-	m, err := cluster.New(c.cfg, 64, c.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetTopology(c.topo)
+	m := newPointToPointMachine(t, c)
 	var buf [8]byte
 	put := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
@@ -181,6 +178,53 @@ func TestPointToPointGoldenBytes(t *testing.T) {
 			runPointToPoint(t, c, h)
 			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 				t.Errorf("digest = %s, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+func newPointToPointMachine(t *testing.T, c pointToPointCase) *cluster.Machine {
+	t.Helper()
+	m, err := cluster.New(c.cfg, 64, c.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTopology(c.topo)
+	return m
+}
+
+// TestPointToPointMatchesPerMessage drives two machines of one seed
+// through each of pointToPointCases: one by PingPongCtx, one with every
+// message drawn by msgLatencySrc. Every fourth exchange is cancelled
+// part-way through. The rounds, the clock, the fault stats and the
+// position of the shared stream must be the same on both.
+func TestPointToPointMatchesPerMessage(t *testing.T) {
+	for _, c := range pointToPointCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, ref := newPointToPointMachine(t, c), newPointToPointMachine(t, c)
+			for i := 0; i < c.calls; i++ {
+				var gctx, rctx context.Context = context.Background(), context.Background()
+				want := 2048
+				if i%4 == 3 {
+					want = 100 + i
+					gctx = &cancelAfter{Context: context.Background(), n: want}
+					rctx = &cancelAfter{Context: context.Background(), n: want}
+				}
+				g := got.PingPongCtx(gctx, c.a, c.b, c.bytes, 2048)
+				r := ref.RefPingPongCtx(rctx, c.a, c.b, c.bytes, 2048)
+				if len(g) != want || !slices.Equal(g, r) {
+					t.Fatalf("exchange %d: %d rounds differ from the per-message %d (want %d rounds)",
+						i, len(g), len(r), want)
+				}
+				if got.Now() != ref.Now() {
+					t.Fatalf("exchange %d: clock %v, per-message %v", i, got.Now(), ref.Now())
+				}
+			}
+			if got.FaultStats() != ref.FaultStats() {
+				t.Errorf("fault stats %+v, per-message %+v", got.FaultStats(), ref.FaultStats())
+			}
+			if g, r := got.NextDraw(), ref.NextDraw(); g != r {
+				t.Errorf("next draw %#x, per-message %#x: the stream positions differ", g, r)
 			}
 		})
 	}

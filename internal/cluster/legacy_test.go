@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/bits"
 	"sort"
 	"testing"
@@ -28,6 +29,28 @@ func refOpCost(m *Machine, rank int, at time.Duration) time.Duration {
 func refMsgLatency(m *Machine, from, to, bytes int, at time.Duration) time.Duration {
 	return m.msgLatencySrc(m.rng, &m.fstats, from, to, bytes, at)
 }
+
+// RefPingPongCtx is PingPongCtx with every message drawn by
+// msgLatencySrc, as the fault-free loop did before it resolved its two
+// links once per call: the reference of TestPointToPointMatchesPerMessage.
+func (m *Machine) RefPingPongCtx(ctx context.Context, a, b, bytes, rounds int) []time.Duration {
+	out := make([]time.Duration, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		if ctx.Err() != nil {
+			break
+		}
+		fwd := refMsgLatency(m, a, b, bytes, m.now)
+		m.now += fwd
+		back := refMsgLatency(m, b, a, bytes, m.now)
+		m.now += back
+		out = append(out, (fwd+back+2*m.cfg.SendOverhead)/2)
+	}
+	return out
+}
+
+// NextDraw consumes the next value of the machine's shared stream, so
+// that two machines can be checked to stand at the same stream position.
+func (m *Machine) NextDraw() uint64 { return m.rng.Uint64() }
 
 // refReduce is the pre-rewrite Reduce: one high-to-low pass on the
 // machine stream.

@@ -280,7 +280,7 @@ func TestOutlierPolicyReported(t *testing.T) {
 // EXPERIMENTS.md benchgate entry narrates: on a shared CI runner, two
 // back-to-back collections of UNCHANGED code measured +13% with p=0.02
 // — a statistically sound verdict on a lying environment (Rule 9).
-// The gate cannot un-measure that, but the markdown verdict table must
+// The gate cannot un-measure that, but the verdict table must
 // carry the evidence against itself: the REGRESSED row's caveat cell
 // names the environment drift (and the Tukey removals thinning its
 // medians), so no reader — human or bot — trusts the ❌ bare.
@@ -331,6 +331,15 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 			t.Errorf("verdict row missing %q: %s", want, row)
 		}
 	}
+	// The terminal rendering, benchgate's default, names the same
+	// caveats under the row.
+	var txt bytes.Buffer
+	if err := g.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(txt.String(), "caveats: env drift; outliers removed 0/1\n") {
+		t.Errorf("text output missing the row's caveats:\n%s", txt.String())
+	}
 	// A clean row on a clean run stays unannotated: the caveat cell is a
 	// statement either way.
 	same := reportFrom(testEnv, map[string][]float64{"BenchmarkClean": {100, 101, 99, 100, 102, 101}})
@@ -346,6 +355,13 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 		if strings.Contains(line, "BenchmarkClean") && !strings.Contains(line, "| — |") {
 			t.Errorf("clean row's caveat cell not —: %s", line)
 		}
+	}
+	var txt2 bytes.Buffer
+	if err := g2.WriteText(&txt2); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(txt2.String(), "caveats:") {
+		t.Errorf("clean text output carries a caveat line:\n%s", txt2.String())
 	}
 }
 

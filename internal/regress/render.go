@@ -55,7 +55,8 @@ func (g *GateReport) WriteMarkdown(w io.Writer) error {
 	return bw.err
 }
 
-// WriteText renders a plain-terminal version of the verdict table.
+// WriteText renders a plain-terminal version of the verdict table; a
+// row with caveats gets a line naming them, as its markdown cell does.
 func (g *GateReport) WriteText(w io.Writer) error {
 	bw := &errWriter{w: w}
 	counts := g.Counts()
@@ -74,6 +75,9 @@ func (g *GateReport) WriteText(w io.Writer) error {
 			100*c.Delta, ratioCell(c.Ratio), c.BaselineN, c.CandidateN)
 		if c.Verdict != VerdictPass {
 			fmt.Fprintf(bw, "  %-14s   %s\n", "", c.Reason)
+		}
+		if cv := c.Caveats(g.EnvMismatch); len(cv) > 0 {
+			fmt.Fprintf(bw, "  %-14s   caveats: %s\n", "", strings.Join(cv, "; "))
 		}
 	}
 	if len(g.MissingInCandidate) > 0 {
