@@ -168,9 +168,9 @@ func runPointToPoint(t *testing.T, c pointToPointCase, h hash.Hash) {
 }
 
 // TestPointToPointGoldenBytes pins the point-to-point output bytes of
-// pointToPointCases, recorded before ping-pong learned to resolve its
-// links once per call; any change to how a message latency is drawn
-// must leave them as they are.
+// pointToPointCases. The digests were recorded with every message drawn
+// by msgLatencySrc; any change to how a message latency is drawn must
+// leave them as they are.
 func TestPointToPointGoldenBytes(t *testing.T) {
 	for _, c := range pointToPointCases() {
 		t.Run(c.name, func(t *testing.T) {

@@ -31,8 +31,8 @@ func refMsgLatency(m *Machine, from, to, bytes int, at time.Duration) time.Durat
 }
 
 // RefPingPongCtx is PingPongCtx with every message drawn by
-// msgLatencySrc, as the fault-free loop did before it resolved its two
-// links once per call: the reference of TestPointToPointMatchesPerMessage.
+// msgLatencySrc, fault-free or not: the per-message reference of
+// TestPointToPointMatchesPerMessage.
 func (m *Machine) RefPingPongCtx(ctx context.Context, a, b, bytes, rounds int) []time.Duration {
 	out := make([]time.Duration, 0, rounds)
 	for i := 0; i < rounds; i++ {
