@@ -31,15 +31,15 @@ durability:
 	$(GO) test -run 'TestCreateManifest' -count=1 ./internal/campaign
 
 # journalcheck drives the journal's crash story: torn-tail and bit-flip
-# recovery at every offset (v2, and the read-only v1 reader),
-# failed-seal rewind and the broken-journal latch, Open refusing a v1
-# journal, v1→v2 conversion with replay verification, in-process and
-# real-process (SIGKILL) resumes proving converted-v1 and v2 reports
-# byte-identical, and `scibench dump`. (Fuzzing of the decoders lives
-# in `fuzzcheck`.)
+# recovery at every offset, failed-seal rewind and the broken-journal
+# latch, Load/Open/Resume/merge refusing a journal that is not v2 (the
+# only encoding read or written) without touching it, in-process and
+# real-process (SIGKILL) resumes byte-identical to uninterrupted runs,
+# and `scibench dump`. (Fuzzing of the decoder lives in `fuzzcheck`.)
 journalcheck:
-	$(GO) test -run 'TestJournal|TestOpenJournalKeepsExistingFormat|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
+	$(GO) test -run 'TestJournal|TestOpenJournalKeepsExistingFormat|TestRunResumeBitIdenticalAcrossFormats' \
 		-count=1 ./internal/campaign
+	$(GO) test -run 'TestMergeByteIdenticalAcrossJournalFormats' -count=1 ./internal/shard
 	$(GO) test -run 'TestBinaryTrace|TestTracerBinarySink' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity|TestDumpJournalAndTrace' \
 		-count=1 ./cmd/scibench

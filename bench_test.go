@@ -223,19 +223,6 @@ func BenchmarkClusterReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterPingPong measures simulated ping-pong sample
-// generation (per 1000 samples).
-func BenchmarkClusterPingPong(b *testing.B) {
-	m, err := scibench.NewCluster(scibench.PizDora(), 25, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.PingPong(0, 24, 64, 1000)
-	}
-}
-
 // --- Collective scaling benchmarks (million-rank engine) ---------------
 
 // benchCollective sweeps one collective across three orders of magnitude

@@ -1,9 +1,9 @@
 // Command benchgate is the statistical performance-regression gate:
 // it compares a candidate `BENCH_*.json` (written by benchjson) against
-// a committed baseline using the paper's own machinery — Tukey outlier
-// policy, nonparametric median CIs (Le Boudec), and one distribution-
-// free interval on the candidate/baseline ratio (Mann–Whitney inverted
-// on log costs) — and exits nonzero when any benchmark REGRESSED. The
+// a committed baseline using the paper's own machinery — nonparametric
+// median CIs (Le Boudec) and one distribution-free interval on the
+// candidate/baseline ratio (Mann–Whitney inverted on log costs), both
+// over every run — and exits nonzero when any benchmark REGRESSED. The
 // verdict is where that interval sits against the threshold t:
 // REGRESSED above 1+t, IMPROVED below 1−t, PASS inside [1−t, 1+t], and
 // INCONCLUSIVE when it straddles either end or cannot be formed.
@@ -43,7 +43,6 @@ func main() {
 		candidatePath = flag.String("candidate", "", "candidate `file` to gate (required)")
 		threshold     = flag.String("threshold", "5%", "smallest candidate/baseline ratio shift treated as real (e.g. 5% or 0.05)")
 		confidence    = flag.Float64("confidence", 0.95, "ratio and median CI confidence level")
-		tukeyK        = flag.Float64("tukey", 1.5, "Tukey outlier fence multiplier (negative disables)")
 		unit          = flag.String("unit", "ns/op", "gated metric unit")
 		asJSON        = flag.Bool("json", false, "emit the gate report as JSON")
 		asMarkdown    = flag.Bool("markdown", false, "emit the verdict table as markdown")
@@ -52,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 	code, err := run(*baselinePath, *candidatePath, *threshold, *confidence,
-		*tukeyK, *unit, *asJSON, *asMarkdown, *advisory, *update)
+		*unit, *asJSON, *asMarkdown, *advisory, *update)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
@@ -60,7 +59,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(baselinePath, candidatePath, thresholdStr string, confidence, tukeyK float64,
+func run(baselinePath, candidatePath, thresholdStr string, confidence float64,
 	unit string, asJSON, asMarkdown, advisory, update bool) (int, error) {
 	if candidatePath == "" {
 		return 0, fmt.Errorf("-candidate is required")
@@ -85,7 +84,6 @@ func run(baselinePath, candidatePath, thresholdStr string, confidence, tukeyK fl
 	gate, err := regress.Compare(baseline, candidate, regress.Options{
 		Threshold:  threshold,
 		Confidence: confidence,
-		TukeyK:     tukeyK,
 		Unit:       unit,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // The human-readable view of the binary artifacts: `scibench dump`
-// prints a campaign journal (v2, or a read-only v1 one) or a telemetry
-// trace.bin as JSON lines — one record or span per line.
+// prints a campaign journal or a telemetry trace.bin as JSON lines — one
+// record or span per line.
 package main
 
 import (

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	scibench "repro"
-	"repro/internal/campaign/v1fixture"
 )
 
 // v2Args is the fixed configuration of the journal durability test:
@@ -23,17 +22,18 @@ func v2Args(dir string, extra ...string) []string {
 	return append(base, extra...)
 }
 
-// rewriteAsV1 replaces the journal of the campaign in dir with its
-// verified records in the read-only v1 layout, which is what a campaign
-// journaled before v2 became the only writer left on disk.
-func rewriteAsV1(t *testing.T, dir string) {
+// journalV2Header is the leading 8 bytes of every campaign journal.
+const journalV2Header = "SCIBJv2\n"
+
+// assertV2Journal fails unless the campaign in dir journals in v2.
+func assertV2Journal(t *testing.T, dir string) {
 	t.Helper()
-	_, st, err := scibench.LoadCampaign(dir)
+	b, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v1fixture.Write(filepath.Join(dir, "journal.jsonl"), st.Records); err != nil {
-		t.Fatal(err)
+	if !strings.HasPrefix(string(b), journalV2Header) {
+		t.Fatalf("%s: journal does not start with the v2 header: %q", dir, b[:min(len(b), 16)])
 	}
 }
 
@@ -63,9 +63,8 @@ func copyDir(t *testing.T, src, dst string) {
 // chunk has sealed (losing the unsealed tail — group commit's durability
 // trade), resume it from the sealed prefix, and require the final
 // analysis byte-identical to an uninterrupted run. A copy of the killed
-// campaign with its journal rewritten as v1 must be printed by
-// `scibench dump`, refused by `scibench resume` with a pointer to
-// `scibench convert`, and after the conversion resume to the same bytes.
+// campaign whose journal holds an old v1 JSONL line instead must be
+// refused by `scibench resume` and left byte-for-byte as it was.
 func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
@@ -80,9 +79,7 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 		t.Fatalf("campaign exited %d; output:\n%s", c, refOut)
 	}
 	want := resultLine(t, string(refOut))
-	if _, st, err := scibench.LoadCampaign(ref); err != nil || st.Format.String() != "v2" {
-		t.Fatalf("campaign journal: format=%v err=%v, want v2", st.Format, err)
-	}
+	assertV2Journal(t, ref)
 
 	// The victim: SIGKILL once the journal has grown past the 8-byte
 	// header, i.e. at least one CRC-framed chunk is durable.
@@ -113,9 +110,7 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("killed campaign not loadable: %v", err)
 	}
-	if st.Format.String() != "v2" {
-		t.Fatalf("killed campaign format = %v, want v2", st.Format)
-	}
+	assertV2Journal(t, camp)
 	if len(st.Records) == 0 {
 		t.Fatal("no records recovered from the sealed chunks")
 	}
@@ -133,52 +128,23 @@ func TestCampaignV2SIGKILLResumeByteIdentity(t *testing.T) {
 		t.Errorf("resumed analysis differs:\n  want: %s\n  got:  %s", want, got)
 	}
 
-	// The same interrupted campaign as a v1 journal: readable, but
-	// resume refuses to append to it until it is converted.
-	rewriteAsV1(t, old)
-	dump, err := exec.Command(binPath, "dump", old).Output()
-	if err != nil {
-		t.Fatalf("dump of a v1 journal: %v", err)
-	}
-	if lines := strings.Count(string(dump), "\n"); lines != len(st.Records) {
-		t.Errorf("dump printed %d lines, want %d records", lines, len(st.Records))
-	}
-	v1Bytes := fileSize(t, filepath.Join(old, "journal.jsonl"))
-	out, err := exec.Command(binPath, "resume", old).CombinedOutput()
-	if c := exitCode(t, err); c != 1 || !strings.Contains(string(out), "scibench convert "+old) {
-		t.Fatalf("resume of a v1 journal exited %d, want 1 naming scibench convert:\n%s", c, out)
-	}
-	if got := fileSize(t, filepath.Join(old, "journal.jsonl")); got != v1Bytes {
-		t.Fatalf("refused resume changed the v1 journal: %d → %d bytes", v1Bytes, got)
-	}
-	// Tear the v1 tail as a crash mid-append would: convert drops the
-	// torn record, says how many bytes went and keeps the original.
-	if err := os.Truncate(filepath.Join(old, "journal.jsonl"), v1Bytes-5); err != nil {
+	// The same interrupted campaign over a v1 journal: this build reads
+	// only v2, so resume refuses it and leaves its bytes alone, and the
+	// retired convert subcommand is an unknown one.
+	v1 := []byte(`{"crc":374613739,"rec":{"event":{"calls":1,"kind":"warmup","value":0},"seq":1}}` + "\n")
+	if err := os.WriteFile(filepath.Join(old, "journal.jsonl"), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = exec.Command(binPath, "convert", old).CombinedOutput()
-	if c := exitCode(t, err); c != 0 || !strings.Contains(string(out), "converted v1 → v2") {
-		t.Fatalf("convert exited %d:\n%s", c, out)
+	out, err := exec.Command(binPath, "resume", old).CombinedOutput()
+	if c := exitCode(t, err); c != 1 || !strings.Contains(string(out), "reads only v2 journals") {
+		t.Fatalf("resume of a v1 journal exited %d, want 1 saying only v2 is read:\n%s", c, out)
 	}
-	if !strings.Contains(string(out), "dropped; original kept as "+filepath.Join(old, "journal.jsonl.v1")) {
-		t.Errorf("convert did not report the dropped torn tail:\n%s", out)
-	}
-	if got := fileSize(t, filepath.Join(old, "journal.jsonl.v1")); got != v1Bytes-5 {
-		t.Errorf("kept v1 journal has %d bytes, want %d", got, v1Bytes-5)
-	}
-	if got := fileSize(t, filepath.Join(old, "journal.jsonl")); got >= v1Bytes {
-		t.Errorf("v2 journal (%d B) not smaller than v1 (%d B)", got, v1Bytes)
+	if b, err := os.ReadFile(filepath.Join(old, "journal.jsonl")); err != nil || !bytes.Equal(b, v1) {
+		t.Fatalf("refused resume changed the v1 journal (err %v)", err)
 	}
 	out, err = exec.Command(binPath, "convert", old).CombinedOutput()
-	if c := exitCode(t, err); c != 0 || !strings.Contains(string(out), "nothing to do") {
-		t.Fatalf("idempotent convert exited %d:\n%s", c, out)
-	}
-	resumed, err = exec.Command(binPath, "resume", old).CombinedOutput()
-	if c := exitCode(t, err); c != 0 {
-		t.Fatalf("resume after convert exited %d; output:\n%s", c, resumed)
-	}
-	if got := resultLine(t, string(resumed)); got != want {
-		t.Errorf("converted-and-resumed analysis differs:\n  want: %s\n  got:  %s", want, got)
+	if c := exitCode(t, err); c != 2 || !strings.Contains(string(out), "usage: scibench") {
+		t.Fatalf("convert exited %d, want the usage exit 2:\n%s", c, out)
 	}
 }
 
@@ -192,8 +158,8 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 // TestShardedCampaignV2ByteIdentity: `scibench campaign -shards N`
-// journals every unit in v2, and the same sweep with every unit journal
-// rewritten as v1 still merges to a byte-identical report.
+// journals every unit in v2, and `scibench merge` over the finished
+// sweep reproduces the campaign's report byte for byte.
 func TestShardedCampaignV2ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
@@ -209,21 +175,17 @@ func TestShardedCampaignV2ByteIdentity(t *testing.T) {
 		t.Fatalf("unit journals: %v (err %v), want 3", units, err)
 	}
 	for _, j := range units {
-		_, st, err := scibench.LoadCampaign(filepath.Dir(j))
-		if err != nil {
+		if _, _, err := scibench.LoadCampaign(filepath.Dir(j)); err != nil {
 			t.Fatalf("unit %s: %v", j, err)
 		}
-		if st.Format.String() != "v2" {
-			t.Errorf("unit %s journal format = %v, want v2", j, st.Format)
-		}
-		rewriteAsV1(t, filepath.Dir(j))
+		assertV2Journal(t, filepath.Dir(j))
 	}
 	got, err := exec.Command(binPath, "merge", "-dir", dir).Output()
 	if err != nil {
-		t.Fatalf("merge of v1 unit journals: %v", err)
+		t.Fatalf("merge: %v", err)
 	}
 	if !bytes.Equal(got, ref) {
-		t.Errorf("v1 sweep merged to a different report:\n--- v2\n%s\n--- v1\n%s", ref, got)
+		t.Errorf("sweep merged to a different report:\n--- campaign\n%s\n--- merge\n%s", ref, got)
 	}
 }
 

@@ -39,23 +39,14 @@
 //	    refuse on any configuration drift with Rule 9 findings, check the
 //	    suspend/resume boundary for environment drift (Rule 6), and run
 //	    to completion. Flags override the recorded setup — which refuses
-//	    the resume unless they match.
-//
-//	scibench convert DIR
-//	    Rewrite a campaign's read-only v1 journal (one CRC-framed JSON
-//	    line per event, written before v2 became the only encoding) as
-//	    the v2 chunked binary journal (delta-encoded columns, CRC and
-//	    group fsync per chunk — several times smaller), so the campaign
-//	    can be resumed. Atomic, verified by record-for-record replay, and
-//	    identity-preserving: the campaign resumes bit-for-bit after
-//	    conversion. A torn or corrupt v1 tail is dropped, its size
-//	    printed, and the original kept as journal.jsonl.v1.
+//	    the resume unless they match. A journal that is not v2, the only
+//	    encoding this build reads, is refused and left untouched.
 //
 //	scibench dump PATH
 //	    Print a campaign journal (PATH is the campaign directory or its
-//	    journal.jsonl; v1 or v2) or a -telemetry trace.bin as JSON
-//	    lines, one record or span per line — the human-readable view of
-//	    the binary files.
+//	    journal.jsonl) or a -telemetry trace.bin as JSON lines, one
+//	    record or span per line — the human-readable view of the binary
+//	    files.
 //
 //	scibench campaign -dir DIR -shards N [-units K] [campaign flags]
 //	    Distributed mode: partition a K-unit sweep (unit i = the campaign
@@ -159,8 +150,6 @@ func main() {
 		err = cmdCampaign(os.Args[2:])
 	case "resume":
 		err = cmdResume(os.Args[2:])
-	case "convert":
-		err = cmdConvert(os.Args[2:])
 	case "dump":
 		err = cmdDump(os.Args[2:])
 	case "shard":
@@ -186,7 +175,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scibench analyze|compare|audit|generate|changepoint|campaign|resume|convert|dump|shard|exec|merge|worker|serve|timer|rules [flags]")
+	fmt.Fprintln(os.Stderr, "usage: scibench analyze|compare|audit|generate|changepoint|campaign|resume|dump|shard|exec|merge|worker|serve|timer|rules [flags]")
 	os.Exit(2)
 }
 

@@ -111,70 +111,6 @@ func TestCreateLoadOpenRoundtrip(t *testing.T) {
 	}
 }
 
-// TestReplayTornAtEveryOffset truncates a valid v1 journal at every
-// byte offset and requires replay to recover exactly the records whose
-// lines survived intact — never a partial record, never a panic.
-func TestReplayTornAtEveryOffset(t *testing.T) {
-	var data []byte
-	var ends []int64 // cumulative byte length after each record
-	for i := 1; i <= 5; i++ {
-		ev := bench.Event{Kind: bench.EventSample, Value: float64(i) / 3, Calls: i}
-		data = append(data, encodeV1(t, []Record{{Seq: i, Event: ev}})...)
-		ends = append(ends, int64(len(data)))
-	}
-
-	for cut := 0; cut <= len(data); cut++ {
-		st := Replay(data[:cut])
-		wantRecs := 0
-		for _, e := range ends {
-			if int64(cut) >= e {
-				wantRecs++
-			}
-		}
-		if len(st.Records) != wantRecs {
-			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(st.Records), wantRecs)
-		}
-		lastEnd := int64(0)
-		if wantRecs > 0 {
-			lastEnd = ends[wantRecs-1]
-		}
-		wantTorn := int64(cut) > lastEnd // leftover bytes past the last whole record
-		if st.Torn != wantTorn {
-			t.Fatalf("cut %d: torn = %v, want %v", cut, st.Torn, wantTorn)
-		}
-	}
-}
-
-// TestReplayRejectsBitFlips is the v1 bit-flip sweep (v2 has its own,
-// TestJournalV2BitFlips).
-func TestReplayRejectsBitFlips(t *testing.T) {
-	var evs []bench.Event
-	for i := 1; i <= 4; i++ {
-		evs = append(evs, bench.Event{Kind: bench.EventSample, Value: float64(i), Calls: i})
-	}
-	data := encodeV1(t, recordsOf(evs))
-	clean := Replay(data)
-	if len(clean.Records) != 4 {
-		t.Fatal("setup")
-	}
-	// Flip one bit in every byte position in turn; replay must never
-	// return more records than the clean prefix before the flip, and
-	// never crash.
-	for pos := 0; pos < len(data); pos++ {
-		mut := append([]byte(nil), data...)
-		mut[pos] ^= 0x10
-		st := Replay(mut)
-		if len(st.Records) > 4 {
-			t.Fatalf("pos %d: invented records", pos)
-		}
-		for i, r := range st.Records {
-			if r.Seq != i+1 {
-				t.Fatalf("pos %d: non-dense seq %d at %d", pos, r.Seq, i)
-			}
-		}
-	}
-}
-
 // TestInterruptResumeBitIdentical is the acceptance test: a journaled
 // campaign killed by (a) context cancellation and (b) a simulated crash
 // mid-append resumes to a final Result whose retained samples are

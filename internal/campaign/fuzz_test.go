@@ -1,8 +1,8 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,11 +25,6 @@ func fuzzEvents(n int) []bench.Event {
 		}
 	}
 	return evs
-}
-
-// validJournal builds an n-record v1 journal in memory for fuzz seeding.
-func validJournal(tb testing.TB, n int) []byte {
-	return encodeV1(tb, recordsOf(fuzzEvents(n)))
 }
 
 // validJournalV2 journals n records through the writer, sealing a chunk
@@ -61,44 +56,45 @@ func validJournalV2(tb testing.TB, n, flushEvery int) []byte {
 	return data
 }
 
+// v1Line is one line of the retired v1 JSONL journal: input this build
+// must refuse, never read as a journal.
+const v1Line = `{"crc":0,"rec":{"seq":1,"event":{"kind":"sample","value":1,"calls":1}}}` + "\n"
+
 // FuzzReplay throws arbitrary bytes — seeded with valid journals, torn
-// writes, bit flips, and truncations — at the journal reader. The
-// reader must never panic, never invent records (dense sequence
-// numbers, CRC-verified), and must be idempotent: re-reading the
-// verified prefix yields exactly the same records.
+// writes, bit flips, truncations, and foreign bytes (the v1 JSONL corpus
+// under testdata among them) — at the journal reader. The reader must
+// never panic, never invent records (dense sequence numbers,
+// CRC-verified), and must be idempotent: re-reading the verified prefix
+// yields exactly the same records. Input that is neither empty nor v2
+// yields no records, and Load refuses it with ErrNotJournal.
 func FuzzReplay(f *testing.F) {
-	valid := validJournal(f, 6)
+	valid := validJournalV2(f, 6, 2)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"crc":0,"rec":{"seq":1,"event":{"kind":"sample","value":1,"calls":1}}}` + "\n"))
-	f.Add([]byte(`{"crc":123,"rec":{"seq":`)) // torn mid-append
-	f.Add(append(append([]byte(nil), valid...), valid[:37]...))
-	if len(valid) > 10 {
-		// Truncations and a bit flip as explicit seeds; the fuzzer
-		// mutates from here.
-		f.Add(valid[:len(valid)/2])
-		f.Add(valid[:len(valid)-1])
-		flipped := append([]byte(nil), valid...)
-		flipped[len(flipped)/3] ^= 0x40
-		f.Add(flipped)
-	}
+	f.Add([]byte(v1Line))
+	f.Add([]byte(`{"crc":123,"rec":{"seq":`))
+	// A chunk boundary followed by the start of a replayed first chunk.
+	f.Add(append(append([]byte(nil), valid...), valid[len(magicV2):len(magicV2)+5]...))
+	// Truncations and a bit flip as explicit seeds; the fuzzer mutates
+	// from here.
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-1])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0x40
+	f.Add(flipped)
 	// Shard-merge corpus: the journal shapes a SIGKILLed executor leaves
 	// behind for the merge reader — a second unit's journal appended
 	// after a clean one (two dense seq runs: the second must be dropped
 	// as a tear, never silently concatenated into one campaign), and a
 	// clean journal whose tail died mid-fsync.
-	other := validJournal(f, 3)
+	other := validJournalV2(f, 3, 1)
 	f.Add(append(append([]byte(nil), valid...), other...))
-	if nl := bytes.IndexByte(other, '\n'); nl > 0 {
-		f.Add(append(append([]byte(nil), valid...), other[:nl/2]...))
-	}
-	// Cross-format seeds: sniffing must route v2 bytes (and hybrids that
-	// can only arise from corruption) through the same invariants.
-	v2 := validJournalV2(f, 5, 2)
-	f.Add(v2)
-	f.Add(append(append([]byte(nil), v2...), valid...))
-	f.Add(append(append([]byte(nil), valid...), v2...))
+	f.Add(append(append([]byte(nil), valid...), other[len(magicV2):len(other)/2]...))
+	// A torn header, and hybrids that can only arise from corruption.
+	f.Add(magicV2[:5])
+	f.Add(append([]byte(v1Line), valid...))
+	f.Add(append(append([]byte(nil), valid...), v1Line...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := Replay(data)
@@ -125,6 +121,22 @@ func FuzzReplay(f *testing.F) {
 		// the journal contained.
 		_ = st.Events()
 		_ = st.Samples()
+		if isV2(data) {
+			return
+		}
+		if len(st.Records) != 0 || st.ValidBytes != 0 {
+			t.Fatalf("foreign bytes replayed to %d records, ValidBytes %d", len(st.Records), st.ValidBytes)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version":1}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, JournalFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(dir); !errors.Is(err, ErrNotJournal) {
+			t.Fatalf("Load of foreign bytes: err = %v, want ErrNotJournal", err)
+		}
 	})
 }
 
@@ -132,7 +144,7 @@ func FuzzReplay(f *testing.F) {
 // at several chunk widths, torn headers, truncations, bit flips,
 // spliced journals, and handcrafted hostile chunks (oversized counts,
 // non-dense firstSeq) — at the chunked binary reader. The invariants
-// are the v1 replay contract plus the v2 boundary discipline: never
+// are FuzzReplay's contract plus the boundary discipline: never
 // panic, never invent records, never allocate unboundedly from a lied
 // count field, ValidBytes lands on header/chunk boundaries only, and
 // the verified prefix re-replays identically.
@@ -177,13 +189,8 @@ func FuzzJournalV2(f *testing.F) {
 		if st.ValidBytes < 0 || st.ValidBytes > int64(len(data)) {
 			t.Fatalf("ValidBytes %d outside [0, %d]", st.ValidBytes, len(data))
 		}
-		if SniffFormat(data) == FormatV2 {
-			if st.Format != FormatV2 {
-				t.Fatalf("v2 bytes replayed as %v", st.Format)
-			}
-			if st.ValidBytes != 0 && st.ValidBytes < int64(len(magicV2)) {
-				t.Fatalf("ValidBytes %d inside the header", st.ValidBytes)
-			}
+		if st.ValidBytes != 0 && st.ValidBytes < int64(len(magicV2)) {
+			t.Fatalf("ValidBytes %d inside the header", st.ValidBytes)
 		}
 		for i, r := range st.Records {
 			if r.Seq != i+1 {
@@ -233,7 +240,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"sweep":{"shard":-1}}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{`))
-	journal := validJournal(f, 3)
+	journal := validJournalV2(f, 3, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
@@ -271,14 +278,17 @@ func FuzzManifest(f *testing.F) {
 
 // FuzzReplayTruncation drives the dedicated torn-write invariant: for a
 // valid journal truncated at any offset, replay returns exactly the
-// records whose full lines survived.
+// records whose whole chunks survived.
 func FuzzReplayTruncation(f *testing.F) {
-	valid := validJournal(f, 4)
-	lineEnds := []int{}
-	for i, b := range valid {
-		if b == '\n' {
-			lineEnds = append(lineEnds, i+1)
+	valid := validJournalV2(f, 8, 1) // one record per chunk
+	chunkEnds := []int{}
+	for off := len(magicV2); off < len(valid); {
+		_, n, ok := colenc.ReadFrame(valid[off:])
+		if !ok {
+			f.Fatal("setup: torn chunk in clean journal")
 		}
+		off += n
+		chunkEnds = append(chunkEnds, off)
 	}
 	f.Add(0)
 	f.Add(len(valid) / 2)
@@ -290,7 +300,7 @@ func FuzzReplayTruncation(f *testing.F) {
 		}
 		st := Replay(valid[:cut])
 		want := 0
-		for _, e := range lineEnds {
+		for _, e := range chunkEnds {
 			if cut >= e {
 				want++
 			}
@@ -298,8 +308,8 @@ func FuzzReplayTruncation(f *testing.F) {
 		if len(st.Records) != want {
 			t.Fatalf("cut %d: %d records, want %d", cut, len(st.Records), want)
 		}
-		if !bytes.Equal(valid[:st.ValidBytes], valid[:st.ValidBytes]) {
-			t.Fatal("unreachable")
+		if wantTorn := cut != int(st.ValidBytes); st.Torn != wantTorn {
+			t.Fatalf("cut %d: torn=%v at ValidBytes %d", cut, st.Torn, st.ValidBytes)
 		}
 	})
 }

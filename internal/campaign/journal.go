@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -51,12 +49,11 @@ func syncDir(dir string) error {
 const (
 	// ManifestFile holds the campaign Manifest (JSON).
 	ManifestFile = "manifest.json"
-	// JournalFile is the append-only event journal. Campaigns write the
-	// chunked binary v2 layout (see journalv2.go). The name predates v2
-	// and is kept so journals written as v1 JSONL (one CRC-framed record
-	// per line) sit at the same path: readers sniff the format from the
-	// leading bytes, so replay, shard merge and remote chunk shipment
-	// handle either transparently.
+	// JournalFile is the append-only event journal, in the chunked
+	// binary v2 layout (see journalv2.go) — the only encoding read or
+	// written. The name predates that layout and is kept because sweeps,
+	// remote chunk shipment and existing campaigns all address the
+	// journal by it.
 	JournalFile = "journal.jsonl"
 )
 
@@ -64,15 +61,6 @@ const (
 type Record struct {
 	Seq   int         `json:"seq"`
 	Event bench.Event `json:"event"`
-}
-
-// frame is the wire form of one v1 journal line: the record's exact
-// JSON bytes plus their CRC32 (IEEE). The checksum is computed over the
-// raw bytes as written, so a reader verifies integrity without
-// re-encoding.
-type frame struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
 }
 
 // State is the collection state reconstructed from a journal.
@@ -83,12 +71,10 @@ type State struct {
 	// (a crash mid-append, a bit flip); the bad tail was dropped.
 	Torn bool
 	// ValidBytes is the length of the verified journal prefix; bytes
-	// past it are the dropped tail. For a v2 journal the prefix includes
-	// the format header, so ValidBytes is never less than the header
-	// size once the header verified.
+	// past it are the dropped tail. The prefix includes the format
+	// header, so ValidBytes is never less than the header size once the
+	// header verified.
 	ValidBytes int64
-	// Format is the sniffed on-disk format the bytes were decoded as.
-	Format Format
 }
 
 // Events extracts the bench event stream from the verified records.
@@ -138,6 +124,11 @@ var (
 	ErrCampaignExists = errors.New("campaign: directory already holds a campaign")
 	// ErrNoCampaign reports Open on a directory without a manifest.
 	ErrNoCampaign = errors.New("campaign: no campaign in directory")
+	// ErrNotJournal reports a journal file whose bytes are neither empty
+	// nor v2 (an old v1 JSONL journal, or a foreign file). Load refuses
+	// it, so Open, Resume and the merge reader never truncate or append
+	// to it: the file is left byte-for-byte as it was.
+	ErrNotJournal = errors.New("campaign: not a v2 journal (this build reads only v2 journals)")
 )
 
 // Create starts a new campaign: it creates dir (if needed), writes the
@@ -185,8 +176,8 @@ func Create(dir string, m Manifest) (*Journal, error) {
 	}
 	j := &Journal{f: f}
 	// The format header goes down durably before the first record so
-	// every later reader — including one racing a crash — sniffs v2 from
-	// the verified prefix.
+	// every later reader — including one racing a crash — recognises v2
+	// from the verified prefix.
 	if err := j.writeHeaderV2(); err != nil {
 		f.Close()
 		return nil, err
@@ -212,7 +203,8 @@ func writeFileDurable(path string, data []byte) error {
 
 // Load reads a campaign directory without opening it for writing: the
 // manifest plus the replayed journal state. Use it to inspect a
-// campaign or to audit its integrity.
+// campaign or to audit its integrity. A journal that is neither empty
+// nor v2 is refused with ErrNotJournal.
 func Load(dir string) (Manifest, State, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -232,22 +224,20 @@ func Load(dir string) (Manifest, State, error) {
 		}
 		return m, State{}, fmt.Errorf("campaign: %w", err)
 	}
+	if !isV2(jb) {
+		return m, State{}, fmt.Errorf("%w: %s", ErrNotJournal, filepath.Join(dir, JournalFile))
+	}
 	return m, Replay(jb), nil
 }
 
 // Open reopens an interrupted campaign for appending: it replays the
 // journal, truncates any torn tail, and positions the writer after the
-// last verified record. A v1 journal is read-only: Open refuses it
-// without touching it, and `scibench convert DIR` (ConvertJournal)
-// rewrites it as v2 first.
+// last verified record. A journal Load refuses (ErrNotJournal) is
+// refused here too, before the file is opened for writing.
 func Open(dir string) (*Journal, Manifest, State, error) {
 	m, st, err := Load(dir)
 	if err != nil {
 		return nil, Manifest{}, State{}, err
-	}
-	if st.Format == FormatJSONL {
-		return nil, Manifest{}, State{}, fmt.Errorf(
-			"campaign: journal in %s is v1, which is read-only; rewrite it as v2 with: scibench convert %s", dir, dir)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -273,56 +263,6 @@ func Open(dir string) (*Journal, Manifest, State, error) {
 		}
 	}
 	return j, m, st, nil
-}
-
-// Replay scans raw journal bytes and reconstructs the verified state.
-// The format is sniffed from the leading bytes (the v2 magic header vs
-// v1 JSONL); in either format records are accepted up to (not
-// including) the first frame that fails structural decoding, CRC
-// verification, or dense sequence numbering — a crash mid-append leaves
-// exactly such a torn tail, which is dropped.
-func Replay(data []byte) State {
-	switch SniffFormat(data) {
-	case FormatV2:
-		return replayV2(data)
-	}
-	st := State{Format: FormatJSONL}
-	off := int64(0)
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			// No terminating newline: a torn final write.
-			st.Torn = true
-			return st
-		}
-		line := data[:nl]
-		rec, ok := decodeLine(line)
-		if !ok || rec.Seq != len(st.Records)+1 {
-			st.Torn = true
-			return st
-		}
-		st.Records = append(st.Records, rec)
-		off += int64(nl + 1)
-		st.ValidBytes = off
-		data = data[nl+1:]
-	}
-	return st
-}
-
-// decodeLine verifies and decodes one v1 journal line.
-func decodeLine(line []byte) (Record, bool) {
-	var fr frame
-	if err := json.Unmarshal(line, &fr); err != nil || fr.Rec == nil {
-		return Record{}, false
-	}
-	if crc32.ChecksumIEEE(fr.Rec) != fr.CRC {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
 }
 
 // Record accepts one collection event into the pending chunk, sealing

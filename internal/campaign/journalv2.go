@@ -11,53 +11,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Format identifies a journal's on-disk layout.
-type Format int
-
-const (
-	// FormatJSONL is the v1 layout: one CRC32-framed JSON record per
-	// line. It is read-only: Replay, Load and shard merge still read it,
-	// and ConvertJournal rewrites it as v2, but nothing writes it.
-	FormatJSONL Format = 1
-	// FormatV2 is the chunked binary layout every journal is written in:
-	// a magic header followed by CRC32-framed chunks of column-major,
-	// delta- and varint-compressed records, fsynced per sealed chunk
-	// (group commit). One fsync covers a whole chunk and samples cost a
-	// few bytes instead of ~100, at the price that an OS crash may lose
-	// the unsealed tail (which resume re-measures deterministically).
-	FormatV2 Format = 2
-)
-
-// String returns the CLI spelling of the format.
-func (f Format) String() string {
-	switch f {
-	case FormatJSONL:
-		return "v1"
-	case FormatV2:
-		return "v2"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// magicV2 is the v2 format header: 8 bytes, written durably before the
-// first chunk. No v1 journal can start with it (v1 lines start with
-// '{'), so the leading bytes of a journal identify its format.
+// magicV2 is the journal header: 8 bytes, written durably before the
+// first chunk. Every journal is the chunked binary v2 layout: this
+// header followed by CRC32-framed chunks of column-major, delta- and
+// varint-compressed records, fsynced per sealed chunk (group commit).
+// One fsync covers a whole chunk and samples cost a few bytes, at the
+// price that an OS crash may lose the unsealed tail (which resume
+// re-measures deterministically).
 var magicV2 = []byte("SCIBJv2\n")
 
-// SniffFormat identifies the format of raw journal bytes. Empty input
-// returns 0 (undetermined — an empty journal reads back identically in
-// either format). A strict prefix of the v2 magic sniffs as FormatV2:
-// only a v2 creator crashing mid-header writes such bytes, and the
-// torn-header recovery path (Replay → Torn, ValidBytes 0) handles them.
-func SniffFormat(data []byte) Format {
-	if len(data) == 0 {
-		return 0
-	}
-	if bytes.HasPrefix(data, magicV2) || bytes.HasPrefix(magicV2, data) {
-		return FormatV2
-	}
-	return FormatJSONL
+// isV2 reports whether journal bytes can be a v2 journal: they start
+// with the header, or are a prefix of it — empty, or a header torn by a
+// crash inside Create, which replay recovers as an empty journal.
+func isV2(data []byte) bool {
+	return bytes.HasPrefix(data, magicV2) || bytes.HasPrefix(magicV2, data)
 }
 
 // Per-record kind codes in a v2 chunk's kind column. kindLiteral
@@ -209,13 +176,19 @@ func decodeChunkV2(payload []byte, have int) ([]Record, bool) {
 	return recs, true
 }
 
-// replayV2 reconstructs state from v2 journal bytes: header, then
-// frames, accepting chunks up to the first torn or corrupt one. A torn
-// header (crash inside Create before the header reached disk) yields
-// ValidBytes 0; Open rewrites the header and the journal continues
-// empty.
-func replayV2(data []byte) State {
-	st := State{Format: FormatV2}
+// Replay scans raw journal bytes and reconstructs the verified state:
+// header, then frames, accepting chunks up to (not including) the first
+// one that fails framing, CRC verification, decoding or dense sequence
+// numbering — a crash mid-append leaves exactly such a torn tail, which
+// is dropped. Empty input is an empty journal. A torn header (crash
+// inside Create before the header reached disk) yields Torn with
+// ValidBytes 0, and Open rewrites the header; bytes that are not v2 at
+// all read the same way here, which is why Load refuses them first.
+func Replay(data []byte) State {
+	var st State
+	if len(data) == 0 {
+		return st
+	}
 	if !bytes.HasPrefix(data, magicV2) {
 		st.Torn = true
 		return st
@@ -241,8 +214,8 @@ func replayV2(data []byte) State {
 }
 
 // writeHeaderV2 writes the format header durably, so every future
-// reader — including one racing a crash — sniffs v2 from the verified
-// prefix before any chunk exists.
+// reader — including one racing a crash — recognises v2 from the
+// verified prefix before any chunk exists.
 func (j *Journal) writeHeaderV2() error {
 	if _, err := journalWrite(j.f, magicV2); err != nil {
 		j.rewind()

@@ -3,15 +3,14 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/campaign/v1fixture"
 	"repro/internal/colenc"
 )
 
@@ -83,8 +82,8 @@ func TestJournalV2RoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Format != FormatV2 || st.Torn {
-			t.Fatalf("flush %d: format=%v torn=%v", flush, st.Format, st.Torn)
+		if !bytes.HasPrefix(readFile(t, filepath.Join(dir, JournalFile)), magicV2) || st.Torn {
+			t.Fatalf("flush %d: no v2 header or torn=%v", flush, st.Torn)
 		}
 		if len(st.Records) != len(evs) {
 			t.Fatalf("flush %d: %d records, want %d", flush, len(st.Records), len(evs))
@@ -152,8 +151,8 @@ func TestJournalV2TornAtEveryOffset(t *testing.T) {
 	}
 }
 
-// TestJournalV2BitFlips mirrors the v1 bit-flip test: a flip anywhere
-// must never invent records, break dense numbering, or panic.
+// TestJournalV2BitFlips: a flip anywhere must never invent records,
+// break dense numbering, or panic.
 func TestJournalV2BitFlips(t *testing.T) {
 	evs := journalEvents(30)
 	dir := writeJournal(t, 8, evs)
@@ -187,7 +186,7 @@ func TestJournalV2TornHeaderRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := Replay(magicV2[:3])
-	if st.Format != FormatV2 || !st.Torn || st.ValidBytes != 0 {
+	if !st.Torn || st.ValidBytes != 0 {
 		t.Fatalf("torn header replay: %+v", st)
 	}
 	j, _, _, err := Open(dir)
@@ -204,32 +203,62 @@ func TestJournalV2TornHeaderRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Torn || len(got.Records) != 1 || got.Format != FormatV2 {
+	if got.Torn || len(got.Records) != 1 {
 		t.Fatalf("after recovery: %+v", got)
 	}
 }
 
-// TestOpenJournalKeepsExistingFormat pins the sniffing contract: Open
-// extends a v2 journal in place, and refuses a v1 journal — naming the
-// convert command — without appending v1 or converting it silently.
+// TestOpenJournalKeepsExistingFormat pins the one-encoding contract:
+// Open extends a v2 journal in place, and a journal that is neither
+// empty nor v2 — an old v1 JSONL line, or arbitrary bytes — is refused
+// by Load, Open, Resume and the merge reader with ErrNotJournal and
+// left byte-for-byte as it was, never truncated to an empty v2 journal.
 func TestOpenJournalKeepsExistingFormat(t *testing.T) {
 	ev := bench.Event{Kind: bench.EventSample, Value: 2.5, Calls: 1}
 	ev2 := bench.Event{Kind: bench.EventSample, Value: 2.75, Calls: 2}
 
-	t.Run("v1-refused", func(t *testing.T) {
-		dir := writeJournal(t, 0, nil)
-		writeV1Journal(t, dir, recordsOf([]bench.Event{ev}))
-		before := readFile(t, filepath.Join(dir, JournalFile))
-		j, _, _, err := Open(dir)
-		if err == nil {
-			j.Close()
-			t.Fatal("Open appended to a v1 journal")
-		}
-		if want := "scibench convert " + dir; !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not name %q", err, want)
-		}
-		if after := readFile(t, filepath.Join(dir, JournalFile)); !bytes.Equal(before, after) {
-			t.Error("refused Open modified the v1 journal")
+	t.Run("foreign-refused", func(t *testing.T) {
+		for name, foreign := range map[string][]byte{
+			"v1-line": []byte(`{"crc":3889158791,"rec":{"event":{"calls":2,"kind":"sample","value":1.725},"seq":2}}` + "\n"),
+			"bytes":   {0x00, 'S', 'C', 'I', 0xFF, '\n', 7},
+			"magic-1": append(append([]byte(nil), magicV2[:len(magicV2)-1]...), 'X'),
+		} {
+			t.Run(name, func(t *testing.T) {
+				const seed = 5
+				m := testManifest(t, seed, testConfig{System: "quiet", Samples: 20}, nil)
+				dir := t.TempDir()
+				j, err := Create(dir, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, JournalFile)
+				if err := os.WriteFile(path, foreign, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				refused := func(op string, err error) {
+					t.Helper()
+					if !errors.Is(err, ErrNotJournal) {
+						t.Errorf("%s: err = %v, want ErrNotJournal", op, err)
+					}
+					if after := readFile(t, path); !bytes.Equal(after, foreign) {
+						t.Fatalf("%s modified the journal: %q → %q", op, foreign, after)
+					}
+				}
+				_, _, err = Load(dir)
+				refused("Load", err)
+				j, _, _, err = Open(dir)
+				if err == nil {
+					j.Close()
+				}
+				refused("Open", err)
+				_, _, err = Resume(context.Background(), dir, m, testPlan(), measureFrom(seed), ResumeOptions{})
+				refused("Resume", err)
+				_, _, _, err = LoadVerified(dir, m)
+				refused("LoadVerified", err)
+			})
 		}
 	})
 
@@ -239,8 +268,8 @@ func TestOpenJournalKeepsExistingFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Records) != 1 || st.Format != FormatV2 {
-			t.Fatalf("records=%d format=%v, want 1 record in v2", len(st.Records), st.Format)
+		if len(st.Records) != 1 {
+			t.Fatalf("records=%d, want 1", len(st.Records))
 		}
 		if err := j.Record(ev2); err != nil {
 			t.Fatal(err)
@@ -252,9 +281,9 @@ func TestOpenJournalKeepsExistingFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Format != FormatV2 || len(got.Records) != 2 || got.Torn {
-			t.Fatalf("after append: format=%v records=%d torn=%v",
-				got.Format, len(got.Records), got.Torn)
+		if !bytes.HasPrefix(readFile(t, filepath.Join(dir, JournalFile)), magicV2) || len(got.Records) != 2 || got.Torn {
+			t.Fatalf("after append: records=%d torn=%v, or the v2 header is gone",
+				len(got.Records), got.Torn)
 		}
 		if got.Records[1].Event != ev2 {
 			t.Fatalf("appended record = %+v", got.Records[1].Event)
@@ -329,26 +358,6 @@ func recordsOf(evs []bench.Event) []Record {
 	return recs
 }
 
-// encodeV1 renders records in the read-only v1 layout (see v1fixture).
-func encodeV1(tb testing.TB, recs []Record) []byte {
-	tb.Helper()
-	b, err := v1fixture.Encode(recs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
-}
-
-// writeV1Journal replaces the journal in dir with recs as v1 bytes —
-// what a campaign journaled before v2 became the only writer left on
-// disk.
-func writeV1Journal(t *testing.T, dir string, recs []Record) {
-	t.Helper()
-	if _, err := v1fixture.Write(filepath.Join(dir, JournalFile), recs); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // tornChunk is what a crash mid-seal leaves at a journal's tail: the
 // first half of a CRC-framed chunk.
 func tornChunk() []byte {
@@ -359,17 +368,25 @@ func tornChunk() []byte {
 
 // TestJournalV2CompressionRatio gates the artifact-size acceptance
 // criterion at the format level: a realistic 1000-sample journal must
-// be ≥5× smaller in v2 than in v1.
+// be ≥5× smaller in v2 than the same records as JSON lines (the retired
+// v1 layout less its per-line CRC wrapper, so a stricter reference).
 func TestJournalV2CompressionRatio(t *testing.T) {
 	evs := journalEvents(1000)
-	v1 := encodeV1(t, recordsOf(evs))
-	v2 := readFile(t, filepath.Join(writeJournal(t, 0, evs), JournalFile))
-	if len(v2)*5 > len(v1) {
-		t.Fatalf("v2 journal %d bytes vs v1 %d bytes: ratio %.2f < 5",
-			len(v2), len(v1), float64(len(v1))/float64(len(v2)))
+	var jsonl []byte
+	for _, r := range recordsOf(evs) {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl = append(append(jsonl, b...), '\n')
 	}
-	t.Logf("1000-sample journal: v1 %d bytes, v2 %d bytes (%.1f×, %.1f bytes/record)",
-		len(v1), len(v2), float64(len(v1))/float64(len(v2)), float64(len(v2))/float64(len(evs)))
+	v2 := readFile(t, filepath.Join(writeJournal(t, 0, evs), JournalFile))
+	if len(v2)*5 > len(jsonl) {
+		t.Fatalf("v2 journal %d bytes vs JSON lines %d bytes: ratio %.2f < 5",
+			len(v2), len(jsonl), float64(len(jsonl))/float64(len(v2)))
+	}
+	t.Logf("1000-sample journal: JSON lines %d bytes, v2 %d bytes (%.1f×, %.1f bytes/record)",
+		len(jsonl), len(v2), float64(len(jsonl))/float64(len(v2)), float64(len(v2))/float64(len(evs)))
 }
 
 // TestJournalRecordFailureRecovery shows why a failed seal must rewind
@@ -384,16 +401,15 @@ func TestJournalRecordFailureRecovery(t *testing.T) {
 	// What a writer without the rewind would leave: the half-written
 	// fragment stays in the file and the next append lands after it, or
 	// seq advances past the failed record. Both corruptions cascade —
-	// every record after the fault is dropped as torn tail. The v1 line
-	// layout makes the fragments easy to cut by hand; v2 chunks cascade
-	// the same way (TestJournalV2TornAtEveryOffset).
+	// every record after the fault is dropped as torn tail. One chunk
+	// per record makes the fragments easy to cut by hand.
 	t.Run("old-behavior-cascades", func(t *testing.T) {
 		recs := recordsOf([]bench.Event{ev(1), ev(2), ev(3), ev(4)})
-		base := encodeV1(t, recs[:2])
-		rec3 := encodeV1(t, recs[2:3])
-		rec4 := encodeV1(t, recs[3:4])
+		chunk := func(r Record) []byte { return colenc.AppendFrame(nil, appendChunkV2(nil, []Record{r})) }
+		base := append(append(append([]byte(nil), magicV2...), chunk(recs[0])...), chunk(recs[1])...)
+		rec3, rec4 := chunk(recs[2]), chunk(recs[3])
 
-		// Torn fragment mid-file: half of record 3's line, then record 4
+		// Torn fragment mid-file: half of record 3's chunk, then record 4
 		// written whole (as a post-error retry loop would have done).
 		torn := append(append(append([]byte(nil), base...), rec3[:len(rec3)/2]...), rec4...)
 		if st := Replay(torn); len(st.Records) != 2 || !st.Torn {
@@ -509,11 +525,9 @@ func TestJournalV2SealFailureRetry(t *testing.T) {
 	}
 }
 
-// TestRunResumeBitIdenticalAcrossFormats is the cross-format acceptance
-// test: the same interrupted campaign resumes to bit-identical samples
-// whether its journal was left as v2 — having lost its last chunk to a
-// crash, the group-commit window — or as v1, which resume refuses until
-// ConvertJournal has rewritten it.
+// TestRunResumeBitIdenticalAcrossFormats: an interrupted campaign whose
+// v2 journal lost its last chunk to a crash — the group-commit window —
+// resumes to samples bit-identical to an uninterrupted run.
 func TestRunResumeBitIdenticalAcrossFormats(t *testing.T) {
 	const seed = 5
 	cfg := testConfig{System: "quiet", Samples: 20}
@@ -522,224 +536,64 @@ func TestRunResumeBitIdenticalAcrossFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, format := range []Format{FormatJSONL, FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			m := testManifest(t, seed, cfg, nil)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			inner := measureFrom(seed)
-			calls := 0
-			res, err := Run(ctx, dir, m, testPlan(), func() (float64, error) {
-				if calls++; calls == 31 {
-					cancel()
-				}
-				return inner()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stop != bench.StopInterrupted {
-				t.Fatalf("Stop = %q, want interrupted", res.Stop)
-			}
-			path := filepath.Join(dir, JournalFile)
-			data := readFile(t, path)
-			st := Replay(data)
-			if st.Torn || len(st.Records) == 0 {
-				t.Fatalf("setup: torn=%v records=%d", st.Torn, len(st.Records))
-			}
-
-			if format == FormatV2 {
-				// Simulate the OS crash the group-commit trade permits:
-				// cut mid-way into the final sealed chunk (standing in for
-				// an unsealed tail that never reached disk). Resume
-				// re-measures it.
-				if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				writeV1Journal(t, dir, st.Records)
-				if _, _, err := Resume(context.Background(), dir, m, testPlan(),
-					measureFrom(seed), ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "scibench convert") {
-					t.Fatalf("resume of a v1 journal: err = %v, want a refusal naming scibench convert", err)
-				}
-				if _, err := ConvertJournal(dir); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			got, info, err := Resume(context.Background(), dir, m, testPlan(),
-				measureFrom(seed), ResumeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantTorn := format == FormatV2; info.Torn != wantTorn {
-				t.Errorf("resume reported torn=%v, want %v", info.Torn, wantTorn)
-			}
-			if len(got.Raw) != len(want.Raw) {
-				t.Fatalf("resumed n=%d, uninterrupted n=%d", len(got.Raw), len(want.Raw))
-			}
-			for i := range got.Raw {
-				if math.Float64bits(got.Raw[i]) != math.Float64bits(want.Raw[i]) {
-					t.Fatalf("sample %d diverged", i)
-				}
-			}
-			_, final, err := Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if xs := final.Samples(); len(xs) != len(want.Raw) {
-				t.Errorf("final journal has %d samples, want %d", len(xs), len(want.Raw))
-			}
-			if final.Format != FormatV2 {
-				t.Errorf("final journal format %v, want v2", final.Format)
-			}
-		})
-	}
-}
-
-// TestConvertJournal rewrites v1 journals as v2 with record equality,
-// leaves v2 journals untouched, drops (and reports) a torn v1 tail, and
-// proves a converted campaign resumes bit-identically.
-func TestConvertJournal(t *testing.T) {
-	evs := journalEvents(150)
-
-	t.Run("round-trip", func(t *testing.T) {
-		// A natively written v2 journal, re-encoded as v1 and converted
-		// back, is byte-identical: conversion writes exactly what the
-		// journal writer would have.
-		dir := writeJournal(t, 0, evs)
-		native := readFile(t, filepath.Join(dir, JournalFile))
-		writeV1Journal(t, dir, recordsOf(evs))
-
-		info, err := ConvertJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.From != FormatJSONL || info.Torn || info.Records != len(evs) {
-			t.Fatalf("info = %+v", info)
-		}
-		if info.NewBytes*2 > info.OldBytes {
-			t.Fatalf("conversion barely shrank: %d → %d", info.OldBytes, info.NewBytes)
-		}
-		if back := readFile(t, filepath.Join(dir, JournalFile)); !bytes.Equal(back, native) {
-			t.Fatalf("v2→v1→v2 not byte-identical: %d vs %d bytes", len(back), len(native))
-		}
-
-		// Idempotent: a v2 journal is left as it is.
-		again, err := ConvertJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.From != FormatV2 || again.OldBytes != again.NewBytes {
-			t.Fatalf("idempotent convert: %+v", again)
-		}
-	})
-
-	t.Run("drops-torn-v1-tail", func(t *testing.T) {
-		dir := writeJournal(t, 0, nil)
-		writeV1Journal(t, dir, recordsOf(evs))
-		path := filepath.Join(dir, JournalFile)
-		data := readFile(t, path)
-		if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := ConvertJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastLine := int64(len(data) - 1 - bytes.LastIndexByte(data[:len(data)-1], '\n'))
-		if !info.Torn || info.Records != len(evs)-1 ||
-			info.OldBytes != int64(len(data)-5) || info.DroppedBytes != lastLine-5 {
-			t.Fatalf("info = %+v, want the torn last record (%d bytes) reported and dropped", info, lastLine-5)
-		}
-		if _, st, err := Load(dir); err != nil || st.Torn || st.Format != FormatV2 || len(st.Records) != len(evs)-1 {
-			t.Fatalf("after convert: %+v err=%v", st, err)
-		}
-		if kept := readFile(t, filepath.Join(dir, TornKeptFile)); !bytes.Equal(kept, data[:len(data)-5]) {
-			t.Fatal("the torn v1 journal was not kept")
-		}
-
-		// A torn v2 tail is not convert's to drop: Open adjudicates it.
-		torn := append(readFile(t, path), tornChunk()...)
-		if err := os.WriteFile(path, torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ConvertJournal(dir); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(readFile(t, path), torn) {
-			t.Fatal("convert modified a torn v2 journal")
-		}
-	})
-
-	t.Run("reports-mid-file-bit-flip", func(t *testing.T) {
-		// v1 replay stops at the first bad line, so a flip in record 10
-		// drops every later record too; the report must say so.
-		dir := writeJournal(t, 0, nil)
-		writeV1Journal(t, dir, recordsOf(evs))
-		path := filepath.Join(dir, JournalFile)
-		data := readFile(t, path)
-		off := 0
-		for i := 0; i < 9; i++ {
-			off += bytes.IndexByte(data[off:], '\n') + 1
-		}
-		data[off+20] ^= 0x01
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := ConvertJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Torn || info.Records != 9 || info.DroppedBytes != int64(len(data)-off) {
-			t.Fatalf("info = %+v, want 9 records kept and %d bytes dropped", info, len(data)-off)
-		}
-		if kept := readFile(t, filepath.Join(dir, TornKeptFile)); !bytes.Equal(kept, data) {
-			t.Fatal("the corrupt v1 journal was not kept")
-		}
-	})
-
-	t.Run("resume-after-convert", func(t *testing.T) {
-		const seed = 5
-		want, err := bench.RunErr(testPlan(), measureFrom(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+	t.Run("v2", func(t *testing.T) {
 		dir := t.TempDir()
-		m := testManifest(t, seed, testConfig{System: "quiet", Samples: 20}, nil)
+		m := testManifest(t, seed, cfg, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		inner := measureFrom(seed)
 		calls := 0
-		if _, err := Run(ctx, dir, m, testPlan(), func() (float64, error) {
+		res, err := Run(ctx, dir, m, testPlan(), func() (float64, error) {
 			if calls++; calls == 31 {
 				cancel()
 			}
 			return inner()
-		}); err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := Load(dir)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeV1Journal(t, dir, st.Records)
-		if _, err := ConvertJournal(dir); err != nil {
+		if res.Stop != bench.StopInterrupted {
+			t.Fatalf("Stop = %q, want interrupted", res.Stop)
+		}
+		path := filepath.Join(dir, JournalFile)
+		data := readFile(t, path)
+		st := Replay(data)
+		if st.Torn || len(st.Records) == 0 {
+			t.Fatalf("setup: torn=%v records=%d", st.Torn, len(st.Records))
+		}
+
+		// Simulate the OS crash the group-commit trade permits: cut
+		// mid-way into the final sealed chunk (standing in for an
+		// unsealed tail that never reached disk). Resume re-measures it.
+		if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Resume(context.Background(), dir, m, testPlan(),
+
+		got, info, err := Resume(context.Background(), dir, m, testPlan(),
 			measureFrom(seed), ResumeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !info.Torn {
+			t.Errorf("resume reported torn=%v, want true", info.Torn)
+		}
 		if len(got.Raw) != len(want.Raw) {
-			t.Fatalf("resumed n=%d, want %d", len(got.Raw), len(want.Raw))
+			t.Fatalf("resumed n=%d, uninterrupted n=%d", len(got.Raw), len(want.Raw))
 		}
 		for i := range got.Raw {
 			if math.Float64bits(got.Raw[i]) != math.Float64bits(want.Raw[i]) {
-				t.Fatalf("sample %d diverged after convert", i)
+				t.Fatalf("sample %d diverged", i)
 			}
+		}
+		_, final, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if xs := final.Samples(); len(xs) != len(want.Raw) {
+			t.Errorf("final journal has %d samples, want %d", len(xs), len(want.Raw))
+		}
+		if !bytes.HasPrefix(readFile(t, path), magicV2) {
+			t.Error("final journal lost its v2 header")
 		}
 	})
 }

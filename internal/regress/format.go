@@ -1,13 +1,13 @@
 // Package regress implements the repo's statistical performance-
 // regression gate: it applies the paper's own machinery (median +
 // rank-based CIs per Le Boudec, a rank interval on the candidate/
-// baseline ratio, Tukey outlier policy) to `go test -bench` sample sets,
+// baseline ratio, both over every run) to `go test -bench` sample sets,
 // so performance claims about the harness itself are held to Rules 5–8
 // instead of eyeballed means from single runs.
 //
 // The package has two halves: a versioned on-disk format for recorded
-// benchmark runs (`BENCH_*.json`, schema v2 with per-run raw samples;
-// schema v1 single-run files still parse), and the comparison engine
+// benchmark runs (`BENCH_*.json`, schema v2 with per-run raw samples),
+// and the comparison engine
 // that turns a baseline/candidate pair into per-benchmark verdicts.
 package regress
 
@@ -26,17 +26,17 @@ import (
 	"strings"
 )
 
-// SchemaVersion is the current `BENCH_*.json` schema. Version 1 (no
-// "schema" field; one run per benchmark, metrics as single numbers) is
-// still accepted by ParseReport; versions newer than this are refused
-// rather than misread.
+// SchemaVersion is the `BENCH_*.json` schema ParseReport reads. Older
+// files are refused: schema 1 (no "schema" field; one run per
+// benchmark) holds one run, which no ratio interval can be formed from.
+// Newer files are refused rather than misread.
 const SchemaVersion = 2
 
 // Errors returned by the format layer.
 var (
-	// ErrSchema reports a BENCH file whose schema version is newer than
-	// this build understands.
-	ErrSchema = errors.New("regress: schema version too new")
+	// ErrSchema reports a BENCH file whose schema version is not the one
+	// this build reads.
+	ErrSchema = errors.New("regress: unsupported schema version")
 	// ErrNoResults reports a report with no benchmark entries.
 	ErrNoResults = errors.New("regress: report has no benchmark results")
 	// ErrMalformed reports a structurally invalid report (missing ns/op,
@@ -102,21 +102,9 @@ func (r Result) Runs() int { return len(r.Iterations) }
 // the unit was not recorded).
 func (r Result) Sample(unit string) []float64 { return r.Samples[unit] }
 
-// reportV1 is the schema-1 wire shape: one run per benchmark, metrics
-// as single numbers.
-type reportV1 struct {
-	Env     map[string]string `json:"env"`
-	Results []struct {
-		Name       string             `json:"name"`
-		Package    string             `json:"package"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	} `json:"results"`
-}
-
-// ParseReport decodes a `BENCH_*.json` document, accepting both the
-// current schema v2 and legacy v1 files (which become single-run sample
-// sets). The returned report is validated: every benchmark has ns/op
+// ParseReport decodes a `BENCH_*.json` document of schema
+// SchemaVersion; any other schema is refused with ErrSchema. The
+// returned report is validated: every benchmark has ns/op
 // samples, sample columns are rectangular, and all values are finite.
 func ParseReport(data []byte) (*Report, error) {
 	var probe struct {
@@ -125,21 +113,13 @@ func ParseReport(data []byte) (*Report, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if probe.Schema > SchemaVersion {
-		return nil, fmt.Errorf("%w: schema %d, this build understands <= %d",
+	if probe.Schema != SchemaVersion {
+		return nil, fmt.Errorf("%w: schema %d, this build reads %d",
 			ErrSchema, probe.Schema, SchemaVersion)
 	}
 	var rep Report
-	if probe.Schema >= SchemaVersion {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-	} else {
-		var v1 reportV1
-		if err := json.Unmarshal(data, &v1); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		rep = upgradeV1(v1)
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if err := rep.Validate(); err != nil {
 		return nil, err
@@ -158,25 +138,6 @@ func LoadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
-}
-
-// upgradeV1 lifts a single-run v1 report into the v2 shape: each metric
-// value becomes a one-element sample column.
-func upgradeV1(v1 reportV1) Report {
-	rep := Report{Schema: 1, Env: v1.Env, Count: 1}
-	for _, r := range v1.Results {
-		res := Result{
-			Name:       r.Name,
-			Package:    r.Package,
-			Iterations: []int64{r.Iterations},
-			Samples:    map[string][]float64{},
-		}
-		for unit, v := range r.Metrics {
-			res.Samples[unit] = []float64{v}
-		}
-		rep.Results = append(rep.Results, res)
-	}
-	return rep
 }
 
 // Validate checks structural soundness: at least one result, ns/op

@@ -31,9 +31,8 @@ const (
 )
 
 // Options configures a gate run. The zero value is usable: 5% effect
-// threshold, 95% CIs, Tukey k = 1.5. The GateReport records them after
-// defaulting, so a verdict table carries the thresholds it was judged
-// under.
+// threshold, 95% CIs. The GateReport records them after defaulting, so
+// a verdict table carries the thresholds it was judged under.
 type Options struct {
 	// Threshold is the minimum relative shift treated as a real effect
 	// (0.05 = 5%). Shifts below it never fail the gate, however well
@@ -42,10 +41,6 @@ type Options struct {
 	// Confidence is the level for the ratio and median CIs (default
 	// 0.95).
 	Confidence float64 `json:"confidence"`
-	// TukeyK is the outlier-fence multiplier (default 1.5); negative
-	// disables outlier removal. Removed counts are always reported
-	// (§3.1.3).
-	TukeyK float64 `json:"tukey_k"`
 	// Unit is the gated metric (default "ns/op"). Other recorded units
 	// are reported as informational deltas.
 	Unit string `json:"unit"`
@@ -57,9 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Confidence <= 0 || o.Confidence >= 1 {
 		o.Confidence = 0.95
-	}
-	if o.TukeyK == 0 {
-		o.TukeyK = 1.5
 	}
 	if o.Unit == "" {
 		o.Unit = "ns/op"
@@ -88,12 +80,10 @@ type Comparison struct {
 	// Reason is the one-line human-readable basis for the verdict.
 	Reason string `json:"reason"`
 
-	// Sample accounting (after outlier removal; removed counts per
-	// §3.1.3's "report the number of removed outliers").
-	BaselineN         int `json:"baseline_n"`
-	CandidateN        int `json:"candidate_n"`
-	BaselineOutliers  int `json:"baseline_outliers"`
-	CandidateOutliers int `json:"candidate_outliers"`
+	// Sample accounting: every run on each side. The medians, their
+	// CIs, Delta and Ratio all read these same runs.
+	BaselineN  int `json:"baseline_n"`
+	CandidateN int `json:"candidate_n"`
 
 	// Medians and their nonparametric CIs (nil when n < 6, the Le
 	// Boudec minimum).
@@ -106,8 +96,8 @@ type Comparison struct {
 	// baseline; positive = slower for cost metrics like ns/op.
 	Delta float64 `json:"delta"`
 	// Ratio is the ci.RatioCI interval on candidate/baseline the
-	// verdict is read from, over all runs before outlier removal (nil
-	// when too few or non-positive samples leave none).
+	// verdict is read from (nil when too few or non-positive samples
+	// leave none).
 	Ratio *ci.Interval `json:"ratio,omitempty"`
 
 	// Secondary holds the non-gated metric deltas (B/op, allocs/op,
@@ -118,19 +108,14 @@ type Comparison struct {
 // Caveats lists everything that weakens this comparison's verdict as
 // evidence — the Rule 9 disclosures a reader needs before acting on a
 // REGRESSED row: environment drift between the two collections (the
-// shared-runner false-positive mode narrated in EXPERIMENTS.md) and
-// Tukey outliers silently absent from the medians (§3.1.3).
+// shared-runner false-positive mode narrated in EXPERIMENTS.md).
 // envMismatch is the report-level fingerprint verdict (it applies to
 // every row).
 func (c Comparison) Caveats(envMismatch bool) []string {
-	var cv []string
 	if envMismatch {
-		cv = append(cv, "env drift")
+		return []string{"env drift"}
 	}
-	if c.BaselineOutliers > 0 || c.CandidateOutliers > 0 {
-		cv = append(cv, fmt.Sprintf("outliers removed %d/%d", c.BaselineOutliers, c.CandidateOutliers))
-	}
-	return cv
+	return nil
 }
 
 // GateReport is the whole gate run: per-benchmark comparisons plus the
@@ -171,8 +156,8 @@ func (g *GateReport) Regressed() bool {
 }
 
 // Compare runs the gate: for every benchmark present in both reports
-// it applies the outlier policy, computes the medians with their rank
-// CIs and the ratio interval, and issues the interval's verdict.
+// it computes the medians with their rank CIs and the ratio interval
+// over all runs, and issues the interval's verdict.
 // Comparisons are ordered by benchmark key for deterministic output.
 func Compare(baseline, candidate *Report, opt Options) (*GateReport, error) {
 	if err := baseline.Validate(); err != nil {
@@ -227,11 +212,8 @@ func indexByKey(rep *Report) map[string]Result {
 func compareOne(b, c Result, opt Options) Comparison {
 	cmp := Comparison{Name: b.Name, Package: b.Package, Unit: opt.Unit}
 
-	braw, craw := b.Sample(opt.Unit), c.Sample(opt.Unit)
-	bs, bOut := applyOutlierPolicy(braw, opt.TukeyK)
-	cs, cOut := applyOutlierPolicy(craw, opt.TukeyK)
+	bs, cs := b.Sample(opt.Unit), c.Sample(opt.Unit)
 	cmp.BaselineN, cmp.CandidateN = len(bs), len(cs)
-	cmp.BaselineOutliers, cmp.CandidateOutliers = bOut, cOut
 	cmp.Secondary = secondaryDeltas(b, c, opt.Unit)
 
 	if len(bs) == 0 || len(cs) == 0 {
@@ -251,12 +233,12 @@ func compareOne(b, c Result, opt Options) Comparison {
 		cmp.CandidateCI = &iv
 	}
 
-	// The interval reads every run: it bounds each run's influence by
-	// itself, and Tukey fences can cut 5 runs to 3, where it needs 4.
-	iv, err := ci.RatioCI(braw, craw, opt.Confidence)
+	// A rank interval bounds each run's influence by itself, so no run
+	// is dropped as an outlier first.
+	iv, err := ci.RatioCI(bs, cs, opt.Confidence)
 	if err != nil {
 		cmp.Verdict = VerdictInconclusive
-		cmp.Reason = fmt.Sprintf("n=%d vs n=%d: no %.0f%% ratio interval: %v", len(braw), len(craw), 100*opt.Confidence, err)
+		cmp.Reason = fmt.Sprintf("n=%d vs n=%d: no %.0f%% ratio interval: %v", len(bs), len(cs), 100*opt.Confidence, err)
 		return cmp
 	}
 	cmp.Ratio = &iv
@@ -278,22 +260,6 @@ func compareOne(b, c Result, opt Options) Comparison {
 		cmp.Reason = fmt.Sprintf("%s: interval straddles ±%.3g%%", basis, 100*t)
 	}
 	return cmp
-}
-
-// applyOutlierPolicy removes Tukey-fence outliers (k < 0 disables) and
-// reports how many were removed. Samples too small to estimate fences
-// (n < 4) pass through unfiltered.
-func applyOutlierPolicy(xs []float64, k float64) ([]float64, int) {
-	if k < 0 || len(xs) < 4 {
-		return xs, 0
-	}
-	kept, outliers := stats.TukeyFilter(xs, k)
-	if len(kept) == 0 {
-		// Degenerate fences (shouldn't happen with k >= 0); keep the
-		// data rather than discard the benchmark.
-		return xs, 0
-	}
-	return kept, len(outliers)
 }
 
 // secondaryDeltas compares the non-gated units present on both sides.

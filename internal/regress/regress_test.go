@@ -3,12 +3,14 @@ package regress
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/ci"
+	"repro/internal/stats"
 )
 
 // reportFrom builds a v2 report holding one benchmark per name with
@@ -146,15 +148,14 @@ func TestDetectsImprovement(t *testing.T) {
 	}
 }
 
-// A v1 baseline holds a single run per benchmark: the gate must refuse
-// to claim anything (INCONCLUSIVE), not silently PASS.
+// A baseline recorded with one run per benchmark (`benchjson -count 1`):
+// the gate must refuse to claim anything (INCONCLUSIVE), not silently
+// PASS.
 func TestSingleRunBaselineInconclusive(t *testing.T) {
-	base, err := ParseReport([]byte(v1Doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := map[string]string{"goos": "linux", "goarch": "amd64", "cpu": "Test CPU"}
+	base := reportFrom(env, map[string][]float64{"BenchmarkFoo": {1234}, "BenchmarkBar": {99.5}})
 	rng := rand.New(rand.NewPCG(3, 3))
-	cand := reportFrom(map[string]string{"goos": "linux", "goarch": "amd64", "cpu": "Test CPU"},
+	cand := reportFrom(env,
 		map[string][]float64{"BenchmarkFoo": draw(rng, 10, 1234, 10), "BenchmarkBar": draw(rng, 10, 99.5, 1)})
 	g, err := Compare(base, cand, Options{})
 	if err != nil {
@@ -251,28 +252,39 @@ func TestEnvMismatchNoted(t *testing.T) {
 	}
 }
 
+// TestOutlierPolicyReported: the gate removes no run as an outlier, so
+// the medians, Δ and n it prints read the same runs as the ratio
+// interval behind the verdict. The first column is
+// BenchmarkSampleReset's committed 5 runs, two of which sit outside
+// Tukey's k=1.5 fences; the second has one wild run that moves the
+// median if it is dropped.
 func TestOutlierPolicyReported(t *testing.T) {
-	xs := []float64{100, 101, 99, 100, 102, 99, 100, 101, 5000} // one wild outlier
-	base := reportFrom(testEnv, map[string][]float64{"BenchmarkOut": xs})
-	cand := reportFrom(testEnv, map[string][]float64{"BenchmarkOut": xs})
-	g, err := Compare(base, cand, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Comparisons[0]
-	if c.BaselineOutliers != 1 || c.CandidateOutliers != 1 {
-		t.Errorf("outliers = %d/%d, want 1/1", c.BaselineOutliers, c.CandidateOutliers)
-	}
-	if c.BaselineN != len(xs)-1 {
-		t.Errorf("n after policy = %d, want %d", c.BaselineN, len(xs)-1)
-	}
-	// Disabled policy keeps everything.
-	g2, err := Compare(base, cand, Options{TukeyK: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Comparisons[0].BaselineN != len(xs) || g2.Comparisons[0].BaselineOutliers != 0 {
-		t.Errorf("TukeyK<0 still filtered: %+v", g2.Comparisons[0])
+	for _, xs := range [][]float64{
+		{1093429, 1095869, 1076921, 992766, 1141298},
+		{100, 101, 102, 103, 200},
+	} {
+		rep := reportFrom(testEnv, map[string][]float64{"BenchmarkOut": xs})
+		g, err := Compare(rep, rep, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := g.Comparisons[0]
+		if c.BaselineN != len(xs) || c.CandidateN != len(xs) {
+			t.Errorf("%v: n = %d/%d, want %d/%d", xs, c.BaselineN, c.CandidateN, len(xs), len(xs))
+		}
+		if want := stats.Median(xs); c.BaselineMedian != want || c.CandidateMedian != want {
+			t.Errorf("%v: medians %g/%g, want %g over all runs", xs, c.BaselineMedian, c.CandidateMedian, want)
+		}
+		if c.Ratio == nil {
+			t.Errorf("%v: no ratio interval (%s)", xs, c.Reason)
+		}
+		var txt bytes.Buffer
+		if err := g.WriteText(&txt); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("n=%d/%d", len(xs), len(xs)); !strings.Contains(txt.String(), want) {
+			t.Errorf("%v: text output lacks %q:\n%s", xs, want, txt.String())
+		}
 	}
 }
 
@@ -282,12 +294,12 @@ func TestOutlierPolicyReported(t *testing.T) {
 // — a statistically sound verdict on a lying environment (Rule 9).
 // The gate cannot un-measure that, but the verdict table must
 // carry the evidence against itself: the REGRESSED row's caveat cell
-// names the environment drift (and the Tukey removals thinning its
-// medians), so no reader — human or bot — trusts the ❌ bare.
+// names the environment drift, so no reader — human or bot — trusts
+// the ❌ bare.
 func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 	// Baseline: a quiet collection. Candidate: same code minutes later
 	// under a noisy neighbour — ~13% slower, internally tight, plus one
-	// wild descheduling outlier the Tukey fence removes.
+	// wild descheduling outlier.
 	base := reportFrom(
 		map[string]string{"cpu": "shared-runner", "load": "idle"},
 		map[string][]float64{"BenchmarkSuiteRun": {1.60e6, 1.61e6, 1.62e6, 1.63e6, 1.64e6}})
@@ -304,9 +316,6 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 	}
 	if !g.EnvMismatch {
 		t.Fatal("environment fingerprints must differ in this fixture")
-	}
-	if c.CandidateOutliers != 1 {
-		t.Fatalf("candidate outliers = %d, want 1 (the descheduling spike)", c.CandidateOutliers)
 	}
 	cv := c.Caveats(g.EnvMismatch)
 	if len(cv) == 0 {
@@ -326,7 +335,7 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 			row = line
 		}
 	}
-	for _, want := range []string{"REGRESSED", "env drift", "outliers removed 0/1"} {
+	for _, want := range []string{"REGRESSED", "env drift"} {
 		if !strings.Contains(row, want) {
 			t.Errorf("verdict row missing %q: %s", want, row)
 		}
@@ -337,7 +346,7 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 	if err := g.WriteText(&txt); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(txt.String(), "caveats: env drift; outliers removed 0/1\n") {
+	if !strings.Contains(txt.String(), "caveats: env drift\n") {
 		t.Errorf("text output missing the row's caveats:\n%s", txt.String())
 	}
 	// A clean row on a clean run stays unannotated: the caveat cell is a

@@ -29,8 +29,8 @@ func (g *GateReport) WriteMarkdown(w io.Writer) error {
 		len(g.Comparisons), counts[VerdictPass], counts[VerdictRegressed],
 		counts[VerdictImproved], counts[VerdictInconclusive])
 	t := g.Options.Threshold
-	fmt.Fprintf(bw, "Gate: %.0f%% interval [lo, hi] on the candidate/baseline ratio over all runs — REGRESSED if lo > %.4g, IMPROVED if hi < %.4g, PASS if inside [%.4g, %.4g], else INCONCLUSIVE (medians and n after Tukey k=%.1f on %s).\n\n",
-		100*g.Options.Confidence, 1+t, 1-t, 1-t, 1+t, g.Options.TukeyK, g.Options.Unit)
+	fmt.Fprintf(bw, "Gate: %.0f%% interval [lo, hi] on the candidate/baseline ratio over all runs — REGRESSED if lo > %.4g, IMPROVED if hi < %.4g, PASS if inside [%.4g, %.4g], else INCONCLUSIVE (medians and n over the same runs, on %s).\n\n",
+		100*g.Options.Confidence, 1+t, 1-t, 1-t, 1+t, g.Options.Unit)
 	if g.EnvMismatch {
 		fmt.Fprintf(bw, "> ⚠️ %s\n\n", g.EnvNote)
 	}

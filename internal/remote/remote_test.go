@@ -818,7 +818,7 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 	}
 	// The mirrored journals the worker shipped back must be genuine v2
 	// bytes that replay clean — proof the byte-oriented transport and
-	// the sniffing reader compose.
+	// the journal reader compose.
 	for i, m := range sw.Shards() {
 		for _, u := range m.Units {
 			jp := filepath.Join(shard.UnitDir(filepath.Join(dir, shard.ShardDirName(i)), u.ID), campaign.JournalFile)
@@ -826,7 +826,7 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if campaign.SniffFormat(data) != campaign.FormatV2 {
+			if !bytes.HasPrefix(data, []byte("SCIBJv2\n")) {
 				t.Fatalf("mirrored journal %s is not v2", u.ID)
 			}
 			if campaign.ValidPrefix(data) != int64(len(data)) {

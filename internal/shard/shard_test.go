@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
-	"repro/internal/campaign/v1fixture"
 	"repro/internal/rules"
 )
 
@@ -746,67 +745,51 @@ func (r driftRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float
 	return man, plan, skew, nil
 }
 
-// rewriteAsV1 replaces the journal of a unit campaign with its records
-// in the read-only v1 layout, which is what a sweep journaled before v2
-// became the only writer left on disk. It returns the v1 size.
-func rewriteAsV1(t *testing.T, unitDir string) int64 {
-	t.Helper()
-	_, st, err := campaign.Load(unitDir)
-	if err != nil || st.Torn {
-		t.Fatalf("unit %s: torn=%v err=%v", unitDir, st.Torn, err)
-	}
-	n, err := v1fixture.Write(filepath.Join(unitDir, campaign.JournalFile), st.Records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestMergeByteIdenticalAcrossJournalFormats is the shard-level
-// cross-format acceptance test: a sweep whose unit journals are v2 (as
-// every executor writes them) and the same sweep with every unit
-// journal rewritten as v1 merge to byte-identical reports, and so does
-// a mixed sweep — some v1 unit journals converted back in place —
-// because the merge replays records, not formats.
+// TestMergeByteIdenticalAcrossJournalFormats: every executor journals
+// its units in v2, the only encoding read or written; a unit journal in
+// any other encoding (here an old v1 JSONL line) makes the merge refuse
+// with campaign.ErrNotJournal and leaves the file untouched, and once
+// the v2 bytes are back the merge reproduces the same report.
 func TestMergeByteIdenticalAcrossJournalFormats(t *testing.T) {
 	const k, n = 6, 3
-	dirV1, dirV2 := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
+	sw := buildSweep(t, dir, k, n)
+	rep := execAll(t, dir, sw)
 
-	swV2 := buildSweep(t, dirV2, k, n)
-	repV2 := execAll(t, dirV2, swV2)
-	swV1 := buildSweep(t, dirV1, k, n)
-	execAll(t, dirV1, swV1)
-
-	var v1Bytes, v2Bytes int64
-	for i, m := range swV2.Shards() {
+	var first string
+	for i, m := range sw.Shards() {
 		for _, u := range m.Units {
-			data, err := os.ReadFile(filepath.Join(UnitDir(filepath.Join(dirV2, ShardDirName(i)), u.ID), campaign.JournalFile))
+			path := filepath.Join(UnitDir(filepath.Join(dir, ShardDirName(i)), u.ID), campaign.JournalFile)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if campaign.SniffFormat(data) != campaign.FormatV2 {
+			if !bytes.HasPrefix(data, []byte("SCIBJv2\n")) {
 				t.Fatalf("unit %s journal is not v2", u.ID)
 			}
-			v2Bytes += int64(len(data))
-			v1Bytes += rewriteAsV1(t, UnitDir(filepath.Join(dirV1, ShardDirName(i)), u.ID))
+			if first == "" {
+				first = path
+			}
 		}
 	}
-	if v2Bytes >= v1Bytes {
-		t.Errorf("v2 unit journals not smaller: %d vs %d bytes", v2Bytes, v1Bytes)
+	v2, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if repV1 := mergedReport(t, dirV1); !bytes.Equal(repV1, repV2) {
-		t.Fatalf("v1 and v2 sweeps merged to different reports:\n--- v1 ---\n%s\n--- v2 ---\n%s", repV1, repV2)
+	foreign := []byte(`{"crc":374613739,"rec":{"event":{"calls":1,"kind":"warmup","value":0},"seq":1}}` + "\n")
+	if err := os.WriteFile(first, foreign, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// Mixed formats within one sweep: convert shard 0's unit journals of
-	// the v1 sweep back to v2 in place; the merge must not notice.
-	for _, u := range swV1.Shards()[0].Units {
-		ud := UnitDir(filepath.Join(dirV1, ShardDirName(0)), u.ID)
-		if _, err := campaign.ConvertJournal(ud); err != nil {
-			t.Fatalf("converting unit %s: %v", u.ID, err)
-		}
+	if _, err := Merge(dir); !errors.Is(err, campaign.ErrNotJournal) {
+		t.Fatalf("merge over a v1 unit journal: err = %v, want ErrNotJournal", err)
 	}
-	if mixed := mergedReport(t, dirV1); !bytes.Equal(mixed, repV2) {
-		t.Fatal("mixed-format sweep merged to different report bytes")
+	if after, err := os.ReadFile(first); err != nil || !bytes.Equal(after, foreign) {
+		t.Fatalf("refused merge changed the v1 journal (err %v)", err)
+	}
+	if err := os.WriteFile(first, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if again := mergedReport(t, dir); !bytes.Equal(again, rep) {
+		t.Fatalf("re-merge differs:\n--- first ---\n%s\n--- again ---\n%s", rep, again)
 	}
 }

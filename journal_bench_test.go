@@ -1,10 +1,9 @@
 // Benchmarks of the campaign journal: append throughput (the
 // per-observation durability cost a campaign pays) and replay
-// throughput (the recovery/merge cost) of both encodings replay reads.
-// Campaigns write v2, chunked delta-encoded columns with one fsync per
-// 64-record chunk; the group-commit amortization is the point, so the
-// append benchmark fsyncs as campaigns do. v1, one CRC-framed JSON line
-// per record, is read-only; its replay fixture is encoded here.
+// throughput (the recovery/merge cost). Campaigns write v2, chunked
+// delta-encoded columns with one fsync per 64-record chunk; the
+// group-commit amortization is the point, so the append benchmark
+// fsyncs as campaigns do.
 package scibench_test
 
 import (
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
-	"repro/internal/campaign/v1fixture"
 	"repro/internal/rules"
 )
 
@@ -66,48 +64,35 @@ func BenchmarkJournalAppendV2(b *testing.B) {
 	}
 }
 
-// replayRecords is the size of the replay benchmarks' journal.
+// replayRecords is the size of the replay benchmark's journal.
 const replayRecords = 4096
 
-// v1Journal encodes the replay fixture in the read-only v1 layout.
-func v1Journal(b *testing.B) []byte {
-	recs := make([]campaign.Record, replayRecords)
-	for i := range recs {
-		recs[i] = campaign.Record{Seq: i + 1, Event: benchEvent(i)}
-	}
-	out, err := v1fixture.Encode(recs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return out
-}
-
-// v2Journal is the same fixture as the journal writer lays it down,
-// produced by converting the v1 fixture in a campaign directory.
+// v2Journal is the replay fixture as the journal writer lays it down:
+// replayRecords events through Create, Record and Close.
 func v2Journal(b *testing.B) []byte {
 	dir := b.TempDir()
 	j, err := campaign.Create(dir, benchManifest(b))
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i := 0; i < replayRecords; i++ {
+		if err := j.Record(benchEvent(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(dir, campaign.JournalFile)
-	if err := os.WriteFile(path, v1Journal(b), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := campaign.ConvertJournal(dir); err != nil {
-		b.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, campaign.JournalFile))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return data
 }
 
-func benchmarkJournalReplay(b *testing.B, data []byte) {
+// BenchmarkJournalReplayV2 replays a 4096-record chunked binary journal.
+func BenchmarkJournalReplayV2(b *testing.B) {
+	data := v2Journal(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -117,14 +102,4 @@ func benchmarkJournalReplay(b *testing.B, data []byte) {
 			b.Fatalf("replay: %d records, torn=%v", len(st.Records), st.Torn)
 		}
 	}
-}
-
-// BenchmarkJournalReplayV1 replays a 4096-record JSONL journal.
-func BenchmarkJournalReplayV1(b *testing.B) {
-	benchmarkJournalReplay(b, v1Journal(b))
-}
-
-// BenchmarkJournalReplayV2 replays the same stream as chunked binary.
-func BenchmarkJournalReplayV2(b *testing.B) {
-	benchmarkJournalReplay(b, v2Journal(b))
 }

@@ -671,14 +671,7 @@ type (
 	// CampaignResumeOptions tunes resume for the measure source; the
 	// zero value is right for deterministic (seeded simulated) sources.
 	CampaignResumeOptions = campaign.ResumeOptions
-	// CampaignConvertInfo is ConvertCampaignJournal's accounting: what
-	// was converted, the before/after sizes and any dropped torn tail.
-	CampaignConvertInfo = campaign.ConvertInfo
 )
-
-// CampaignTornKeptFile names the copy of a torn v1 journal that
-// ConvertCampaignJournal keeps beside the rewritten one.
-const CampaignTornKeptFile = campaign.TornKeptFile
 
 // NewCampaignManifest builds the Rule 9 manifest for a journaled
 // campaign: config is the complete setup description (hashed
@@ -694,15 +687,6 @@ func NewCampaignManifest(name string, seed uint64, config any, sched *FaultSched
 // journal.
 func RunCampaign(ctx context.Context, dir string, m CampaignManifest, plan Plan, measure func() (float64, error)) (Result, error) {
 	return campaign.Run(ctx, dir, m, plan, measure)
-}
-
-// ConvertCampaignJournal rewrites a campaign's read-only v1 journal as
-// v2, atomically and with a record-for-record re-replay verification,
-// dropping (and reporting, and keeping a copy of) a torn tail. The campaign resumes
-// bit-for-bit afterwards: format is storage, not identity. A v2 journal
-// is left untouched.
-func ConvertCampaignJournal(dir string) (CampaignConvertInfo, error) {
-	return campaign.ConvertJournal(dir)
 }
 
 // ResumeCampaign continues an interrupted journaled campaign: it
@@ -733,6 +717,9 @@ var (
 	ErrCampaignExists = campaign.ErrCampaignExists
 	// ErrNoCampaign reports a resume/load on a directory without one.
 	ErrNoCampaign = campaign.ErrNoCampaign
+	// ErrNotJournal reports a campaign journal that is neither empty nor
+	// v2, the only encoding read or written; it is left untouched.
+	ErrNotJournal = campaign.ErrNotJournal
 	// ErrRecorder wraps a journal write failure that aborted collection.
 	ErrRecorder = bench.ErrRecorder
 )
@@ -740,7 +727,7 @@ var (
 // Performance-regression gate (package regress): the paper's
 // statistics applied to the repo's own benchmarks. A BenchReport is a
 // recorded multi-run sample set (`BENCH_*.json`, schema v2 with raw
-// per-run samples; legacy v1 single-run files still parse);
+// per-run samples; schema 1 single-run files are refused);
 // CompareBenchReports turns a baseline/candidate pair into
 // per-benchmark PASS / REGRESSED / IMPROVED / INCONCLUSIVE verdicts,
 // each read off where the RatioCI interval on candidate/baseline sits
@@ -755,7 +742,7 @@ type (
 	// BenchProvenance documents where a committed baseline came from.
 	BenchProvenance = regress.Provenance
 	// GateOptions configures the gate (effect threshold, interval
-	// confidence, Tukey k, gated unit); the zero value is usable.
+	// confidence, gated unit); the zero value is usable.
 	GateOptions = regress.Options
 	// GateReport is a completed gate run: per-benchmark comparisons
 	// plus cross-cutting Rule 9 caveats.
