@@ -46,22 +46,27 @@ journalcheck:
 
 # shardcheck drives the distributed-execution stack with real executor
 # processes: one SIGKILLed mid-shard (resume from journal on
-# reassignment), one wedged without heartbeats (stall-killed), a
-# heartbeat that stops once measure wedges, the hand-run `scibench
-# shard`/`exec`/`merge` workflow with a SIGKILLed executor, and the CLI
-# sharded campaign (in-process loopback workers) SIGKILLed and rerun —
-# every merged report byte-identical to its single-process reference.
+# reassignment), in-process executors with one crashed attempt, the
+# supervisor's stall and loss accounting (a wedged executor process
+# fenced as stalled by its launcher, and reassigned), a remote worker's
+# progress count freezing while its measure wedges, the hand-run
+# `scibench shard`/`exec`/`merge` workflow with a SIGKILLed executor,
+# and the CLI sharded campaign (in-process loopback workers) SIGKILLed
+# and rerun — every merged report byte-identical to its single-process
+# reference. The coordinator's lease timer itself runs in remotecheck.
 shardcheck:
-	$(GO) test -run 'TestProcess|TestHeartbeatStopsWhenMeasureWedges' -count=1 ./internal/shard
+	$(GO) test -run 'TestProcess|TestSupervise|TestHeartbeatStopsWhenMeasureWedges' -count=1 ./internal/shard
 	$(GO) test -run 'TestShardedCampaignSIGKILLByteIdentity|TestShardedCampaignKillRerunByteIdentity' -count=1 ./cmd/scibench
 
 # remotecheck drives the cross-machine transport: two loopback workers
-# under injected loss/delay/duplication, a mid-shard partition forcing a
-# fenced reassignment with resume-from-shipped-journal, and the CLI
-# worker-loss campaign — every merged report byte-identical to its
-# single-process reference.
+# under injected loss/delay/duplication, a mid-shard partition and a
+# measure wedged inside a live worker, each forcing a fenced
+# reassignment with resume-from-shipped-journal, the lease timer that
+# only an advancing progress count re-arms, and the CLI worker-loss
+# campaign — every merged report byte-identical to its single-process
+# reference.
 remotecheck:
-	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestAllWorkersUnreachableDegrades|TestZombieFencing' -count=1 ./internal/remote
+	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestStallFencedAndReassignedByteIdentity|TestLeaseTimerResetsOnlyOnProgress|TestAllWorkersUnreachableDegrades|TestZombieFencing' -count=1 ./internal/remote
 	$(GO) test -run 'TestRemoteCampaignWorkerLossByteIdentity' -count=1 ./cmd/scibench
 
 # loadcheck drives the open-loop service workload's guarantees: arrival

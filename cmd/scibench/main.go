@@ -54,9 +54,10 @@
 //	    inside this process, behind the same coordinator as -remote:
 //	    journals ship CRC-framed into DIR, every shard records its host,
 //	    and SIGINT/SIGTERM stop the executors with the campaign. Crashed
-//	    or stalled executors (heartbeat timeout) are fenced and
-//	    reassigned and resume their shard from its journals; exhausted
-//	    retries degrade the merged report with explicit losses (exit 4).
+//	    executors, and stalled ones (no measure call completed within
+//	    -heartbeat-timeout), are fenced and reassigned and resume their
+//	    shard from its journals; exhausted retries degrade the merged
+//	    report with explicit losses (exit 4).
 //	    Rerunning the command over DIR resumes the sweep. The merged
 //	    report is byte-identical to a single-process run.
 //
@@ -66,8 +67,8 @@
 //
 //	scibench exec [-attempt N] SHARD_DIR
 //	    Run one shard as an executor: a journaled campaign per unit,
-//	    heartbeat liveness file, completed units skipped, interrupted
-//	    units resumed from their journal bit-for-bit.
+//	    completed units skipped, interrupted units resumed from their
+//	    journal bit-for-bit.
 //
 //	scibench campaign -dir DIR -shards N -remote ADDR [-min-workers M]
 //	    Cross-machine mode: serve a coordinator on ADDR, wait for M

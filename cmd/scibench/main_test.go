@@ -298,7 +298,7 @@ func TestShardedCampaignKillRerunByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real processes with wall-clock pacing")
 	}
-	const beat = 250 * time.Millisecond // the executor's default heartbeat interval
+	const pause = 250 * time.Millisecond // over twice a worker's default 100 ms ship interval
 	refDir := filepath.Join(t.TempDir(), "sweep")
 	ref, err := exec.Command(binPath,
 		append([]string{"campaign", "-shards", "1"}, killSweepArgs(refDir)...)...).Output()
@@ -341,7 +341,7 @@ func TestShardedCampaignKillRerunByteIdentity(t *testing.T) {
 		return sizes
 	}
 	before := journalSizes()
-	time.Sleep(2 * beat)
+	time.Sleep(2 * pause)
 	if after := journalSizes(); !maps.Equal(before, after) {
 		t.Errorf("unit journals kept growing after the campaign was killed:\n  before %v\n  after  %v", before, after)
 	}

@@ -120,8 +120,7 @@ func cmdShard(args []string) error {
 
 func cmdExec(args []string) error {
 	fs := flag.NewFlagSet("exec", flag.ExitOnError)
-	attempt := fs.Int("attempt", 1, "supervisor attempt number (heartbeat provenance)")
-	heartbeat := fs.Duration("heartbeat", 0, "heartbeat interval (0 = default)")
+	attempt := fs.Int("attempt", 1, "supervisor attempt number (recorded in done.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -130,9 +129,8 @@ func cmdExec(args []string) error {
 		return fmt.Errorf("usage: scibench exec [-attempt N] <shard-dir>")
 	}
 	return scibench.ExecShard(context.Background(), dir, cliRunner{}, scibench.ShardExecOptions{
-		Attempt:   *attempt,
-		Heartbeat: *heartbeat,
-		Progress:  os.Stderr,
+		Attempt:  *attempt,
+		Progress: os.Stderr,
 	})
 }
 
@@ -194,9 +192,10 @@ func runShardedCampaign(dir string, cc campaignConfig, units, shards int,
 		listen = "127.0.0.1:0"
 	}
 	c, err := scibench.NewRemoteCoordinator(dir, scibench.RemoteCoordinatorOptions{
-		Listen: listen,
-		Seed:   cc.Seed,
-		Log:    os.Stderr,
+		Listen:           listen,
+		HeartbeatTimeout: timeout,
+		Seed:             cc.Seed,
+		Log:              os.Stderr,
 	})
 	if err != nil {
 		return err
@@ -230,7 +229,7 @@ func runShardedCampaign(dir string, cc campaignConfig, units, shards int,
 	}
 
 	statuses, err := scibench.SuperviseShards(ctx, dir, c.StartFunc(),
-		scibench.ShardSuperviseOptions{HeartbeatTimeout: timeout, Seed: cc.Seed, Log: os.Stderr})
+		scibench.ShardSuperviseOptions{Seed: cc.Seed, Log: os.Stderr})
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,6 @@ func cmdWorker(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:0", "address this worker serves assignments on")
 	advertise := fs.String("advertise", "", "host the coordinator should call back on (default: the listen host)")
 	work := fs.String("work", "", "local working directory for shard journals (default: a temp dir)")
-	heartbeat := fs.Duration("heartbeat", 0, "executor heartbeat interval (0 = default)")
 	ship := fs.Duration("ship", 0, "journal shipping interval (0 = default)")
 	seed := fs.Uint64("worker-seed", 1, "seed for this worker's retry jitter")
 	// Chaos flags: a seeded fault injector on this worker's link, for
@@ -61,7 +60,6 @@ func cmdWorker(args []string) error {
 		AdvertiseHost: *advertise,
 		WorkDir:       *work,
 		Runner:        cliRunner{},
-		Heartbeat:     *heartbeat,
 		ShipInterval:  *ship,
 		Seed:          *seed,
 		Transport:     rt,

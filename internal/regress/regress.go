@@ -107,12 +107,13 @@ type Comparison struct {
 
 // Caveats lists everything that weakens this comparison's verdict as
 // evidence — the Rule 9 disclosures a reader needs before acting on a
-// REGRESSED row: environment drift between the two collections (the
-// shared-runner false-positive mode narrated in EXPERIMENTS.md).
-// envMismatch is the report-level fingerprint verdict (it applies to
-// every row).
+// REGRESSED or IMPROVED row: environment drift between the two
+// collections (the shared-runner false-positive mode narrated in
+// EXPERIMENTS.md). envMismatch is the report-level fingerprint verdict.
+// A PASS or INCONCLUSIVE row asks no action of its reader, so it
+// carries no caveat; the report's warning line covers it.
 func (c Comparison) Caveats(envMismatch bool) []string {
-	if envMismatch {
+	if envMismatch && (c.Verdict == VerdictRegressed || c.Verdict == VerdictImproved) {
 		return []string{"env drift"}
 	}
 	return nil

@@ -374,6 +374,57 @@ func TestSharedRunnerFalseRegressedCarriesCaveats(t *testing.T) {
 	}
 }
 
+// TestEnvDriftCaveatOnlyOnActionableRows: with an environment mismatch,
+// only a REGRESSED or IMPROVED row names the drift as its caveat; PASS
+// and INCONCLUSIVE rows ask nothing of the reader, and the report-level
+// warning, printed once in each rendering, covers them.
+func TestEnvDriftCaveatOnlyOnActionableRows(t *testing.T) {
+	steady := []float64{100, 101, 99, 100, 102, 101}
+	base := reportFrom(map[string]string{"cpu": "a"}, map[string][]float64{
+		"BenchmarkPass": steady, "BenchmarkFew": {100, 101, 102}, "BenchmarkSlow": steady})
+	cand := reportFrom(map[string]string{"cpu": "b"}, map[string][]float64{
+		"BenchmarkPass": steady, "BenchmarkFew": {100, 101, 102}, "BenchmarkSlow": {200, 202, 198, 200, 204, 202}})
+	g, err := Compare(base, cand, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.EnvMismatch {
+		t.Fatal("environment fingerprints must differ in this fixture")
+	}
+	want := map[string]Verdict{
+		"BenchmarkPass": VerdictPass, "BenchmarkFew": VerdictInconclusive, "BenchmarkSlow": VerdictRegressed}
+	for _, c := range g.Comparisons {
+		if c.Verdict != want[c.Name] {
+			t.Fatalf("%s: verdict %s, want %s (%s)", c.Name, c.Verdict, want[c.Name], c.Reason)
+		}
+		cv := c.Caveats(g.EnvMismatch)
+		if actionable := c.Verdict == VerdictRegressed; actionable != (len(cv) == 1 && cv[0] == "env drift") {
+			t.Errorf("%s %s: caveats %q", c.Name, c.Verdict, cv)
+		}
+	}
+	var md, txt bytes.Buffer
+	if err := g.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{"markdown": md.String(), "text": txt.String()} {
+		if n := strings.Count(out, g.EnvNote); n != 1 {
+			t.Errorf("%s prints the env warning %d times, want once:\n%s", name, n, out)
+		}
+		if n := strings.Count(out, "env drift"); n != 1 {
+			t.Errorf("%s names env drift %d times, want once (the REGRESSED row):\n%s", name, n, out)
+		}
+	}
+	for _, line := range strings.Split(md.String(), "\n") {
+		if (strings.HasPrefix(line, "| BenchmarkPass ") || strings.HasPrefix(line, "| BenchmarkFew ")) &&
+			!strings.HasSuffix(line, "| — |") {
+			t.Errorf("non-actionable row carries a caveat: %s", line)
+		}
+	}
+}
+
 func TestSecondaryDeltas(t *testing.T) {
 	mk := func(ns, bop float64) *Report {
 		return &Report{

@@ -51,6 +51,14 @@ type CoordinatorOptions struct {
 	// AssignRetries is the per-attempt budget of assignment RPC retries
 	// before the attempt counts as a crash (default 3).
 	AssignRetries int
+	// HeartbeatTimeout is how long an attempt may go without completing
+	// a measure call before it is fenced as stalled (default 5s). The
+	// worker reports progress once per ship interval, so the timeout
+	// must comfortably exceed that interval plus the longest gap
+	// between two completed calls — which includes a unit's Setup,
+	// journal open and replay, and its end-of-unit analysis, and the
+	// completion barrier after the last unit.
+	HeartbeatTimeout time.Duration
 	// Seed derives all retry jitter (campaign seed by convention).
 	Seed uint64
 	// Transport, when non-nil, replaces the HTTP transport for worker
@@ -70,6 +78,9 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.AssignRetries <= 0 {
 		o.AssignRetries = 3
 	}
+	if o.HeartbeatTimeout <= 0 {
+		o.HeartbeatTimeout = 5 * time.Second
+	}
 	return o
 }
 
@@ -84,30 +95,65 @@ type workerRec struct {
 
 // lease fences one shard attempt: only chunks, heartbeats, and
 // completion claims carrying exactly this (attempt, worker) may touch
-// the shard's mirror. Kill or completion marks it dead; a dead lease
-// refuses everything, so a zombie worker that outlived its supervision
-// cannot corrupt a reassigned shard.
+// the shard's mirror. Kill, stall or completion marks it dead; a dead
+// lease refuses everything, so a zombie worker that outlived its
+// supervision cannot corrupt a reassigned shard. The lease also holds
+// the attempt's liveness: the last progress count its worker reported
+// and the timer that fences the attempt when the count stops advancing.
 type lease struct {
 	shard   int
 	attempt int
 	worker  string
 
-	mu   sync.Mutex
-	dead bool
-	err  error
-	done chan struct{} // closed on first resolve
+	mu    sync.Mutex
+	dead  bool
+	err   error
+	done  chan struct{} // closed on first resolve
+	seq   uint64        // completed measure calls last reported
+	timer *time.Timer   // liveness; nil until the assignment is delivered
 }
 
-// resolve delivers the attempt outcome exactly once.
-func (l *lease) resolve(err error) {
+// resolve delivers the attempt outcome exactly once and reports
+// whether this call delivered it.
+func (l *lease) resolve(err error) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead {
-		return
+		return false
 	}
 	l.dead = true
 	l.err = err
+	if l.timer != nil {
+		l.timer.Stop()
+	}
 	close(l.done)
+	return true
+}
+
+// arm starts the liveness timer once the worker holds the assignment,
+// so retried assignment RPCs do not count against the attempt.
+func (l *lease) arm(timeout time.Duration, stalled func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.dead {
+		l.timer = time.AfterFunc(timeout, stalled)
+	}
+}
+
+// progress records a reported count of completed measure calls and
+// re-arms the liveness timer only if the count advanced: a worker that
+// keeps reporting beside a wedged measure is not making progress. A
+// timer that already fired is not re-armed; its stall stands.
+func (l *lease) progress(seq uint64, timeout time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dead || seq <= l.seq {
+		return
+	}
+	l.seq = seq
+	if l.timer != nil && l.timer.Stop() {
+		l.timer.Reset(timeout)
+	}
 }
 
 func (l *lease) isDead() bool {
@@ -270,6 +316,7 @@ func (c *Coordinator) StartFunc() shard.StartFunc {
 			l.resolve(errKilled)
 			return nil, fmt.Errorf("remote: assigning shard %d attempt %d to %s: %w", idx, attempt, w.ID, err)
 		}
+		l.arm(c.opt.HeartbeatTimeout, func() { c.stall(w, l) })
 		telAssigns.Inc()
 		c.logf("shard %d: attempt %d assigned to %s (%s)\n", idx, attempt, w.ID, w.Hostname)
 		return &remoteHandle{c: c, w: w, l: l}, nil
@@ -318,10 +365,10 @@ func (c *Coordinator) assign(w *workerRec, req AssignRequest) error {
 	return last
 }
 
-// snapshotSeed captures the shard mirror for an assignment: heartbeat
-// plus every unit campaign file. The replacement worker starts from
-// exactly what the coordinator verified shipped — completed units are
-// skipped, partial journals resumed, nothing re-measured.
+// snapshotSeed captures the shard mirror for an assignment: every unit
+// campaign file. The replacement worker starts from exactly what the
+// coordinator verified shipped — completed units are skipped, partial
+// journals resumed, nothing re-measured.
 func (c *Coordinator) snapshotSeed(shardDir string) ([]FileState, error) {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
@@ -336,9 +383,6 @@ func (c *Coordinator) snapshotSeed(shardDir string) ([]FileState, error) {
 		}
 		out = append(out, FileState{Path: rel, Data: b, CRC: crc32.ChecksumIEEE(b)})
 		return nil
-	}
-	if err := add(shard.HeartbeatFile); err != nil {
-		return nil, err
 	}
 	units, err := os.ReadDir(filepath.Join(shardDir, shard.UnitsDir))
 	if err != nil {
@@ -382,15 +426,35 @@ func (h *remoteHandle) Wait() error {
 // its next ship is refused as stale.
 func (h *remoteHandle) Kill() error {
 	h.l.resolve(errKilled)
+	h.c.cancel(h.w, h.l)
+	return nil
+}
+
+// stall fences an attempt whose liveness timer expired, exactly as Kill
+// does, with an error the supervisor counts as a stall.
+func (c *Coordinator) stall(w *workerRec, l *lease) {
+	l.mu.Lock()
+	seq := l.seq
+	l.mu.Unlock()
+	err := fmt.Errorf("%w: no measure call completed for %s (seq %d), attempt %d on %s fenced",
+		shard.ErrStalled, c.opt.HeartbeatTimeout, seq, l.attempt, w.ID)
+	if l.resolve(err) {
+		c.logf("shard %d: %v\n", l.shard, err)
+		c.cancel(w, l)
+	}
+}
+
+// cancel tells the worker, best-effort and in the background, to stop
+// a fenced attempt.
+func (c *Coordinator) cancel(w *workerRec, l *lease) {
 	go func() {
 		var resp AssignResponse
-		_ = postJSON(h.c.client, h.w.Addr+PathCancel, CancelRequest{
-			SweepHash: h.c.sweep.SweepHash,
-			Shard:     h.l.shard,
-			Attempt:   h.l.attempt,
+		_ = postJSON(c.client, w.Addr+PathCancel, CancelRequest{
+			SweepHash: c.sweep.SweepHash,
+			Shard:     l.shard,
+			Attempt:   l.attempt,
 		}, &resp)
 	}()
-	return nil
 }
 
 // ---- HTTP handlers (worker → coordinator) ----
@@ -581,18 +645,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &m) {
 		return
 	}
-	if _, reason := c.leaseFor(m.SweepHash, m.Shard, m.Attempt, m.WorkerID); reason != "" {
+	l, reason := c.leaseFor(m.SweepHash, m.Shard, m.Attempt, m.WorkerID)
+	if reason != "" {
 		telStaleRefused.Inc()
 		writeJSONResp(w, ChunkResponse{OK: false, Refused: reason, Stale: true})
 		return
 	}
-	c.fileMu.Lock()
-	err := shard.WriteHeartbeat(filepath.Join(c.sweepDir, shard.ShardDirName(m.Shard)), m.HB)
-	c.fileMu.Unlock()
-	if err != nil {
-		writeJSONResp(w, ChunkResponse{OK: false, Refused: err.Error()})
-		return
-	}
+	l.progress(m.Seq, c.opt.HeartbeatTimeout)
 	telHeartbeats.Inc()
 	writeJSONResp(w, ChunkResponse{OK: true})
 }

@@ -5,10 +5,16 @@
 // the coordinator's journal mirror, so a replacement worker resumes a
 // lost worker's units without re-measuring completed observations),
 // runs the journaled executor locally, and ships journal bytes back as
-// CRC32-framed chunks with resumable offsets. The coordinator mirrors
-// every shard directory — heartbeat file included — so the existing
-// heartbeat supervision (crash, stall, and now partition detection)
-// works across the wire unchanged.
+// CRC32-framed chunks with resumable offsets into the coordinator's
+// mirror of every shard directory.
+//
+// Liveness lives on the coordinator's lease, in memory. The worker
+// counts each completed measure call of an attempt and posts the count
+// on every ship tick. The coordinator re-arms the lease's timer only
+// when the count advances. When the timer expires, it fences the
+// attempt with an error wrapping shard.ErrStalled, and the supervisor
+// reassigns the shard. A wedged measure, a dead worker and a partition
+// all look the same: no evidence of progress is no evidence.
 //
 // The failure model is adversarial networking, not adversarial peers:
 // messages are dropped, delayed, duplicated, and partitioned (the
@@ -37,7 +43,7 @@ import (
 // ProtocolVersion identifies the wire protocol; a version mismatch at
 // registration is refused rather than negotiated — a drifted protocol
 // is a drifted experiment transport (Rule 9).
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MaxChunk bounds one chunk frame's payload. Larger ships are split;
 // larger received frames are refused.
@@ -177,17 +183,16 @@ type ChunkResponse struct {
 	Stale     bool   `json:"stale,omitempty"` // fenced out: stop shipping this attempt
 }
 
-// HeartbeatMsg forwards the executor's local heartbeat across the wire;
-// the coordinator writes it into the mirrored shard directory, where
-// the supervisor's liveness poll picks it up exactly as if the executor
-// were local. A partition therefore looks like a stall — which is the
-// correct diagnosis: no evidence of progress is no evidence.
+// HeartbeatMsg reports an attempt's progress: Seq is the number of
+// measure calls the attempt has completed. The coordinator re-arms the
+// lease's liveness timer only when Seq advances, so a worker that keeps
+// posting beside a wedged measure still stalls.
 type HeartbeatMsg struct {
-	WorkerID  string          `json:"worker_id"`
-	SweepHash string          `json:"sweep_hash"`
-	Shard     int             `json:"shard"`
-	Attempt   int             `json:"attempt"`
-	HB        shard.Heartbeat `json:"hb"`
+	WorkerID  string `json:"worker_id"`
+	SweepHash string `json:"sweep_hash"`
+	Shard     int    `json:"shard"`
+	Attempt   int    `json:"attempt"`
+	Seq       uint64 `json:"seq"`
 }
 
 // FileSum is one entry of a completion inventory: the full-file CRC the
@@ -223,7 +228,7 @@ type DoneResponse struct {
 
 // FailRequest reports a failed executor attempt (setup error, drift
 // refusal, interrupted unit) so the supervisor reassigns without
-// waiting for a heartbeat timeout.
+// waiting for the liveness timeout.
 type FailRequest struct {
 	WorkerID  string `json:"worker_id"`
 	SweepHash string `json:"sweep_hash"`
@@ -244,8 +249,8 @@ type CancelRequest struct {
 // order keeps the mirror, like the unit directory, from ever holding a
 // journal without the manifest that explains it: a replacement executor
 // would find no campaign to resume, yet could not create one over the
-// journal. The heartbeat travels on its own message, and done.json is
-// written only by the coordinator after inventory verification.
+// journal. done.json is written only by the coordinator after
+// inventory verification.
 var shardFiles = []string{
 	campaign.ManifestFile, // write-once (atomic rename)
 	campaign.JournalFile,  // append-only; may truncate once at resume
@@ -260,10 +265,4 @@ func ValidChunkPath(p string) bool {
 		return false
 	}
 	return shard.SafeID(parts[1]) && slices.Contains(shardFiles, parts[2])
-}
-
-// ValidSeedPath additionally accepts the heartbeat file, which a seed
-// carries so the heartbeat sequence stays monotonic across workers.
-func ValidSeedPath(p string) bool {
-	return p == shard.HeartbeatFile || ValidChunkPath(p)
 }

@@ -196,7 +196,7 @@ func TestLoopbackTwoWorkersFaultyByteIdentity(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, 6, 2)
-	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 7, AssignRetries: 6})
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 7, AssignRetries: 6, HeartbeatTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,6 @@ func TestLoopbackTwoWorkersFaultyByteIdentity(t *testing.T) {
 		opt.Coordinator = c.URL()
 		opt.WorkDir = filepath.Join(t.TempDir(), fmt.Sprintf("w%d", i))
 		opt.Runner = testRunner{}
-		opt.Heartbeat = 50 * time.Millisecond
 		opt.ShipInterval = 25 * time.Millisecond
 		opt.Seed = uint64(100 + i)
 		opt.Transport = faulty(uint64(1000 + i))
@@ -233,10 +232,9 @@ func TestLoopbackTwoWorkersFaultyByteIdentity(t *testing.T) {
 	}
 
 	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
-		HeartbeatTimeout: 3 * time.Second,
-		Retries:          4,
-		Backoff:          50 * time.Millisecond,
-		Seed:             7,
+		Retries: 4,
+		Backoff: 50 * time.Millisecond,
+		Seed:    7,
 	})
 	if err != nil {
 		t.Fatalf("supervise: %v", err)
@@ -284,7 +282,7 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, k, 1)
-	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 9})
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 9, HeartbeatTimeout: 700 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +300,6 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 			Hostname:     name,
 			Env:          env,
 			Log:          log,
-			Heartbeat:    50 * time.Millisecond,
 			ShipInterval: 25 * time.Millisecond,
 			Seed:         3,
 			Transport:    ft,
@@ -344,10 +341,9 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	}()
 
 	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
-		HeartbeatTimeout: 700 * time.Millisecond,
-		Retries:          2,
-		Backoff:          50 * time.Millisecond,
-		Seed:             9,
+		Retries: 2,
+		Backoff: 50 * time.Millisecond,
+		Seed:    9,
 	})
 	if err != nil {
 		t.Fatalf("supervise: %v", err)
@@ -417,6 +413,239 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	}
 }
 
+// wedgeRunner is a testRunner whose measure call number `at`, counted
+// across the worker, blocks until release is closed: a measurement that
+// hangs inside a live worker, which keeps shipping and reporting its
+// unchanged progress count.
+type wedgeRunner struct {
+	testRunner
+	at      int64
+	n       *atomic.Int64
+	release chan struct{}
+}
+
+func (r wedgeRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
+	man, plan, measure, err := r.testRunner.Setup(u)
+	if err != nil {
+		return man, plan, measure, err
+	}
+	return man, plan, func() (float64, error) {
+		if r.n.Add(1) == r.at {
+			<-r.release
+		}
+		return measure()
+	}, nil
+}
+
+// TestStallFencedAndReassignedByteIdentity wedges one measure call
+// mid-unit on the worker holding the only shard. That worker stays
+// reachable and keeps posting its progress count, which no longer
+// advances. The coordinator must fence the attempt as stalled after the
+// liveness timeout and reassign it to the second worker, which resumes
+// from the mirrored sealed chunk; the merged report stays
+// byte-identical to the single-process run. The bounded context makes
+// the test fail, not hang, if unchanged reports re-armed the timer.
+func TestStallFencedAndReassignedByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives wall-clock supervision loops")
+	}
+	// 100 samples + 2 warmups: each unit journals 102 records, one
+	// sealed 64-record chunk and a 38-record final chunk.
+	const k, samples, perUnit = 4, 100, 102
+	ref := referenceReportWith(t, k, testRunner{samples: samples})
+
+	dir := filepath.Join(t.TempDir(), "sweep")
+	buildSweep(t, dir, k, 1)
+	const timeout = 500 * time.Millisecond
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 21, HeartbeatTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Worker A (registered first, so it gets attempt 1) wedges before
+	// measure call perUnit+80: inside the second unit, after 79 records
+	// — the first chunk sealed, 15 records not.
+	release := make(chan struct{})
+	unwedge := sync.OnceFunc(func() { close(release) })
+	var logB syncBuffer
+	mkWorker := func(name string, r shard.UnitRunner, log io.Writer) *Worker {
+		w, err := StartWorker(WorkerOptions{
+			Coordinator:  c.URL(),
+			WorkDir:      filepath.Join(t.TempDir(), name),
+			Runner:       r,
+			Hostname:     name,
+			Log:          log,
+			ShipInterval: 20 * time.Millisecond,
+			Seed:         5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	wA := mkWorker("host-a", wedgeRunner{testRunner{samples: samples}, perUnit + 80, new(atomic.Int64), release}, nil)
+	defer wA.Close()
+	defer unwedge() // before wA.Close, which waits for the wedged job
+	wB := mkWorker("host-b", testRunner{samples: samples}, &logB)
+	defer wB.Close()
+	if err := c.WaitForWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	statuses, err := shard.Supervise(ctx, dir, c.StartFunc(), shard.Options{
+		Retries: 2,
+		Backoff: 50 * time.Millisecond,
+		Seed:    21,
+	})
+	if err != nil {
+		t.Fatalf("supervise (a wedged attempt that never stalls runs into the deadline): %v", err)
+	}
+	st := statuses[0]
+	if st.Lost || st.Attempts != 2 || st.Stalls != 1 || st.Crashes != 0 {
+		t.Fatalf("want one stall, then completion on the second worker: %+v", st)
+	}
+	if want := "unit u01-cfg-01: resumed (62 prior samples, "; !strings.Contains(logB.String(), want) {
+		t.Errorf("worker B did not resume the wedged unit from its sealed chunk (want %q):\n%s", want, logB.String())
+	}
+	shardDir := filepath.Join(dir, shard.ShardDirName(0))
+	if d, ok := shard.LoadDone(shardDir); !ok || d.Attempt != 2 {
+		t.Fatalf("done sentinel: %+v ok=%v, want attempt 2", d, ok)
+	}
+	if h, ok := shard.LoadHost(shardDir); !ok || h.Hostname != "host-b" {
+		t.Fatalf("host record: %+v ok=%v, want host-b", h, ok)
+	}
+
+	// Unwedge the fenced attempt: it stands down without touching the
+	// mirror.
+	before := mergedReport(t, dir)
+	unwedge()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		wA.mu.Lock()
+		n := len(wA.jobs)
+		wA.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the fenced attempt never stood down after its measure returned")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := mergedReport(t, dir); !bytes.Equal(after, before) {
+		t.Error("the fenced attempt changed the merged report")
+	}
+	if !bytes.Equal(before, ref) {
+		t.Errorf("report after stall + reassignment differs from single-process run:\n--- ref\n%s\n--- got\n%s", ref, before)
+	}
+}
+
+// TestLeaseTimerResetsOnlyOnProgress drives one lease's liveness at the
+// wire level with a stub worker. Reports whose count advances keep the
+// attempt alive for several timeouts; reports that repeat the count do
+// not, and the attempt is fenced as stalled no sooner than one timeout
+// after the last advance, with a cancel sent to the worker.
+func TestLeaseTimerResetsOnlyOnProgress(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sweep")
+	sw := buildSweep(t, dir, 2, 1)
+	const timeout = 300 * time.Millisecond
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3, HeartbeatTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cancels := make(chan CancelRequest, 4)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathCancel {
+			var req CancelRequest
+			if readBody(w, r, &req) {
+				cancels <- req
+			}
+		}
+		writeJSONResp(w, AssignResponse{OK: true})
+	}))
+	defer stub.Close()
+	client := &http.Client{Timeout: 2 * time.Second}
+	var reg RegisterResponse
+	env := HostEnv()
+	fp, _ := Fingerprint(env)
+	if err := postJSON(client, c.URL()+PathRegister, RegisterRequest{
+		Protocol: ProtocolVersion, Addr: stub.URL, Hostname: "stub", Env: env, EnvFingerprint: fp,
+	}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.StartFunc()(filepath.Join(dir, shard.ShardDirName(0)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- h.Wait() }()
+	report := func(seq uint64) ChunkResponse {
+		t.Helper()
+		var resp ChunkResponse
+		if err := postJSON(client, c.URL()+PathHeartbeat, HeartbeatMsg{
+			WorkerID: reg.WorkerID, SweepHash: sw.SweepHash, Shard: 0, Attempt: 1, Seq: seq,
+		}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	// Advancing reports for three timeouts: the attempt stays live.
+	tick := time.NewTicker(timeout / 10)
+	defer tick.Stop()
+	var seq uint64
+	var lastAdvance time.Time
+	for end := time.Now().Add(3 * timeout); time.Now().Before(end); <-tick.C {
+		seq++
+		lastAdvance = time.Now() // the timer re-arms after this instant
+		if resp := report(seq); !resp.OK {
+			t.Fatalf("advancing report %d refused: %+v", seq, resp)
+		}
+		select {
+		case err := <-waited:
+			t.Fatalf("attempt fenced while its count advanced (seq %d): %v", seq, err)
+		default:
+		}
+	}
+
+	// The same count from here on: the attempt must stall.
+	var err2 error
+	bound := time.After(10 * timeout)
+wait:
+	for {
+		select {
+		case err2 = <-waited:
+			break wait
+		case <-bound:
+			t.Fatalf("attempt still live %s after its count stopped advancing", time.Since(lastAdvance))
+		case <-tick.C:
+			report(seq)
+		}
+	}
+	if since := time.Since(lastAdvance); since < timeout {
+		t.Errorf("attempt fenced %s after its last advance, before the %s timeout", since, timeout)
+	}
+	if !errors.Is(err2, shard.ErrStalled) {
+		t.Fatalf("Wait = %v, want an error wrapping shard.ErrStalled", err2)
+	}
+	select {
+	case req := <-cancels:
+		if req.Shard != 0 || req.Attempt != 1 || req.SweepHash != sw.SweepHash {
+			t.Errorf("cancel for the wrong attempt: %+v", req)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("no cancel reached the worker of the stalled attempt")
+	}
+	if resp := report(seq + 1); resp.OK || !resp.Stale {
+		t.Errorf("report for the stalled attempt accepted: %+v", resp)
+	}
+}
+
 // TestAllWorkersUnreachableDegrades: when no worker can be reached, the
 // retry budget exhausts, the shard is reported lost, and the merge
 // carries the loss explicitly (Rule 4) with a degraded verdict.
@@ -426,7 +655,7 @@ func TestAllWorkersUnreachableDegrades(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, 2, 1)
-	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 5, AssignRetries: 2})
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 5, AssignRetries: 2, HeartbeatTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,10 +681,9 @@ func TestAllWorkersUnreachableDegrades(t *testing.T) {
 	c.client.Transport = ft
 
 	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		Retries:          1,
-		Backoff:          30 * time.Millisecond,
-		Seed:             5,
+		Retries: 1,
+		Backoff: 30 * time.Millisecond,
+		Seed:    5,
 	})
 	if err != nil {
 		t.Fatalf("supervise: %v", err)
@@ -550,7 +778,7 @@ func TestZombieFencing(t *testing.T) {
 	var hbResp ChunkResponse
 	if err := postJSON(client, c.URL()+PathHeartbeat, HeartbeatMsg{
 		WorkerID: reg.WorkerID, SweepHash: sw.SweepHash, Shard: 0, Attempt: 1,
-		HB: shard.Heartbeat{Seq: 99, Attempt: 1},
+		Seq: 99,
 	}, &hbResp); err != nil {
 		t.Fatal(err)
 	}
@@ -585,6 +813,46 @@ func TestZombieFencing(t *testing.T) {
 	want := string(before) + "successor\n"
 	if string(after) != want {
 		t.Fatalf("mirror corrupted by zombie: %q, want %q", after, want)
+	}
+}
+
+// TestAssignRefusesNonCampaignSeedPath: an assignment seed carries only
+// unit campaign files. A seed for any other path — such as the
+// heartbeat.json earlier protocol versions mirrored — is refused before
+// the worker writes anything or starts the attempt.
+func TestAssignRefusesNonCampaignSeedPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sweep")
+	sw := buildSweep(t, dir, 2, 1)
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	work := filepath.Join(t.TempDir(), "w")
+	w, err := StartWorker(WorkerOptions{Coordinator: c.URL(), WorkDir: work, Runner: testRunner{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	data := []byte(`{"seq":7}`)
+	var resp AssignResponse
+	if err := postJSON(&http.Client{Timeout: 2 * time.Second}, w.URL()+PathAssign, AssignRequest{
+		SweepHash: sw.SweepHash, Shard: 0, Attempt: 1, Manifest: sw.Shards()[0],
+		Seed: []FileState{{Path: "heartbeat.json", Data: data, CRC: crc32.ChecksumIEEE(data)}},
+	}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || !strings.Contains(resp.Refused, `seed path "heartbeat.json" refused`) {
+		t.Fatalf("heartbeat.json seed not refused: %+v", resp)
+	}
+	w.mu.Lock()
+	n := len(w.jobs)
+	w.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("refused assignment started %d job(s)", n)
+	}
+	if entries, _ := os.ReadDir(work); len(entries) != 0 {
+		t.Fatalf("refused assignment wrote into the work dir: %v", entries)
 	}
 }
 
@@ -778,7 +1046,7 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 	if err := shard.Create(dir, sw); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 11})
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 11, HeartbeatTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +1056,6 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 		Hostname:     "host-a",
 		WorkDir:      filepath.Join(t.TempDir(), "w0"),
 		Runner:       testRunner{},
-		Heartbeat:    50 * time.Millisecond,
 		ShipInterval: 25 * time.Millisecond,
 		Seed:         100,
 	})
@@ -800,10 +1067,9 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
-		HeartbeatTimeout: 3 * time.Second,
-		Retries:          2,
-		Backoff:          50 * time.Millisecond,
-		Seed:             11,
+		Retries: 2,
+		Backoff: 50 * time.Millisecond,
+		Seed:    11,
 	})
 	if err != nil {
 		t.Fatalf("supervise: %v", err)
@@ -875,7 +1141,7 @@ func TestWorkerCloseRemovesOwnScratchDir(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, 2, 2)
-	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3})
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3, HeartbeatTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -887,7 +1153,6 @@ func TestWorkerCloseRemovesOwnScratchDir(t *testing.T) {
 			Coordinator:  c.URL(),
 			WorkDir:      wd,
 			Runner:       testRunner{},
-			Heartbeat:    20 * time.Millisecond,
 			ShipInterval: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -900,8 +1165,7 @@ func TestWorkerCloseRemovesOwnScratchDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	statuses, err := shard.Supervise(context.Background(), dir, c.StartFunc(), shard.Options{
-		HeartbeatTimeout: 3 * time.Second,
-		Seed:             3,
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

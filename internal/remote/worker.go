@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/rules"
 	"repro/internal/shard"
@@ -42,9 +44,7 @@ type WorkerOptions struct {
 	WorkDir string
 	// Runner rebuilds each unit's measurement (required).
 	Runner shard.UnitRunner
-	// Heartbeat is the local executor beat interval (default 250ms).
-	Heartbeat time.Duration
-	// ShipInterval paces heartbeat forwarding and journal shipment
+	// ShipInterval paces progress reports and journal shipment
 	// (default 100ms). Shipping is asynchronous to measurement: a
 	// partition stalls shipment, never the executor.
 	ShipInterval time.Duration
@@ -107,6 +107,26 @@ type job struct {
 	dir      string
 	cancel   context.CancelFunc
 	finished chan struct{}
+	calls    atomic.Uint64 // completed measure calls: the reported progress
+}
+
+// countingRunner counts every completed measure call of a job, so the
+// ship tick can report progress rather than a live goroutine.
+type countingRunner struct {
+	inner shard.UnitRunner
+	calls *atomic.Uint64
+}
+
+func (r countingRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
+	man, plan, measure, err := r.inner.Setup(u)
+	if err != nil {
+		return man, plan, measure, err
+	}
+	return man, plan, func() (float64, error) {
+		v, err := measure()
+		r.calls.Add(1)
+		return v, err
+	}, nil
 }
 
 // Worker is the machine-side agent: it registers with a coordinator,
@@ -240,7 +260,7 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, fs := range req.Seed {
-		if !ValidSeedPath(fs.Path) {
+		if !ValidChunkPath(fs.Path) {
 			writeJSONResp(rw, AssignResponse{Refused: fmt.Sprintf("seed path %q refused", fs.Path)})
 			return
 		}
@@ -323,9 +343,9 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 // ---- job execution ----
 
 // runJob drives one shard attempt: lay down the manifest and seed
-// files, start the local executor, ship heartbeats and journal suffixes
-// until it finishes, then hold the completion barrier (inventory-
-// verified done) or report failure.
+// files, start the local executor, report progress and ship journal
+// suffixes until it finishes, then hold the completion barrier
+// (inventory-verified done) or report failure.
 func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 	_, span := telemetry.StartSpan(ctx, "remote", fmt.Sprintf("shard %d attempt %d", j.shardIdx, j.attempt))
 	defer span.End()
@@ -340,13 +360,14 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 	// lands.
 	floors := w.journalFloors(j)
 
+	var done shard.ShardDone // written before the send on execDone
 	execDone := make(chan error, 1)
 	go func() {
-		_, err := shard.ExecShard(ctx, j.dir, w.opt.Runner, shard.ExecOptions{
-			Attempt:   j.attempt,
-			Heartbeat: w.opt.Heartbeat,
-			Progress:  w.opt.Log,
+		d, err := shard.ExecShard(ctx, j.dir, countingRunner{w.opt.Runner, &j.calls}, shard.ExecOptions{
+			Attempt:  j.attempt,
+			Progress: w.opt.Log,
 		})
+		done = d
 		execDone <- err
 	}()
 
@@ -366,10 +387,10 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 				w.reportFail(ctx, j, err.Error())
 				return
 			}
-			w.finish(ctx, j, sh)
+			w.finish(ctx, j, sh, done)
 			return
 		case <-tick.C:
-			sh.forwardHeartbeat(ctx)
+			sh.reportProgress(ctx)
 			if fenced := sh.shipPass(ctx); fenced {
 				telFenced.Inc()
 				w.logf("worker %s: shard %d attempt %d fenced off, stopping executor\n", w.id, j.shardIdx, j.attempt)
@@ -447,17 +468,13 @@ func (w *Worker) localFiles(j *job) []string {
 	return out
 }
 
-// finish drives the completion barrier: ship until the mirror has every
-// byte, then claim done with a full inventory; on "mirror incomplete"
-// adopt the mirror's resume offsets and go around. Retries use seeded
-// backoff and give up only when fenced or cancelled — while the shard's
-// lease is ours, the only exit is a verified mirror.
-func (w *Worker) finish(ctx context.Context, j *job, sh *shipper) {
-	d, ok := shard.LoadDone(j.dir)
-	if !ok {
-		w.reportFail(ctx, j, "executor finished without a completion sentinel")
-		return
-	}
+// finish drives the completion barrier for the executor's completion
+// record d: ship until the mirror has every byte, then claim done with a
+// full inventory; on "mirror incomplete" adopt the mirror's resume
+// offsets and go around. Retries use seeded backoff and give up only
+// when fenced or cancelled — while the shard's lease is ours, the only
+// exit is a verified mirror.
+func (w *Worker) finish(ctx context.Context, j *job, sh *shipper, d shard.ShardDone) {
 	for try := 1; ; try++ {
 		if ctx.Err() != nil {
 			return
@@ -521,8 +538,8 @@ func (w *Worker) inventory(j *job) ([]FileSum, error) {
 }
 
 // reportFail tells the coordinator the attempt failed (best-effort,
-// bounded retries — if the network is down, the heartbeat timeout
-// delivers the same verdict later).
+// bounded retries — if the network is down, the coordinator's liveness
+// timeout delivers the same verdict later).
 func (w *Worker) reportFail(ctx context.Context, j *job, msg string) {
 	w.logf("worker %s: shard %d attempt %d failed: %s\n", w.id, j.shardIdx, j.attempt, msg)
 	for try := 1; try <= 3; try++ {
@@ -558,12 +575,11 @@ type shipper struct {
 	netDown bool             // last pass hit network errors (for logging only)
 }
 
-// forwardHeartbeat reads the executor's local heartbeat and relays it.
-// Failures are ignored: no heartbeat through a partition is precisely
-// what the supervisor should see.
-func (s *shipper) forwardHeartbeat(ctx context.Context) {
-	hb, ok := shard.ReadHeartbeat(s.j.dir)
-	if !ok || ctx.Err() != nil {
+// reportProgress posts the job's count of completed measure calls.
+// Failures are ignored: no progress through a partition is precisely
+// what the coordinator should see.
+func (s *shipper) reportProgress(ctx context.Context) {
+	if ctx.Err() != nil {
 		return
 	}
 	var resp ChunkResponse
@@ -572,7 +588,7 @@ func (s *shipper) forwardHeartbeat(ctx context.Context) {
 		SweepHash: s.w.sweepHash,
 		Shard:     s.j.shardIdx,
 		Attempt:   s.j.attempt,
-		HB:        hb,
+		Seq:       s.j.calls.Load(),
 	}, &resp)
 }
 

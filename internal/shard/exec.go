@@ -35,11 +35,8 @@ type UnitRunner interface {
 // ExecOptions tunes one executor attempt.
 type ExecOptions struct {
 	// Attempt is the supervisor-assigned attempt number, recorded in
-	// heartbeats (informational; the liveness signal is Seq alone).
+	// the shard's done.json.
 	Attempt int
-	// Heartbeat is the liveness interval (default 250ms). The
-	// supervisor's timeout must be a comfortable multiple of it.
-	Heartbeat time.Duration
 	// Progress, when non-nil, receives one line per unit (skipped /
 	// resumed / measured) — operator output, never report bytes.
 	Progress io.Writer
@@ -95,9 +92,7 @@ func loadUnitDone(unitDir string) (UnitDone, bool) {
 // carrying a completion sentinel are skipped; units with a partial
 // journal (a previous executor died mid-unit) are resumed bit-for-bit
 // via campaign.Resume — completed observations are never re-measured.
-// A heartbeat goroutine publishes progress for the supervisor the whole
-// time: its Seq advances only while measurements complete. On success
-// the shard's done.json is written and returned.
+// On success the shard's done.json is written and returned.
 func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptions) (ShardDone, error) {
 	ctx, span := telemetry.StartSpan(ctx, "shard", filepath.Base(shardDir))
 	defer span.End()
@@ -108,21 +103,16 @@ func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptio
 	if opt.Attempt < 1 {
 		opt.Attempt = 1
 	}
-	b := startBeater(shardDir, opt.Attempt, opt.Heartbeat)
-	defer b.Stop()
-
 	done := ShardDone{Shard: m.Index, SweepHash: m.SweepHash, Attempt: opt.Attempt}
 	for _, u := range m.Units {
 		if err := ctx.Err(); err != nil {
 			return ShardDone{}, fmt.Errorf("shard: executor interrupted before unit %s: %w", u.ID, err)
 		}
-		b.setUnit(u.ID)
-		if err := execUnit(ctx, shardDir, m, u, r, b, opt); err != nil {
+		if err := execUnit(ctx, shardDir, m, u, r, opt); err != nil {
 			return ShardDone{}, err
 		}
 		done.Units = append(done.Units, u.ID)
 	}
-	b.setUnit("")
 	done.CompletedAt = time.Now().UTC()
 	if err := WriteJSON(filepath.Join(shardDir, DoneFile), done); err != nil {
 		return ShardDone{}, err
@@ -130,9 +120,8 @@ func ExecShard(ctx context.Context, shardDir string, r UnitRunner, opt ExecOptio
 	return done, nil
 }
 
-// execUnit runs (or skips, or resumes) one unit campaign, reporting
-// each completed measure call to the beater as progress.
-func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRunner, b *beater, opt ExecOptions) error {
+// execUnit runs (or skips, or resumes) one unit campaign.
+func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRunner, opt ExecOptions) error {
 	dir := UnitDir(shardDir, u.ID)
 	if _, ok := loadUnitDone(dir); ok {
 		telUnitsSkipped.Inc()
@@ -153,7 +142,6 @@ func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRu
 			short(man.FaultFingerprint), short(m.FaultFingerprint))
 	}
 	man.Sweep = &campaign.SweepRef{SweepHash: m.SweepHash, UnitID: u.ID, Shard: m.Index}
-	measure = b.counted(measure)
 
 	var res bench.Result
 	switch _, _, lerr := campaign.Load(dir); {

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,7 +20,8 @@ import (
 // TestMain doubles as the executor entry point for the multi-process
 // tests: when SHARD_EXEC_DIR is set, the test binary re-execs as a real
 // shard executor (optionally crashing itself with SIGKILL mid-unit or
-// hanging without heartbeats) instead of running the test suite.
+// hanging before its first progress line) instead of running the test
+// suite.
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("SHARD_EXEC_DIR"); dir != "" {
 		procExecMain(dir)
@@ -37,10 +39,10 @@ func procExecMain(dir string) {
 	attempt, _ := strconv.Atoi(os.Getenv("SHARD_ATTEMPT"))
 	if os.Getenv("SHARD_HANG") == "1" {
 		if _, err := os.Stat(crashMarker(dir)); os.IsNotExist(err) {
-			// A genuinely wedged executor: no heartbeat ever, no exit.
-			// The supervisor must stall-kill this process.
+			// A genuinely wedged executor: no progress, no exit. Only
+			// its launcher's lease can fence it.
 			_ = os.WriteFile(crashMarker(dir), []byte("hang"), 0o644)
-			select {}
+			time.Sleep(time.Hour)
 		}
 	}
 	samples, _ := strconv.Atoi(os.Getenv("SHARD_SAMPLES"))
@@ -52,9 +54,8 @@ func procExecMain(dir string) {
 		}
 	}
 	_, err := ExecShard(context.Background(), dir, r, ExecOptions{
-		Attempt:   attempt,
-		Heartbeat: 20 * time.Millisecond,
-		Progress:  os.Stderr,
+		Attempt:  attempt,
+		Progress: os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "executor:", err)
@@ -125,6 +126,66 @@ func procStart(t *testing.T, extra map[string][]string, logDir string) StartFunc
 	}
 }
 
+// leaseStart launches executor processes as procStart does, under a
+// stand-in for the coordinator's lease: an attempt whose progress output
+// (its per-unit stderr lines) stays silent for timeout is SIGKILLed, and
+// its Wait reports an error wrapping ErrStalled.
+func leaseStart(extra map[string][]string, timeout time.Duration) StartFunc {
+	return func(shardDir string, attempt int) (Handle, error) {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(),
+			"SHARD_EXEC_DIR="+shardDir,
+			fmt.Sprintf("SHARD_ATTEMPT=%d", attempt))
+		cmd.Env = append(cmd.Env, extra[filepath.Base(shardDir)]...)
+		p := &leasedProc{cmd: cmd, timeout: timeout}
+		cmd.Stderr = p
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if err := cmd.Start(); err != nil {
+			return nil, err
+		}
+		p.timer = time.AfterFunc(timeout, p.fence)
+		return p, nil
+	}
+}
+
+// leasedProc is one executor process under leaseStart: every progress
+// write re-arms its timer, and an expired timer fences the process.
+type leasedProc struct {
+	cmd     *exec.Cmd
+	timeout time.Duration
+	mu      sync.Mutex
+	timer   *time.Timer
+	stalled bool
+}
+
+func (p *leasedProc) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	p.timer.Reset(p.timeout)
+	p.mu.Unlock()
+	return os.Stderr.Write(b)
+}
+
+func (p *leasedProc) fence() {
+	p.mu.Lock()
+	p.stalled = true
+	p.mu.Unlock()
+	_ = p.cmd.Process.Kill()
+}
+
+func (p *leasedProc) Wait() error {
+	err := p.cmd.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.timer.Stop()
+	if p.stalled {
+		return fmt.Errorf("%w: no progress for %v", ErrStalled, p.timeout)
+	}
+	return err
+}
+
+func (p *leasedProc) Kill() error { return p.cmd.Process.Kill() }
+
 // TestProcessSIGKILLResumeByteIdentity is the acceptance scenario: 3
 // executor processes, one SIGKILLed mid-shard (mid-unit, with a sealed
 // journal chunk and an unsealed tail), its shard reassigned and resumed
@@ -153,11 +214,9 @@ func TestProcessSIGKILLResumeByteIdentity(t *testing.T) {
 		ShardDirName(1): {fmt.Sprintf("SHARD_KILL_AT=%d", perUnit+80)},
 	}, logs)
 	statuses, err := Supervise(context.Background(), dir, start, Options{
-		HeartbeatTimeout: 5 * time.Second,
-		Poll:             20 * time.Millisecond,
-		Retries:          2,
-		Backoff:          10 * time.Millisecond,
-		Log:              os.Stderr,
+		Retries: 2,
+		Backoff: 10 * time.Millisecond,
+		Log:     os.Stderr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +257,10 @@ func TestProcessSIGKILLResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestProcessStallDetectedAndReassigned: an executor that wedges before
-// its first heartbeat is stall-killed by the supervisor and its shard
-// reassigned; the merged report is still byte-identical.
+// TestProcessStallDetectedAndReassigned: an executor process that wedges
+// before its first progress line is fenced by its launcher's lease,
+// which reports ErrStalled; the supervisor counts one stall and
+// reassigns the shard, and the merged report is still byte-identical.
 func TestProcessStallDetectedAndReassigned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -214,15 +274,13 @@ func TestProcessStallDetectedAndReassigned(t *testing.T) {
 
 	dir := t.TempDir()
 	buildSweep(t, dir, units, 2)
-	start := procStart(t, map[string][]string{
+	start := leaseStart(map[string][]string{
 		ShardDirName(0): {"SHARD_HANG=1"},
-	}, "")
+	}, time.Second)
 	statuses, err := Supervise(context.Background(), dir, start, Options{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		Poll:             20 * time.Millisecond,
-		Retries:          2,
-		Backoff:          10 * time.Millisecond,
-		Log:              os.Stderr,
+		Retries: 2,
+		Backoff: 10 * time.Millisecond,
+		Log:     os.Stderr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +291,7 @@ func TestProcessStallDetectedAndReassigned(t *testing.T) {
 		}
 	}
 	if statuses[0].Stalls != 1 || statuses[0].Attempts != 2 {
-		t.Fatalf("hung executor should have been stall-killed once: %+v", statuses[0])
+		t.Fatalf("hung executor should have been stall-fenced once: %+v", statuses[0])
 	}
 	got := mergedReport(t, dir)
 	if !bytes.Equal(got, ref) {

@@ -1,10 +1,12 @@
 // Package shard is the distributed-campaign control plane: it
 // partitions a sweep's canonical config order into shard manifests,
 // runs each shard as an independent journaled campaign in its own
-// executor, supervises those executors (heartbeats, stall detection,
+// executor, supervises those executors (crash and stall accounting,
 // reassignment with backoff), and merges the shard journals
 // back into one report that is byte-identical to the single-process
-// run.
+// run. Liveness is not decided here: a launcher whose executors can
+// wedge (the remote coordinator) ends a stalled attempt's Wait with an
+// error wrapping ErrStalled, and the supervisor counts it.
 //
 // The design leans on two earlier guarantees: the per-config seed table
 // makes every unit independently reproducible (its samples depend only
@@ -39,7 +41,6 @@ const FormatVersion = 1
 //
 //	<dir>/sweep.json             the SweepManifest
 //	<dir>/shard-000/shard.json   one Manifest per shard
-//	<dir>/shard-000/heartbeat.json
 //	<dir>/shard-000/done.json    written when the shard completes
 //	<dir>/shard-000/units/<id>/  one journaled campaign per unit
 //	<dir>/merged.json            the merged manifest (per-shard record)
@@ -118,6 +119,10 @@ var (
 	// ErrShardDrift reports a shard or unit directory whose recorded
 	// identity does not match the sweep that claims it (Rule 9).
 	ErrShardDrift = errors.New("shard: manifest drift, merge refused")
+	// ErrStalled is wrapped by the Wait error of an executor attempt
+	// that was fenced because it stopped completing measurements; the
+	// supervisor counts such an attempt as a stall, not a crash.
+	ErrStalled = errors.New("shard: executor stalled")
 )
 
 // hashSweep computes the sweep identity: the canonical unit list plus

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,82 +220,6 @@ func TestCreateRefusesExistingSweep(t *testing.T) {
 	}
 }
 
-func TestHeartbeatSeqContinuesAcrossAttempts(t *testing.T) {
-	dir := t.TempDir()
-	b1 := startBeater(dir, 1, time.Hour) // one synchronous beat, then idle
-	b1.Stop()
-	hb1, ok := ReadHeartbeat(dir)
-	if !ok || hb1.Seq == 0 {
-		t.Fatalf("no heartbeat after first attempt: %+v ok=%v", hb1, ok)
-	}
-	b2 := startBeater(dir, 2, time.Hour)
-	b2.Stop()
-	hb2, ok := ReadHeartbeat(dir)
-	if !ok || hb2.Seq <= hb1.Seq {
-		t.Fatalf("heartbeat seq not monotonic across attempts: %d then %d", hb1.Seq, hb2.Seq)
-	}
-	if hb2.Attempt != 2 {
-		t.Fatalf("attempt not recorded: %+v", hb2)
-	}
-}
-
-// wedgeRunner's measure blocks after k completed calls until release is
-// closed — an observation that hangs inside a live executor process.
-type wedgeRunner struct {
-	k       int64
-	calls   atomic.Int64
-	release chan struct{}
-}
-
-func (r *wedgeRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
-	man, plan, measure, err := testRunner{samples: 1000}.Setup(u)
-	wrapped := func() (float64, error) {
-		if r.calls.Add(1) > r.k {
-			<-r.release
-		}
-		return measure()
-	}
-	return man, plan, wrapped, err
-}
-
-// TestHeartbeatStopsWhenMeasureWedges: a heartbeat reports progress,
-// not a live goroutine. Once measure wedges, Seq must stop advancing so
-// the supervisor's timeout can declare the executor stalled.
-func TestHeartbeatStopsWhenMeasureWedges(t *testing.T) {
-	const beat = 20 * time.Millisecond
-	dir := t.TempDir()
-	buildSweep(t, dir, 1, 1)
-	sd := filepath.Join(dir, ShardDirName(0))
-	r := &wedgeRunner{k: 5, release: make(chan struct{})}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := ExecShard(ctx, sd, r, ExecOptions{Heartbeat: beat})
-		done <- err
-	}()
-	t.Cleanup(func() {
-		cancel()
-		close(r.release)
-		<-done
-	})
-	deadline := time.Now().Add(10 * time.Second)
-	for r.calls.Load() <= r.k {
-		if time.Now().After(deadline) {
-			t.Fatal("measure never wedged")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(3 * beat)
-	hb1, ok := ReadHeartbeat(sd)
-	if !ok || hb1.Seq == 0 {
-		t.Fatalf("no heartbeat while measuring: %+v ok=%v", hb1, ok)
-	}
-	time.Sleep(10 * beat)
-	if hb2, _ := ReadHeartbeat(sd); hb2.Seq != hb1.Seq {
-		t.Fatalf("heartbeat advanced from seq %d to %d while measure was wedged", hb1.Seq, hb2.Seq)
-	}
-}
-
 // TestMergeByteIdentity is the core determinism guarantee: the
 // canonical merged report is byte-identical whether the sweep ran in
 // one process or was partitioned across 2 or 4 executors.
@@ -462,8 +385,8 @@ func (h *fakeHandle) finish(err error) {
 	h.once.Do(func() { h.err = err; close(h.done) })
 }
 
-// TestSuperviseStallKillAndLoss: executors that never heartbeat are
-// detected as stalled, killed, reassigned under the retry budget, and
+// TestSuperviseStallKillAndLoss: attempts their launcher fences as
+// stalled are counted as stalls, reassigned under the retry budget, and
 // the shard is finally reported lost — explicitly.
 func TestSuperviseStallKillAndLoss(t *testing.T) {
 	dir := t.TempDir()
@@ -474,13 +397,13 @@ func TestSuperviseStallKillAndLoss(t *testing.T) {
 		mu.Lock()
 		attempts++
 		mu.Unlock()
-		return newFakeHandle(), nil // never beats, never exits
+		h := newFakeHandle() // never completes a measurement
+		h.finish(fmt.Errorf("%w: attempt %d fenced", ErrStalled, attempt))
+		return h, nil
 	}
 	statuses, err := Supervise(context.Background(), dir, start, Options{
-		HeartbeatTimeout: 80 * time.Millisecond,
-		Poll:             10 * time.Millisecond,
-		Retries:          2,
-		Backoff:          time.Millisecond,
+		Retries: 2,
+		Backoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -556,16 +479,14 @@ func TestSuperviseInProcessExecutors(t *testing.T) {
 		mu.Unlock()
 		go func() {
 			defer cancel()
-			_, err := ExecShard(ctx, shardDir, runner, ExecOptions{Attempt: attempt, Heartbeat: 5 * time.Millisecond})
+			_, err := ExecShard(ctx, shardDir, runner, ExecOptions{Attempt: attempt})
 			h.finish(err)
 		}()
 		return h, nil
 	}
 	statuses, err := Supervise(context.Background(), dir, start, Options{
-		HeartbeatTimeout: 2 * time.Second,
-		Poll:             10 * time.Millisecond,
-		Retries:          2,
-		Backoff:          time.Millisecond,
+		Retries: 2,
+		Backoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -24,10 +25,11 @@ var (
 // Handle is a running executor as the supervisor sees it: something it
 // can wait on and kill. The remote coordinator's handles wrap a fenced
 // lease on a worker; tests may supply in-process fakes or processes.
-// A remote Kill is cooperative: the lease is fenced at once, so not
-// one more byte of the attempt lands in the mirror, but the executor
-// only stops when it next checks its context — a measure call that
-// never returns keeps its goroutine on the worker.
+// A Wait error wrapping ErrStalled marks an attempt its launcher fenced
+// for lack of progress. A remote Kill is cooperative: the lease is
+// fenced at once, so not one more byte of the attempt lands in the
+// mirror, but the executor only stops when it next checks its context —
+// a measure call that never returns keeps its goroutine on the worker.
 type Handle interface {
 	Wait() error
 	Kill() error
@@ -38,17 +40,6 @@ type StartFunc func(shardDir string, attempt int) (Handle, error)
 
 // Options tunes the supervisor.
 type Options struct {
-	// HeartbeatTimeout is how long a shard's heartbeat Seq may stay
-	// unchanged before the executor is declared stalled and killed.
-	// Seq advances only on a beat after a completed measure call, so
-	// the timeout must comfortably exceed the beat interval plus the
-	// longest gap between two completed calls — which includes a
-	// unit's Setup, journal open and replay, and its end-of-unit
-	// analysis. Default 5s.
-	HeartbeatTimeout time.Duration
-	// Poll is the heartbeat check interval (default HeartbeatTimeout/5,
-	// floor 10ms).
-	Poll time.Duration
 	// Retries is the reassignment budget per shard beyond the first
 	// attempt (default 2; negative means no retries). A shard that
 	// exhausts it is reported lost —
@@ -97,15 +88,6 @@ func SeededBackoff(seed, key uint64, try int, base, ceiling time.Duration) time.
 }
 
 func (o Options) withDefaults() Options {
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.Poll <= 0 {
-		o.Poll = o.HeartbeatTimeout / 5
-	}
-	if o.Poll < 10*time.Millisecond {
-		o.Poll = 10 * time.Millisecond
-	}
 	if o.Retries == 0 {
 		o.Retries = 2
 	}
@@ -122,19 +104,19 @@ func (o Options) withDefaults() Options {
 type ShardStatus struct {
 	Shard    int
 	Attempts int    // executor attempts launched
-	Stalls   int    // heartbeat-timeout kills
+	Stalls   int    // attempts whose Wait reported ErrStalled
 	Crashes  int    // executor exits without a completion sentinel
 	Lost     bool   // retry budget exhausted; the shard's incomplete units are losses
 	Err      string // last failure, "" on success
 }
 
 // Supervise runs every shard of the sweep under fault supervision: one
-// executor per shard via start, liveness via the shard's heartbeat
-// file, stalled or dead executors killed and reassigned with
-// exponential backoff under a retry budget. It returns one ShardStatus
-// per shard; exhausted shards come back Lost rather than failing the
-// sweep — graceful degradation is the merge's job to account, not the
-// supervisor's to hide. The returned error is reserved for setup
+// executor per shard via start, and an attempt that ends without the
+// shard's done.json — dead, or stalled and fenced by its launcher — is
+// reassigned with exponential backoff under a retry budget. It returns
+// one ShardStatus per shard; exhausted shards come back Lost rather
+// than failing the sweep — graceful degradation is the merge's job to
+// account, not the supervisor's to hide. The returned error is reserved for setup
 // failures (no sweep in dir) and context cancellation.
 func Supervise(ctx context.Context, sweepDir string, start StartFunc, opt Options) ([]ShardStatus, error) {
 	sw, err := LoadSweep(sweepDir)
@@ -186,7 +168,7 @@ func superviseShard(ctx context.Context, dir string, idx int, start StartFunc, o
 		}
 		st.Attempts++
 		telStarts.Inc()
-		stalled, err := runAttempt(ctx, dir, attempt, start, opt)
+		err := runAttempt(ctx, dir, attempt, start)
 		if _, ok := LoadDone(dir); ok {
 			st.Err = ""
 			return st
@@ -195,17 +177,17 @@ func superviseShard(ctx context.Context, dir string, idx int, start StartFunc, o
 			st.Err = "supervision cancelled"
 			return st
 		}
-		if stalled {
+		switch {
+		case errors.Is(err, ErrStalled):
 			st.Stalls++
 			telStalls.Inc()
-			st.Err = fmt.Sprintf("executor stalled (no heartbeat for %s), killed", opt.HeartbeatTimeout)
-		} else {
+			st.Err = err.Error()
+		case err != nil:
 			st.Crashes++
-			if err != nil {
-				st.Err = fmt.Sprintf("executor died mid-shard: %v", err)
-			} else {
-				st.Err = "executor exited without completing its shard"
-			}
+			st.Err = fmt.Sprintf("executor died mid-shard: %v", err)
+		default:
+			st.Crashes++
+			st.Err = "executor exited without completing its shard"
 		}
 	}
 	st.Lost = true
@@ -215,49 +197,23 @@ func superviseShard(ctx context.Context, dir string, idx int, start StartFunc, o
 	return st
 }
 
-// runAttempt launches one executor and watches it until exit, killing
-// it if its heartbeat Seq stops advancing for longer than the timeout.
-// It reports whether the attempt ended in a stall kill, plus the
-// executor's exit error.
-func runAttempt(ctx context.Context, dir string, attempt int, start StartFunc, opt Options) (stalled bool, err error) {
+// runAttempt launches one executor and waits for it to exit, killing
+// it if the supervision is cancelled first. It returns the executor's
+// exit error.
+func runAttempt(ctx context.Context, dir string, attempt int, start StartFunc) error {
 	h, err := start(dir, attempt)
 	if err != nil {
-		return false, fmt.Errorf("starting executor: %w", err)
+		return fmt.Errorf("starting executor: %w", err)
 	}
 	exited := make(chan error, 1)
 	go func() { exited <- h.Wait() }()
-
-	// Liveness is "Seq advanced", nothing else: wall-clock steps and the
-	// stale Time a killed process left behind cannot fake it.
-	var lastSeq uint64
-	if hb, ok := ReadHeartbeat(dir); ok {
-		lastSeq = hb.Seq
-	}
-	lastAdvance := time.Now()
-	tick := time.NewTicker(opt.Poll)
-	defer tick.Stop()
-	for {
-		select {
-		case err := <-exited:
-			return false, err
-		case <-ctx.Done():
-			_ = h.Kill()
-			<-exited
-			return false, ctx.Err()
-		case <-tick.C:
-			if hb, ok := ReadHeartbeat(dir); ok && hb.Seq != lastSeq {
-				lastSeq = hb.Seq
-				lastAdvance = time.Now()
-				continue
-			}
-			if time.Since(lastAdvance) > opt.HeartbeatTimeout {
-				logf(opt, "shard %s: heartbeat stalled at seq %d, killing executor\n",
-					filepath.Base(dir), lastSeq)
-				_ = h.Kill()
-				<-exited
-				return true, nil
-			}
-		}
+	select {
+	case err := <-exited:
+		return err
+	case <-ctx.Done():
+		_ = h.Kill()
+		<-exited
+		return ctx.Err()
 	}
 }
 

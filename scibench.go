@@ -777,8 +777,8 @@ func BenchEnvFingerprint(env map[string]string) string { return regress.EnvFinge
 
 // Distributed campaign execution (package shard): partition a sweep's
 // canonical config order into shard manifests, run each shard as an
-// independent journaled executor (heartbeat liveness, crash and
-// stall detection, reassignment with resume-from-journal), and merge
+// independent journaled executor (crash and stall accounting,
+// reassignment with resume-from-journal), and merge
 // the shard journals into one report byte-identical to the
 // single-process run. Exhausted-retry shards surface as explicit
 // losses, never as silently shorter samples (Rule 4).
@@ -794,10 +794,11 @@ type (
 	// measure closure) from its recorded config.
 	ShardUnitRunner = shard.UnitRunner
 	// ShardExecOptions tunes one executor run (attempt number,
-	// heartbeat interval, progress writer).
+	// progress writer).
 	ShardExecOptions = shard.ExecOptions
-	// ShardSuperviseOptions tunes the supervisor: heartbeat timeout,
-	// poll interval, retry budget, backoff.
+	// ShardSuperviseOptions tunes the supervisor: retry budget,
+	// backoff, seed, log. The liveness timeout is the coordinator's
+	// (RemoteCoordinatorOptions.HeartbeatTimeout).
 	ShardSuperviseOptions = shard.Options
 	// ShardStatus is the supervisor's per-shard outcome accounting.
 	ShardStatus = shard.ShardStatus
@@ -830,16 +831,18 @@ func CreateShardSweep(dir string, s ShardSweep) error { return shard.Create(dir,
 func LoadShardSweep(dir string) (ShardSweep, error) { return shard.LoadSweep(dir) }
 
 // ExecShard runs one shard to completion as an executor: per-unit
-// journaled campaigns, heartbeats, resume-from-journal on reassignment,
-// completed units skipped.
+// journaled campaigns, resume-from-journal on reassignment, completed
+// units skipped.
 func ExecShard(ctx context.Context, shardDir string, r ShardUnitRunner, opt ShardExecOptions) error {
 	_, err := shard.ExecShard(ctx, shardDir, r, opt)
 	return err
 }
 
-// SuperviseShards runs every shard of a sweep under supervision: stall
-// and crash detection via heartbeats, reassignment with exponential
-// backoff, explicit loss after the retry budget.
+// SuperviseShards runs every shard of a sweep under supervision: an
+// attempt that crashes, or that its launcher fences as stalled (the
+// remote coordinator's StartFunc does, on its liveness timeout), is
+// reassigned with exponential backoff, and the shard is reported lost
+// after the retry budget.
 func SuperviseShards(ctx context.Context, sweepDir string, start ShardStartFunc, opt ShardSuperviseOptions) ([]ShardStatus, error) {
 	return shard.Supervise(ctx, sweepDir, start, opt)
 }
@@ -879,7 +882,8 @@ type (
 	// through.
 	RemoteCoordinator = remote.Coordinator
 	// RemoteCoordinatorOptions tunes the coordinator (listen address,
-	// per-request timeout, assignment retry budget, seed).
+	// per-request timeout, assignment retry budget, liveness timeout,
+	// seed).
 	RemoteCoordinatorOptions = remote.CoordinatorOptions
 	// RemoteWorker is a running worker agent: it executes assigned
 	// shards locally and ships their journals back.
