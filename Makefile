@@ -64,9 +64,13 @@ shardcheck:
 # reassignment with resume-from-shipped-journal, the lease timer that
 # only an advancing progress count re-arms, and the CLI worker-loss
 # campaign — every merged report byte-identical to its single-process
-# reference.
+# reference. It also pins the mirror as the one journal lineage: a
+# worker's divergent local journal is replaced, never spliced onto the
+# mirror; the coordinator cuts a torn mirror tail durably when it seeds
+# the next attempt; a worker keeps only local bytes that extend the
+# seed; and a frame whose lease was fenced after its check is refused.
 remotecheck:
-	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestStallFencedAndReassignedByteIdentity|TestLeaseTimerResetsOnlyOnProgress|TestAllWorkersUnreachableDegrades|TestZombieFencing' -count=1 ./internal/remote
+	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestStallFencedAndReassignedByteIdentity|TestLeaseTimerResetsOnlyOnProgress|TestAllWorkersUnreachableDegrades|TestZombieFencing|TestDivergentLocalJournalNotSpliced|TestSeedingCutsTornMirrorTail|TestPrepareKeepsOnlyExtensions|TestChunkFencedAfterLeaseCheckRefused' -count=1 ./internal/remote
 	$(GO) test -run 'TestRemoteCampaignWorkerLossByteIdentity' -count=1 ./cmd/scibench
 
 # loadcheck drives the open-loop service workload's guarantees: arrival

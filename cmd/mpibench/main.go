@@ -17,19 +17,8 @@
 // configuration seeds are assigned from the canonical sweep order before
 // fan-out.
 //
-// A second workload family measures open-loop service latency instead of
-// collectives, sweeping seeded arrivals into simulated servers over an
-// offered-load ramp:
-//
-//	mpibench -workload serve [-arrival poisson|diurnal|onoff]
-//	         [-loads 0.1,0.3,...] [-epoch 10s] [-epochs 6]
-//	         [-servers 1] [-queue 0] [-batch 1] [-batch-delay 0]
-//	         [-service 1ms] [-sigma 0.5] [-seed 1] [-j 0] [-v]
-//
-// It ramps seeded open-loop arrivals through the offered-load fractions,
-// records every request latency in a mergeable log-bucketed histogram,
-// and reports p50/p99/p999 with rank-based nonparametric CIs plus the
-// detected latency knee — tail percentiles free of coordinated omission.
+// The open-loop service sweep is `scibench serve`; mpibench measures
+// collectives only.
 //
 // The sweep is interruptible: Ctrl-C (or an elapsed -budget) checkpoints
 // cleanly, prints the partial report with the interruption labeled, and
@@ -56,7 +45,6 @@ import (
 
 func main() {
 	var (
-		workload    = flag.String("workload", "collectives", "workload family: collectives|serve")
 		system      = flag.String("system", "daint", "simulated system: daint|dora|pilatus")
 		collectives = flag.String("collectives", "", "comma-separated subset (default: all)")
 		ranks       = flag.String("ranks", "2,4,8,16,32", "comma-separated process counts")
@@ -72,11 +60,7 @@ func main() {
 		sumThr  = flag.Int("summary-threshold", 0, "rank count at which auto mode switches to summary results (0 = engine default)")
 		verbose = flag.Bool("v", false, "stream per-configuration progress")
 		telAddr = flag.String("telemetry", "", "serve /metrics, /trace, and /debug/pprof on this address (e.g. :8080); also enables span tracing")
-
-		// serve workload flags (ignored by -workload collectives).
-		sv serveFlags
 	)
-	sv.register(flag.CommandLine)
 	flag.Parse()
 
 	if *telAddr != "" {
@@ -102,19 +86,6 @@ func main() {
 	if *verbose {
 		progressW = os.Stderr
 	}
-	switch *workload {
-	case "collectives":
-	case "serve":
-		if err := runServe(ctx, sv, *seed, *workers, progressW); err != nil {
-			fmt.Fprintf(os.Stderr, "mpibench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "mpibench: unknown workload %q (collectives|serve)\n", *workload)
-		os.Exit(2)
-	}
-
 	var clusterCfg cluster.Config
 	switch *system {
 	case "daint":

@@ -90,11 +90,12 @@ func ReadFileChunk(path string, off int64, max int) (Chunk, error) {
 
 // ValidPrefix replays journal bytes and reports how many leading bytes
 // form whole, CRC-verified records — the truncation point a resumed
-// journal is cut back to. Chunked shipment needs it because a crash can
-// ship a torn tail before dying: the replacement executor drops that
-// tail locally (Open truncates to the valid prefix) and must shrink the
-// receiver's mirror to the same point before appending its divergent
-// continuation.
+// journal is cut back to (Open cuts to the same point). Bytes that do
+// not start with the full v2 header report 0. Chunked shipment needs it
+// because a crash can ship a torn tail before dying: the coordinator
+// cuts its mirror to the valid prefix when it seeds the next attempt,
+// and a worker cuts its local copy before it ships, so the replacement
+// executor's continuation lands on exactly the bytes it resumed from.
 func ValidPrefix(journal []byte) int64 {
 	st := Replay(journal)
 	return st.ValidBytes

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -31,6 +32,7 @@ var (
 	telBadFrames    = telemetry.Default().Counter("remote.bad_frames")
 	telHeartbeats   = telemetry.Default().Counter("remote.heartbeats_forwarded")
 	telWorkers      = telemetry.Default().Gauge("remote.workers")
+	telMirrorFsync  = telemetry.Default().Histogram("remote.mirror_fsync_us")
 )
 
 // syncFile is the fsync seam of the mirror-durability test, which
@@ -292,10 +294,8 @@ func (c *Coordinator) StartFunc() shard.StartFunc {
 		if err != nil {
 			return nil, err
 		}
-		seed, err := c.snapshotSeed(shardDir)
-		if err != nil {
-			return nil, err
-		}
+		// Fence the previous attempt before the seed is taken, so no
+		// frame of it can land in the mirror after the snapshot.
 		l := &lease{shard: idx, attempt: attempt, worker: w.ID, done: make(chan struct{})}
 		c.mu.Lock()
 		if old := c.leases[idx]; old != nil {
@@ -304,6 +304,11 @@ func (c *Coordinator) StartFunc() shard.StartFunc {
 		c.leases[idx] = l
 		c.lastWorker[idx] = w.ID
 		c.mu.Unlock()
+		seed, err := c.snapshotSeed(idx, shardDir)
+		if err != nil {
+			l.resolve(errKilled)
+			return nil, err
+		}
 
 		req := AssignRequest{
 			SweepHash: c.sweep.SweepHash,
@@ -368,18 +373,35 @@ func (c *Coordinator) assign(w *workerRec, req AssignRequest) error {
 // snapshotSeed captures the shard mirror for an assignment: every unit
 // campaign file. The replacement worker starts from exactly what the
 // coordinator verified shipped — completed units are skipped, partial
-// journals resumed, nothing re-measured.
-func (c *Coordinator) snapshotSeed(shardDir string) ([]FileState, error) {
+// journals resumed, nothing re-measured. The shard is quiescent here
+// (its previous lease is fenced), so this is where the mirror drops a
+// torn tail a dead attempt shipped: a v2 journal is cut, durably, to
+// its CRC-valid prefix before it is seeded. A journal that is not v2
+// has no valid prefix and is seeded untouched, for the executor to
+// refuse.
+func (c *Coordinator) snapshotSeed(shardIdx int, shardDir string) ([]FileState, error) {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
 	var out []FileState
 	add := func(rel string) error {
-		b, err := os.ReadFile(filepath.Join(shardDir, rel))
+		path := filepath.Join(shardDir, rel)
+		b, err := os.ReadFile(path)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil
 			}
 			return err
+		}
+		if filepath.Base(rel) == campaign.JournalFile {
+			if valid := campaign.ValidPrefix(b); valid > 0 && valid < int64(len(b)) {
+				// Cut at valid: if the fsync fails, the retry cut is the same.
+				if err := mutateDurable(path, valid, func(fh *os.File) error { return fh.Truncate(valid) }); err != nil {
+					return fmt.Errorf("remote: cutting torn tail of mirror %s: %w", rel, err)
+				}
+				c.logf("shard %d: mirror %s cut %d → %d (torn tail dropped before reseeding)\n",
+					shardIdx, filepath.ToSlash(rel), len(b), valid)
+				b = b[:valid]
+			}
 		}
 		out = append(out, FileState{Path: rel, Data: b, CRC: crc32.ChecksumIEEE(b)})
 		return nil
@@ -520,12 +542,13 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeJSONResp(w, ChunkResponse{OK: false, Refused: err.Error()})
 		return
 	}
-	if _, reason := c.leaseFor(f.SweepHash, f.Shard, f.Attempt, f.WorkerID); reason != "" {
+	l, reason := c.leaseFor(f.SweepHash, f.Shard, f.Attempt, f.WorkerID)
+	if reason != "" {
 		telStaleRefused.Inc()
 		writeJSONResp(w, ChunkResponse{OK: false, Refused: reason, Stale: true})
 		return
 	}
-	writeJSONResp(w, c.applyChunk(f))
+	writeJSONResp(w, c.applyChunk(l, f))
 }
 
 // applyChunk lands one validated, fenced frame in the mirror. The
@@ -534,28 +557,21 @@ func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
 // (with the directory entries of new files and directories) before it
 // is acknowledged: the mirror is the copy a rerun resumes from, and the
 // worker's own journal is scratch that dies with it, so an acknowledged
-// sealed record must survive a host crash here.
-func (c *Coordinator) applyChunk(f ChunkFrame) ChunkResponse {
+// sealed record must survive a host crash here. The frame's lease l is
+// checked again under fileMu: a lease fenced after leaseFor must not
+// land a frame after the next attempt's seed was taken.
+func (c *Coordinator) applyChunk(l *lease, f ChunkFrame) ChunkResponse {
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
+	if l.isDead() {
+		telStaleRefused.Inc()
+		return ChunkResponse{OK: false, Stale: true,
+			Refused: fmt.Sprintf("shard %d attempt %d was fenced off (stale)", f.Shard, f.Attempt)}
+	}
 	path := filepath.Join(c.sweepDir, shard.ShardDirName(f.Shard), filepath.FromSlash(f.Path))
 	size := int64(0)
 	if st, err := os.Stat(path); err == nil {
 		size = st.Size()
-	}
-	if f.Truncate {
-		if f.Off > size {
-			return ChunkResponse{OK: false, ResumeOff: size,
-				Refused: fmt.Sprintf("cannot truncate %s to %d: mirror has %d bytes", f.Path, f.Off, size)}
-		}
-		if f.Off < size {
-			if err := mutateDurable(path, size, func(fh *os.File) error { return fh.Truncate(f.Off) }); err != nil {
-				return ChunkResponse{OK: false, ResumeOff: size, Refused: err.Error()}
-			}
-			c.logf("shard %d: mirror %s truncated %d → %d (torn tail dropped at resume)\n",
-				f.Shard, f.Path, size, f.Off)
-		}
-		return ChunkResponse{OK: true, ResumeOff: f.Off}
 	}
 	switch {
 	case f.Off == size:
@@ -598,7 +614,7 @@ func mutateDurable(path string, size int64, change func(*os.File) error) error {
 		return err
 	}
 	if err = change(fh); err == nil {
-		err = syncFile(fh)
+		err = timedSync(fh)
 	}
 	if err != nil {
 		_ = fh.Truncate(size)
@@ -627,13 +643,22 @@ func mkdirDurable(dir string) error {
 	return syncDir(filepath.Dir(dir))
 }
 
+// timedSync fsyncs one mirror file or directory and records the time in
+// remote.mirror_fsync_us, whose count is the mirror's fsyncs.
+func timedSync(f *os.File) error {
+	t0 := time.Now()
+	err := syncFile(f)
+	telMirrorFsync.Observe(telemetry.Us(time.Since(t0)))
+	return err
+}
+
 // syncDir fsyncs a directory so the entries created in it are durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = syncFile(d)
+	err = timedSync(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}

@@ -8,6 +8,13 @@
 // CRC32-framed chunks with resumable offsets into the coordinator's
 // mirror of every shard directory.
 //
+// The mirror is the one lineage of every unit journal. The coordinator
+// alone repairs it: when it seeds an attempt, with the shard's previous
+// lease already fenced, it cuts each mirrored journal back to its
+// CRC-valid prefix. A worker keeps local bytes only when they extend
+// that seed, so it only ever appends to the mirror and never asks it to
+// shrink.
+//
 // Liveness lives on the coordinator's lease, in memory. The worker
 // counts each completed measure call of an attempt and posts the count
 // on every ship tick. The coordinator re-arms the lease's timer only
@@ -43,7 +50,7 @@ import (
 // ProtocolVersion identifies the wire protocol; a version mismatch at
 // registration is refused rather than negotiated — a drifted protocol
 // is a drifted experiment transport (Rule 9).
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // MaxChunk bounds one chunk frame's payload. Larger ships are split;
 // larger received frames are refused.
@@ -127,10 +134,8 @@ type AssignResponse struct {
 // ChunkFrame ships one span of one shard file from worker to
 // coordinator. Off is the absolute file offset of Data; CRC is
 // crc32.IEEE over Data alone, so a torn or bit-flipped frame is refused
-// before any byte lands in the mirror. A Truncate frame (empty Data)
-// shrinks the mirror to Off — sent once per journal at attempt start,
-// because a resumed executor drops the torn tail a crash left and the
-// mirror must drop it too before the divergent continuation arrives.
+// before any byte lands in the mirror. Frames only ever append: the
+// mirror drops a torn tail itself, when it seeds the next attempt.
 type ChunkFrame struct {
 	WorkerID  string `json:"worker_id"`
 	SweepHash string `json:"sweep_hash"`
@@ -140,7 +145,6 @@ type ChunkFrame struct {
 	Off       int64  `json:"off"`
 	Data      []byte `json:"data,omitempty"`
 	CRC       uint32 `json:"crc"`
-	Truncate  bool   `json:"truncate,omitempty"`
 }
 
 // Validate checks frame integrity and path safety. It is the only gate
@@ -161,9 +165,6 @@ func (f ChunkFrame) Validate() error {
 	}
 	if len(f.Data) > MaxChunk {
 		return fmt.Errorf("remote: chunk of %d bytes exceeds MaxChunk %d", len(f.Data), MaxChunk)
-	}
-	if f.Truncate && len(f.Data) > 0 {
-		return fmt.Errorf("remote: truncate frame carries %d data bytes", len(f.Data))
 	}
 	if got := crc32.ChecksumIEEE(f.Data); got != f.CRC {
 		return fmt.Errorf("remote: chunk CRC mismatch (frame %08x, payload %08x)", f.CRC, got)
@@ -253,7 +254,7 @@ type CancelRequest struct {
 // inventory verification.
 var shardFiles = []string{
 	campaign.ManifestFile, // write-once (atomic rename)
-	campaign.JournalFile,  // append-only; may truncate once at resume
+	campaign.JournalFile,  // append-only; the coordinator cuts a torn tail when it seeds
 	shard.UnitResultFile,  // write-once completion sentinel
 }
 

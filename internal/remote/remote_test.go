@@ -857,7 +857,7 @@ func TestAssignRefusesNonCampaignSeedPath(t *testing.T) {
 }
 
 // TestChunkApplySemantics pins the mirror's apply rules: in-order
-// append, idempotent duplicates, refused gaps, and bounded truncation.
+// append, idempotent duplicates and refused gaps.
 func TestChunkApplySemantics(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, shard.ShardDirName(0)), 0o755); err != nil {
@@ -865,48 +865,39 @@ func TestChunkApplySemantics(t *testing.T) {
 	}
 	c := &Coordinator{sweepDir: dir}
 	path := shard.UnitsDir + "/u00-x/" + campaign.JournalFile
-	frame := func(off int64, data []byte, trunc bool) ChunkFrame {
+	frame := func(off int64, data []byte) ChunkFrame {
 		return ChunkFrame{WorkerID: "w000", Shard: 0, Attempt: 1, Path: path,
-			Off: off, Data: data, CRC: crc32.ChecksumIEEE(data), Truncate: trunc}
+			Off: off, Data: data, CRC: crc32.ChecksumIEEE(data)}
 	}
-	if resp := c.applyChunk(frame(0, []byte("aaaa"), false)); !resp.OK || resp.ResumeOff != 4 {
+	l := &lease{}
+	if resp := c.applyChunk(l, frame(0, []byte("aaaa"))); !resp.OK || resp.ResumeOff != 4 {
 		t.Fatalf("initial append: %+v", resp)
 	}
-	if resp := c.applyChunk(frame(4, []byte("bbbb"), false)); !resp.OK || resp.ResumeOff != 8 {
+	if resp := c.applyChunk(l, frame(4, []byte("bbbb"))); !resp.OK || resp.ResumeOff != 8 {
 		t.Fatalf("sequential append: %+v", resp)
 	}
 	// Duplicate delivery: acknowledged, not rewritten.
-	if resp := c.applyChunk(frame(4, []byte("XXXX"), false)); !resp.OK || resp.ResumeOff != 8 {
+	if resp := c.applyChunk(l, frame(4, []byte("XXXX"))); !resp.OK || resp.ResumeOff != 8 {
 		t.Fatalf("duplicate: %+v", resp)
 	}
 	// Gap: refused with the authoritative resume offset.
-	if resp := c.applyChunk(frame(12, []byte("cccc"), false)); resp.OK || resp.ResumeOff != 8 {
+	if resp := c.applyChunk(l, frame(12, []byte("cccc"))); resp.OK || resp.ResumeOff != 8 {
 		t.Fatalf("gap: %+v", resp)
-	}
-	// Truncate down (torn-tail drop), then append the divergent suffix.
-	if resp := c.applyChunk(frame(6, nil, true)); !resp.OK || resp.ResumeOff != 6 {
-		t.Fatalf("truncate: %+v", resp)
-	}
-	// Truncate beyond the mirror: refused.
-	if resp := c.applyChunk(frame(100, nil, true)); resp.OK || resp.ResumeOff != 6 {
-		t.Fatalf("truncate past end: %+v", resp)
-	}
-	if resp := c.applyChunk(frame(6, []byte("dd"), false)); !resp.OK || resp.ResumeOff != 8 {
-		t.Fatalf("post-truncate append: %+v", resp)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, shard.ShardDirName(0), filepath.FromSlash(path)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "aaaabbdd" {
-		t.Fatalf("mirror = %q, want aaaabbdd", got)
+	if string(got) != "aaaabbbb" {
+		t.Fatalf("mirror = %q, want aaaabbbb", got)
 	}
 }
 
 // TestMirrorAppendsAreDurable pins that the mirror fsyncs before it
-// acknowledges: the file on every append and truncate, plus each
-// directory that gained an entry when a unit's file is first created.
-// A failed fsync refuses the frame, so the worker re-ships it.
+// acknowledges: the file on every append, plus each directory that
+// gained an entry when a unit's file is first created. A failed fsync
+// refuses the frame, so the worker re-ships it. Each of those syncs is
+// one observation of remote.mirror_fsync_us.
 func TestMirrorAppendsAreDurable(t *testing.T) {
 	dir := t.TempDir()
 	shardDir := filepath.Join(dir, shard.ShardDirName(0))
@@ -927,37 +918,40 @@ func TestMirrorAppendsAreDurable(t *testing.T) {
 	}
 	c := &Coordinator{sweepDir: dir}
 	path := shard.UnitsDir + "/u00-x/" + campaign.JournalFile
-	frame := func(off int64, data []byte, trunc bool) ChunkFrame {
+	frame := func(off int64, data []byte) ChunkFrame {
 		return ChunkFrame{WorkerID: "w000", Shard: 0, Attempt: 1, Path: path,
-			Off: off, Data: data, CRC: crc32.ChecksumIEEE(data), Truncate: trunc}
+			Off: off, Data: data, CRC: crc32.ChecksumIEEE(data)}
 	}
 	step := func(name string, f ChunkFrame, wantOK bool, want ...string) {
 		t.Helper()
 		synced = nil
-		if resp := c.applyChunk(f); resp.OK != wantOK {
+		before := telMirrorFsync.Snapshot().Count
+		if resp := c.applyChunk(&lease{}, f); resp.OK != wantOK {
 			t.Fatalf("%s: %+v, want OK=%v", name, resp, wantOK)
 		}
 		if !slices.Equal(synced, want) {
 			t.Fatalf("%s: fsynced %q, want %q", name, synced, want)
 		}
+		if got := telMirrorFsync.Snapshot().Count - before; got != len(synced) {
+			t.Fatalf("%s: remote.mirror_fsync_us counted %d syncs, want %d", name, got, len(synced))
+		}
 	}
 	sd := shard.ShardDirName(0)
 	file := sd + "/" + path
-	step("create", frame(0, []byte("aaaa"), false), true,
+	step("create", frame(0, []byte("aaaa")), true,
 		sd+"/"+shard.UnitsDir, file, sd+"/"+shard.UnitsDir+"/u00-x")
-	step("append", frame(4, []byte("bbbb"), false), true, file)
-	step("duplicate", frame(4, []byte("bbbb"), false), true)
-	step("truncate", frame(6, nil, true), true, file)
+	step("append", frame(4, []byte("bbbb")), true, file)
+	step("duplicate", frame(4, []byte("bbbb")), true)
 	failSync = errors.New("injected fsync failure")
-	step("failed fsync", frame(6, []byte("cc"), false), false, file)
+	step("failed fsync", frame(8, []byte("cc")), false, file)
 	failSync = nil
-	step("re-shipped", frame(6, []byte("cc"), false), true, file)
+	step("re-shipped", frame(8, []byte("cc")), true, file)
 	got, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(file)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "aaaabbcc" {
-		t.Fatalf("mirror = %q, want aaaabbcc", got)
+	if string(got) != "aaaabbbbcc" {
+		t.Fatalf("mirror = %q, want aaaabbbbcc", got)
 	}
 }
 
@@ -975,7 +969,6 @@ func TestChunkFrameValidate(t *testing.T) {
 		"deep path":      {Attempt: 1, Path: "units/u0/x/journal.jsonl", CRC: 0},
 		"negative off":   {Attempt: 1, Path: "units/u0/journal.jsonl", Off: -1, CRC: 0},
 		"zero attempt":   {Attempt: 0, Path: "units/u0/journal.jsonl", CRC: 0},
-		"trunc armed":    {Attempt: 1, Path: "units/u0/journal.jsonl", Truncate: true, Data: []byte("x"), CRC: crc32.ChecksumIEEE([]byte("x"))},
 		"dotted unit":    {Attempt: 1, Path: "units/../journal.jsonl", CRC: 0},
 		"oversize chunk": {Attempt: 1, Path: "units/u0/journal.jsonl", Data: make([]byte, MaxChunk+1), CRC: crc32.ChecksumIEEE(make([]byte, MaxChunk+1))},
 	} {
@@ -1027,8 +1020,8 @@ func TestFaultTransportDeterministic(t *testing.T) {
 
 // TestRemoteShipmentV2ByteIdentity runs a sweep, whose units journal in
 // the chunked binary v2 format, through the full remote transport: the
-// worker's truncate floors (campaign.ValidPrefix) and the coordinator's
-// byte-oriented chunk ingestion must carry the binary chunks intact, the
+// coordinator's byte-oriented chunk ingestion must carry the binary
+// chunks intact, the
 // mirrored unit journals must replay as clean v2, and the merged report
 // must be byte-identical to the single-process reference.
 func TestRemoteShipmentV2ByteIdentity(t *testing.T) {

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -353,13 +354,6 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 		w.reportFail(ctx, j, fmt.Sprintf("preparing shard dir: %v", err))
 		return
 	}
-	// floors: per-journal valid-prefix truncation points, computed before
-	// the executor appends anything. The mirror may hold a torn tail the
-	// dead predecessor shipped before crashing; it must be cut back to
-	// the valid prefix before this attempt's divergent continuation
-	// lands.
-	floors := w.journalFloors(j)
-
 	var done shard.ShardDone // written before the send on execDone
 	execDone := make(chan error, 1)
 	go func() {
@@ -371,7 +365,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 		execDone <- err
 	}()
 
-	sh := &shipper{w: w, j: j, shipped: map[string]int64{}, floors: floors}
+	sh := &shipper{w: w, j: j, shipped: map[string]int64{}}
 	tick := time.NewTicker(w.opt.ShipInterval)
 	defer tick.Stop()
 	for {
@@ -401,9 +395,13 @@ func (w *Worker) runJob(ctx context.Context, j *job, req AssignRequest) {
 }
 
 // prepare writes the shard manifest and applies the assignment seed.
-// Seed bytes only ever extend local files: by per-unit seed
-// determinism, a shorter local journal is a strict prefix of the
-// mirror's, so "longer wins" is the whole merge rule.
+// The mirror is the one lineage, unit by unit: a unit's local files are
+// kept only when every seeded file is a prefix of its local copy (an
+// unshipped tail a restarted worker measured). Otherwise the unit
+// directory is replaced by its seed, so no local sentinel or manifest
+// outlives the journal it belonged to. A local journal's torn tail is
+// cut here, before the shipper can send it: the executor would drop it
+// at resume and append a different continuation.
 func (w *Worker) prepare(j *job, req AssignRequest) error {
 	if err := os.MkdirAll(filepath.Join(j.dir, shard.UnitsDir), 0o755); err != nil {
 		return err
@@ -411,39 +409,46 @@ func (w *Worker) prepare(j *job, req AssignRequest) error {
 	if err := shard.WriteJSON(filepath.Join(j.dir, shard.ManifestFile), req.Manifest); err != nil {
 		return err
 	}
+	stale := map[string]bool{}
 	for _, fs := range req.Seed {
 		path := filepath.Join(j.dir, filepath.FromSlash(fs.Path))
-		local := int64(-1)
-		if st, err := os.Stat(path); err == nil {
-			local = st.Size()
+		if local, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(local, fs.Data) {
+			stale[filepath.Dir(path)] = true
 		}
-		if local >= int64(len(fs.Data)) {
-			continue
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	}
+	for unit := range stale {
+		if err := os.RemoveAll(unit); err != nil {
 			return err
+		}
+		if err := os.MkdirAll(unit, 0o755); err != nil {
+			return err
+		}
+	}
+	for _, fs := range req.Seed {
+		path := filepath.Join(j.dir, filepath.FromSlash(fs.Path))
+		if !stale[filepath.Dir(path)] {
+			continue
 		}
 		if err := os.WriteFile(path, fs.Data, 0o644); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// journalFloors computes each local journal's CRC-valid prefix length.
-func (w *Worker) journalFloors(j *job) map[string]int64 {
-	floors := map[string]int64{}
 	for _, rel := range w.localFiles(j) {
 		if filepath.Base(rel) != campaign.JournalFile {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(j.dir, filepath.FromSlash(rel)))
+		path := filepath.Join(j.dir, filepath.FromSlash(rel))
+		b, err := os.ReadFile(path)
 		if err != nil {
-			continue
+			return err
 		}
-		floors[rel] = campaign.ValidPrefix(b)
+		if valid := campaign.ValidPrefix(b); valid > 0 && valid < int64(len(b)) {
+			if err := os.Truncate(path, valid); err != nil {
+				return err
+			}
+		}
 	}
-	return floors
+	return nil
 }
 
 // localFiles lists the shippable files currently in the job dir: units
@@ -571,8 +576,6 @@ type shipper struct {
 	w       *Worker
 	j       *job
 	shipped map[string]int64
-	floors  map[string]int64 // pending journal truncations
-	netDown bool             // last pass hit network errors (for logging only)
 }
 
 // reportProgress posts the job's count of completed measure calls.
@@ -601,16 +604,6 @@ func (s *shipper) shipPass(ctx context.Context) (fenced bool) {
 		if ctx.Err() != nil {
 			return false
 		}
-		if floor, ok := s.floors[rel]; ok {
-			done, isFenced := s.sendTruncate(rel, floor)
-			if isFenced {
-				return true
-			}
-			if !done {
-				return false // network error: retry next tick
-			}
-			delete(s.floors, rel)
-		}
 		path := filepath.Join(s.j.dir, filepath.FromSlash(rel))
 		for {
 			st, err := os.Stat(path)
@@ -634,7 +627,6 @@ func (s *shipper) shipPass(ctx context.Context) (fenced bool) {
 			}, &resp)
 			if err != nil {
 				telShipErrors.Inc()
-				s.netDown = true
 				return false
 			}
 			if resp.Stale {
@@ -649,42 +641,11 @@ func (s *shipper) shipPass(ctx context.Context) (fenced bool) {
 			}
 		}
 	}
-	s.netDown = false
 	return false
-}
-
-// sendTruncate aligns the mirror's journal with the local valid prefix.
-// done=false means a network error (retry later).
-func (s *shipper) sendTruncate(rel string, floor int64) (done, fenced bool) {
-	var resp ChunkResponse
-	err := postJSON(s.w.client, s.w.opt.Coordinator+PathChunk, ChunkFrame{
-		WorkerID:  s.w.id,
-		SweepHash: s.w.sweepHash,
-		Shard:     s.j.shardIdx,
-		Attempt:   s.j.attempt,
-		Path:      rel,
-		Off:       floor,
-		Truncate:  true,
-	}, &resp)
-	if err != nil {
-		telShipErrors.Inc()
-		return false, false
-	}
-	if resp.Stale {
-		return false, true
-	}
-	// Accepted (mirror cut to floor) or refused because the mirror is
-	// shorter than the floor — either way ResumeOff is where shipping
-	// starts.
-	s.shipped[rel] = resp.ResumeOff
-	return true, false
 }
 
 // allShipped reports whether every local file is fully mirrored.
 func (s *shipper) allShipped(ctx context.Context) bool {
-	if len(s.floors) > 0 {
-		return false
-	}
 	for _, rel := range s.w.localFiles(s.j) {
 		st, err := os.Stat(filepath.Join(s.j.dir, filepath.FromSlash(rel)))
 		if err != nil {

@@ -29,9 +29,11 @@ type UnitReport struct {
 	Unit  Unit
 	Shard int
 	// Started: the unit's campaign directory exists. Completed: its
-	// completion sentinel does. Lost: not completed — its shard was
-	// abandoned (or the sweep merged early); the unit's missing
-	// observations are explicit losses, never silent gaps.
+	// completion sentinel does, and its journal replays exactly the
+	// sentinel's sample count. Lost: not completed — its shard was
+	// abandoned (or the sweep merged early, or its journal disagrees
+	// with its sentinel); the unit's missing observations are explicit
+	// losses, never silent gaps.
 	Started   bool
 	Completed bool
 	Lost      bool
@@ -54,6 +56,9 @@ type UnitReport struct {
 	EnvFingerprint string
 
 	samples []float64
+	// sentinelN is the sample count of a completion sentinel the
+	// journal disagrees with; -1 when there is no such sentinel.
+	sentinelN int
 }
 
 // ShardReport summarizes one shard in the merged manifest: its env
@@ -251,7 +256,7 @@ func checkShardManifest(got, want Manifest) error {
 // mergeUnit loads and verifies one unit's journal against the manifest
 // the sweep pins for it, then recomputes its accounting and analysis.
 func mergeUnit(shardDir string, sw SweepManifest, shardIdx int, u Unit) (UnitReport, error) {
-	ur := UnitReport{Unit: u, Shard: shardIdx}
+	ur := UnitReport{Unit: u, Shard: shardIdx, sentinelN: -1}
 	dir := UnitDir(shardDir, u.ID)
 	want := campaign.Manifest{
 		Version:          campaign.FormatVersion,
@@ -278,8 +283,12 @@ func mergeUnit(shardDir string, sw SweepManifest, shardIdx int, u Unit) (UnitRep
 	ur.N = len(rp.Samples)
 	ur.Warmup, ur.Retries, ur.Losses, ur.Panics = rp.Warmup, rp.Retries, rp.Losses, rp.Panics
 	if d, ok := loadUnitDone(dir); ok {
-		ur.Completed = true
-		ur.Stop = d.Stop
+		if d.N == ur.N {
+			ur.Completed = true
+			ur.Stop = d.Stop
+		} else {
+			ur.sentinelN = d.N
+		}
 	}
 	if len(ur.samples) >= 2 {
 		if res, err := bench.Analyze(ur.samples, mergeConfidence); err == nil {
@@ -295,8 +304,9 @@ func isNoCampaign(err error) bool {
 }
 
 // account fills the loss accounting and campaign verdict: every unit
-// without a completion sentinel is an explicit loss (Rule 4 — the
-// failures are data), and any loss degrades the campaign.
+// without a completion sentinel that its journal agrees with is an
+// explicit loss (Rule 4 — the failures are data), and any loss degrades
+// the campaign.
 func (r *MergeReport) account() {
 	for i := range r.Units {
 		u := &r.Units[i]
@@ -306,13 +316,15 @@ func (r *MergeReport) account() {
 		}
 		u.Lost = true
 		r.UnitsLost++
-		r.Findings = append(r.Findings, rules.Finding{
-			Rule:     4,
-			Severity: rules.Warning,
-			Message: fmt.Sprintf("unit %s (shard %d) was lost: %d of its observations were journaled "+
-				"before its shard was abandoned; the merged report carries the loss explicitly",
-				u.Unit.ID, u.Shard, u.N),
-		})
+		msg := fmt.Sprintf("unit %s (shard %d) was lost: %d of its observations were journaled "+
+			"before its shard was abandoned; the merged report carries the loss explicitly",
+			u.Unit.ID, u.Shard, u.N)
+		if u.sentinelN >= 0 {
+			msg = fmt.Sprintf("unit %s (shard %d) was lost: its completion sentinel records n=%d "+
+				"but its journal replays %d observations; the merged report carries the loss explicitly",
+				u.Unit.ID, u.Shard, u.sentinelN, u.N)
+		}
+		r.Findings = append(r.Findings, rules.Finding{Rule: 4, Severity: rules.Warning, Message: msg})
 	}
 	if r.UnitsLost > 0 {
 		r.Stop = bench.StopDegraded

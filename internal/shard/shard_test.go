@@ -271,6 +271,47 @@ func TestExecShardSkipsCompletedUnits(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesSentinelJournalDisagreement: a completed unit whose
+// journal is cut back to an earlier chunk boundary, with its result.json
+// kept, replays fewer observations than its sentinel records. The merge
+// must declare the unit lost with a Rule 4 finding naming both counts
+// and degrade the verdict, not report the smaller n as complete.
+func TestMergeRefusesSentinelJournalDisagreement(t *testing.T) {
+	dir := t.TempDir()
+	sw := buildSweep(t, dir, 1, 1)
+	if got := execAllWith(t, dir, sw, testRunner{samples: 100}); !bytes.Contains(got, []byte("verdict: COMPLETE")) {
+		t.Fatalf("reference report not complete:\n%s", got)
+	}
+	jpath := filepath.Join(UnitDir(filepath.Join(dir, ShardDirName(0)), sw.Units[0].ID), campaign.JournalFile)
+	b := journalBytes(t, filepath.Dir(jpath))
+	cut := int64(len(b)) - 1
+	for campaign.ValidPrefix(b[:cut]) != cut {
+		cut--
+	}
+	if err := os.Truncate(jpath, cut); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Merge(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := rep.Units[0]
+	if !u.Lost || u.Completed || rep.Stop != bench.StopDegraded {
+		t.Fatalf("cut journal merged as lost=%v completed=%v stop=%q, want lost and degraded", u.Lost, u.Completed, rep.Stop)
+	}
+	want := fmt.Sprintf("completion sentinel records n=100 but its journal replays %d observations", u.N)
+	found := false
+	for _, f := range rep.Findings {
+		found = found || (f.Rule == 4 && strings.Contains(f.Message, want))
+	}
+	if u.N >= 100 || !found {
+		t.Fatalf("no Rule 4 finding %q (n=%d): %+v", want, u.N, rep.Findings)
+	}
+	if got := mergedReport(t, dir); !bytes.Contains(got, []byte("| LOST |")) || !bytes.Contains(got, []byte("verdict: DEGRADED")) {
+		t.Fatalf("report does not declare the loss:\n%s", got)
+	}
+}
+
 func journalBytes(t *testing.T, unitDir string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(unitDir, campaign.JournalFile))
