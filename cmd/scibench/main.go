@@ -75,13 +75,14 @@
 //	    `scibench worker` agents to register, and run the shards on them.
 //	    Shard manifests are hash-pinned over the wire; journal chunks
 //	    ship back CRC-framed with resumable offsets, so a reconnecting
-//	    worker re-ships only the missing suffix and mirrored
-//	    observations are never re-measured. Workers that crash, stall,
-//	    or partition are fenced (late chunks refused) and their shards
-//	    reassigned to other workers; each worker's Rule 9 host
-//	    environment is fingerprinted and the merge stratifies cross-host
-//	    seams. The merged report is byte-identical to a single-process
-//	    run.
+//	    worker re-ships only the missing suffix. Mirrored observations
+//	    are kept: a resume replays measure once per journaled call and
+//	    checks the bits, redoing the work but never replacing a value.
+//	    Workers that crash, stall, or partition are fenced (late chunks
+//	    refused) and their shards reassigned to other workers; each
+//	    worker's Rule 9 host environment is fingerprinted and the merge
+//	    stratifies cross-host seams. The merged report is byte-identical
+//	    to a single-process run.
 //
 //	scibench worker -coordinator URL [-listen ADDR] [-work DIR]
 //	    Run a worker agent: register with a coordinator, execute

@@ -120,6 +120,39 @@ const (
 	serviceSaltLo = 0x7b11_8d30_44fa_0002
 )
 
+// envelopeBins is the phase resolution of the diurnal sine envelope.
+const envelopeBins = 1024
+
+// envelopeMaxBin caps the bin coordinate t·envelopeBins/Period at which
+// the envelope is trusted: below it, the rounding of the phase that
+// rateAt hands to math.Sin stays far under the half-bin widening.
+const envelopeMaxBin = 1 << 40
+
+// sinLo[k] and sinHi[k] bound sin(2πφ) over phase bin k, widened by half
+// a bin on each side: φ ∈ [(k-½)/envelopeBins, (k+1½)/envelopeBins].
+var sinLo, sinHi = sinEnvelope()
+
+func sinEnvelope() (lo, hi [envelopeBins]float64) {
+	for k := range envelopeBins {
+		a := (float64(k) - 0.5) / envelopeBins
+		b := (float64(k) + 1.5) / envelopeBins
+		sa, sb := math.Sin(2*math.Pi*a), math.Sin(2*math.Pi*b)
+		lo[k], hi[k] = math.Min(sa, sb), math.Max(sa, sb)
+		// Between its extrema at φ = ¼ and ¾ the sine is monotone.
+		if a <= 0.25 && 0.25 <= b {
+			hi[k] = 1
+		}
+		if a <= 0.75 && 0.75 <= b {
+			lo[k] = -1
+		}
+	}
+	return lo, hi
+}
+
+// envelopeTerm is one diurnal period as the squeeze step reads it: the
+// scale from time to envelope bins, and the period's rate coefficient.
+type envelopeTerm struct{ bins, coef float64 }
+
 // expDraw returns an exponential inter-event gap in seconds at the given
 // rate (events per second).
 func expDraw(st *rng.Stream, rate float64) float64 {
@@ -179,8 +212,36 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 			}
 			return math.Max(r, 0)
 		}
+		// Squeeze: the envelope bins of t's phases bound the unclamped
+		// sum in rateAt(t) by [lo, hi], up to slack for rounding
+		// (DESIGN.md, "Arrival generators"). A draw outside the band is
+		// decided without math.Sin; rateAt decides the rest, so every
+		// decision, and the schedule, is the exact thinning's. The clamp
+		// at 0 needs no bound: u ≥ 0, so a negative lo keeps nothing and
+		// a negative hi drops only draws that rateAt's 0 drops too.
+		terms := make([]envelopeTerm, len(cfg.Periods))
+		for i, p := range cfg.Periods {
+			terms[i] = envelopeTerm{bins: envelopeBins / p.Period.Seconds(), coef: cfg.Rate * p.Amplitude}
+		}
+		slack := 1e-12 * peak
 		for t := expDraw(&st, peak); t <= horizon && len(out) < maxN; t += expDraw(&st, peak) {
-			if st.Float64()*peak < rateAt(t) {
+			u := st.Float64() * peak
+			lo, hi, ok := cfg.Rate, cfg.Rate, true
+			for _, e := range terms {
+				f := t * e.bins
+				if !(f < envelopeMaxBin) {
+					ok = false
+					break
+				}
+				k := uint64(f) % envelopeBins
+				lo += e.coef * sinLo[k]
+				hi += e.coef * sinHi[k]
+			}
+			switch {
+			case ok && u < lo-slack:
+				emit(t)
+			case ok && u >= hi+slack:
+			case u < rateAt(t):
 				emit(t)
 			}
 		}

@@ -3,8 +3,11 @@ package serve
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 func TestScheduleDeterministic(t *testing.T) {
@@ -192,14 +195,141 @@ func TestScheduleErrors(t *testing.T) {
 	}
 }
 
+// exactThinning is the diurnal Schedule without its squeeze step: the
+// Lewis–Shedler loop that calls rateAt, and so math.Sin, on every
+// candidate. It is the reference the squeezed generator must equal.
+func exactThinning(c ArrivalConfig, duration time.Duration, maxN int, seed uint64) []time.Duration {
+	cfg, err := c.withDefaults()
+	if err != nil || cfg.Kind != Diurnal {
+		panic("exactThinning: want a valid diurnal config")
+	}
+	if maxN <= 0 {
+		maxN = DefaultMaxRequests
+	}
+	st := rng.NewStream(rng.Mix64(seed^arrivalSaltHi), rng.Mix64(seed^arrivalSaltLo))
+	horizon := duration.Seconds()
+	var out []time.Duration
+	emit := func(t float64) bool {
+		if t > horizon || len(out) >= maxN {
+			return false
+		}
+		out = append(out, time.Duration(math.Round(t*1e9)))
+		return true
+	}
+	peak := cfg.Rate
+	for _, p := range cfg.Periods {
+		peak += cfg.Rate * p.Amplitude
+	}
+	rateAt := func(t float64) float64 {
+		r := cfg.Rate
+		for _, p := range cfg.Periods {
+			r += cfg.Rate * p.Amplitude * math.Sin(2*math.Pi*t/p.Period.Seconds())
+		}
+		return math.Max(r, 0)
+	}
+	for t := expDraw(&st, peak); t <= horizon && len(out) < maxN; t += expDraw(&st, peak) {
+		if st.Float64()*peak < rateAt(t) {
+			emit(t)
+		}
+	}
+	return out
+}
+
+// TestSinEnvelopeBounds samples each widened phase bin densely: the sine
+// never leaves [sinLo[k], sinHi[k]], and the bounds are tight to within
+// the bin's own sampled range.
+func TestSinEnvelopeBounds(t *testing.T) {
+	const samples = 64
+	for k := range envelopeBins {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for j := 0; j <= samples; j++ {
+			phi := (float64(k) - 0.5 + 2*float64(j)/samples) / envelopeBins
+			s := math.Sin(2 * math.Pi * phi)
+			if s < sinLo[k] || s > sinHi[k] {
+				t.Fatalf("bin %d: sin(2π·%g) = %g outside [%g, %g]", k, phi, s, sinLo[k], sinHi[k])
+			}
+			lo, hi = math.Min(lo, s), math.Max(hi, s)
+		}
+		if lo-sinLo[k] > 1e-6 || sinHi[k]-hi > 1e-6 {
+			t.Fatalf("bin %d: bounds [%g, %g] loose against sampled [%g, %g]", k, sinLo[k], sinHi[k], lo, hi)
+		}
+	}
+}
+
+// TestDiurnalScheduleMatchesExactThinning pins the squeeze step to the
+// exact thinning, arrival for arrival, over the shapes that stress its
+// bounds: rates that touch or clamp at zero, sub-bin periods past the
+// bin-coordinate guard, periods far longer than the horizon, and a flat
+// profile.
+func TestDiurnalScheduleMatchesExactThinning(t *testing.T) {
+	epoch := 20 * time.Second
+	cases := []struct {
+		name    string
+		rate    float64
+		dur     time.Duration
+		periods []DiurnalPeriod
+		seeds   int
+	}{
+		{"golden", 1500, time.Second, []DiurnalPeriod{{Period: time.Second, Amplitude: 0.6}, {Period: 200 * time.Millisecond, Amplitude: 0.25}}, 120},
+		{"diurnal2", 1900, epoch, []DiurnalPeriod{{Period: epoch, Amplitude: 0.6}, {Period: epoch / 5, Amplitude: 0.25}}, 18},
+		{"touches zero", 3000, 2 * time.Second, []DiurnalPeriod{{Period: 500 * time.Millisecond, Amplitude: 1}}, 60},
+		{"clamped", 3000, 2 * time.Second, []DiurnalPeriod{{Period: 700 * time.Millisecond, Amplitude: 1}, {Period: 90 * time.Millisecond, Amplitude: 1}}, 60},
+		// Past 2^30 ns ≈ 1.07 s the 1 ns period's bin coordinate
+		// t·1024/period passes 2^40, and every candidate is exact.
+		{"sub-bin period", 4000, 3 * time.Second, []DiurnalPeriod{{Period: time.Nanosecond, Amplitude: 0.7}}, 30},
+		{"long period", 3000, 2 * time.Second, []DiurnalPeriod{{Period: 1000 * time.Hour, Amplitude: 0.9}}, 60},
+		{"flat", 3000, 2 * time.Second, []DiurnalPeriod{{Period: time.Second, Amplitude: 0}}, 60},
+	}
+	var total int
+	for _, tc := range cases {
+		cfg := ArrivalConfig{Kind: Diurnal, Rate: tc.rate, Periods: tc.periods}
+		for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
+			got, err := cfg.Schedule(tc.dur, 0, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			want := exactThinning(cfg, tc.dur, 0, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s seed %d: squeezed schedule (%d arrivals) differs from exact thinning (%d)", tc.name, seed, len(got), len(want))
+			}
+			if tc.name == "sub-bin period" && got[len(got)-1] <= 1<<30 {
+				t.Fatalf("sub-bin period seed %d: no arrival past 2^30 ns exercises the guard", seed)
+			}
+			total += len(got)
+		}
+	}
+	t.Logf("%d arrivals equal", total)
+}
+
+// BenchmarkScheduleDiurnal generates one epoch of the diurnal2 shape (a
+// 20 s period at amplitude 0.6 plus its fifth at 0.25) at half of two
+// 1 ms servers' capacity.
+func BenchmarkScheduleDiurnal(b *testing.B) {
+	epoch := 20 * time.Second
+	cfg := ArrivalConfig{Kind: Diurnal, Rate: 1000, Periods: []DiurnalPeriod{
+		{Period: epoch, Amplitude: 0.6},
+		{Period: epoch / 5, Amplitude: 0.25},
+	}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.Schedule(epoch, 0, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzArrivalSchedule checks the generator invariants on arbitrary
 // inputs: no panics, arrivals strictly inside (0, duration], monotone
 // non-decreasing, capped at maxN, and bit-identical on regeneration.
+// Diurnal schedules, whose first period is fuzzed down to 1 ns, must
+// also equal the exact thinning.
 func FuzzArrivalSchedule(f *testing.F) {
-	f.Add(uint8(0), uint64(1), uint16(1000), uint8(10))
-	f.Add(uint8(1), uint64(42), uint16(500), uint8(3))
-	f.Add(uint8(2), uint64(7), uint16(60000), uint8(1))
-	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, rateMilli uint16, durDeciSec uint8) {
+	f.Add(uint8(0), uint64(1), uint16(1000), uint8(10), uint64(0))
+	f.Add(uint8(1), uint64(42), uint16(500), uint8(3), uint64(150_000_000))
+	f.Add(uint8(1), uint64(9), uint16(30000), uint8(20), uint64(0))
+	f.Add(uint8(1), uint64(5), uint16(20000), uint8(14), uint64(700))
+	f.Add(uint8(2), uint64(7), uint16(60000), uint8(1), uint64(0))
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, rateMilli uint16, durDeciSec uint8, periodNs uint64) {
 		rate := float64(rateMilli) // up to 65535 req/s
 		if rate == 0 {
 			rate = 0.5
@@ -210,8 +340,11 @@ func FuzzArrivalSchedule(f *testing.F) {
 		case 0:
 			cfg = ArrivalConfig{Kind: Poisson, Rate: rate}
 		case 1:
+			// 1 ns up to about 69 s: below 1024 ns a period is shorter
+			// than one envelope bin is wide in nanoseconds.
+			period := time.Duration(periodNs%(1<<36) + 1)
 			cfg = ArrivalConfig{Kind: Diurnal, Rate: rate, Periods: []DiurnalPeriod{
-				{Period: dur / 2, Amplitude: float64(seed%101) / 100},
+				{Period: period, Amplitude: float64(seed%101) / 100},
 				{Period: dur, Amplitude: 0.3},
 			}}
 		case 2:
@@ -236,6 +369,9 @@ func FuzzArrivalSchedule(f *testing.F) {
 				t.Fatalf("arrival %d at %v before %v", i, at, prev)
 			}
 			prev = at
+		}
+		if cfg.Kind == Diurnal && !slices.Equal(a, exactThinning(cfg, dur, maxN, seed)) {
+			t.Fatalf("diurnal schedule differs from exact thinning")
 		}
 		b, err := cfg.Schedule(dur, maxN, seed)
 		if err != nil || len(a) != len(b) {
