@@ -76,12 +76,14 @@ remotecheck:
 # loadcheck drives the open-loop service workload's guarantees: arrival
 # and simulation determinism, the service-draw order-independence the
 # bit-identity contract rests on, the byte-identity golden over the
-# serve.Run matrix, the per-epoch (not per-request) allocation bound,
-# the coordinated-omission golden test against its analytic M/D/1
-# value, and the sweep's worker-count byte-identity at both the library
-# and CLI (merged.json) layers.
+# serve.Run matrix, the per-epoch (not per-request) allocation count,
+# the epoch's bytes following its peak queue depth rather than its
+# request count, the request cap refused with an error rather than cut
+# silently, the coordinated-omission golden test against its analytic
+# M/D/1 value, and the sweep's worker-count byte-identity at both the
+# library and CLI (merged.json) layers.
 loadcheck:
-	$(GO) test -run 'TestSchedule|TestRunDeterministic|TestServiceDrawIsPerRequest|TestServeGoldenBytes|TestRunAllocsIndependentOfRequests|TestCoordinatedOmission|TestOmissionRatio' \
+	$(GO) test -run 'TestSchedule|TestRunDeterministic|TestServiceDrawIsPerRequest|TestServeGoldenBytes|TestRunAllocsIndependentOfRequests|TestRunBytesIndependentOfRequests|TestRunRefusesRequestCap|TestCoordinatedOmission|TestOmissionRatio' \
 		-count=1 ./internal/serve
 	$(GO) test -run 'TestRunServeWorkerInvariance|TestRunServeKneeDetection|TestQuantileCIHist' \
 		-count=1 ./internal/suite ./internal/ci

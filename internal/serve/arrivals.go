@@ -162,10 +162,12 @@ func expDraw(st *rng.Stream, rate float64) float64 {
 
 // Schedule generates the deterministic open-loop arrival schedule:
 // absolute arrival times in (0, duration], at most maxN of them (0
-// selects the DefaultMaxRequests safety cap). The schedule is a pure
-// function of (config, duration, maxN, seed) — generation order is fixed
-// and the stream is derived from the seed alone, so every worker count,
-// shard layout, or replay sees bit-identical arrivals (Rule 9).
+// selects DefaultMaxRequests); a longer schedule is cut at maxN. The
+// schedule is a pure function of (config, duration, maxN, seed) —
+// generation order is fixed and the stream is derived from the seed
+// alone, so every worker count, shard layout, or replay sees
+// bit-identical arrivals (Rule 9). It collects the same generator Run
+// feeds its event loop from.
 func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) ([]time.Duration, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
@@ -177,24 +179,32 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 	if maxN <= 0 {
 		maxN = DefaultMaxRequests
 	}
+	// Size the schedule for the long-run mean count plus three standard
+	// deviations of its Poisson spread, so a call allocates it once; a
+	// burstier draw just grows it.
+	expect := cfg.Rate * duration.Seconds()
+	out := make([]time.Duration, 0, int(math.Min(float64(maxN), expect+3*math.Sqrt(expect)+16)))
+	generate(cfg, duration, seed, func(at time.Duration) bool {
+		out = append(out, at)
+		return len(out) < maxN
+	})
+	return out, nil
+}
+
+// generate is the arrival generator of a validated config: it hands
+// each arrival time in (0, duration] to yield, in order, until yield
+// returns false or the next arrival would pass duration. The draws come
+// from one stream derived from the seed alone, in a fixed order, so the
+// arrivals are a pure function of (config, duration, seed); a sink that
+// stops early sees a prefix of them.
+func generate(cfg ArrivalConfig, duration time.Duration, seed uint64, yield func(at time.Duration) bool) {
 	st := rng.NewStream(rng.Mix64(seed^arrivalSaltHi), rng.Mix64(seed^arrivalSaltLo))
 	horizon := duration.Seconds()
-	// Size the schedule for the long-run mean count plus three standard
-	// deviations of its Poisson spread, so a run allocates it once; a
-	// burstier draw just grows it.
-	expect := cfg.Rate * horizon
-	out := make([]time.Duration, 0, int(math.Min(float64(maxN), expect+3*math.Sqrt(expect)+16)))
-	emit := func(t float64) bool {
-		if t > horizon || len(out) >= maxN {
-			return false
-		}
-		out = append(out, time.Duration(math.Round(t*1e9)))
-		return true
-	}
+	at := func(t float64) time.Duration { return time.Duration(math.Round(t * 1e9)) }
 
 	switch cfg.Kind {
 	case Poisson:
-		for t := expDraw(&st, cfg.Rate); emit(t); t += expDraw(&st, cfg.Rate) {
+		for t := expDraw(&st, cfg.Rate); t <= horizon && yield(at(t)); t += expDraw(&st, cfg.Rate) {
 		}
 
 	case Diurnal:
@@ -224,7 +234,7 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 			terms[i] = envelopeTerm{bins: envelopeBins / p.Period.Seconds(), coef: cfg.Rate * p.Amplitude}
 		}
 		slack := 1e-12 * peak
-		for t := expDraw(&st, peak); t <= horizon && len(out) < maxN; t += expDraw(&st, peak) {
+		for t := expDraw(&st, peak); t <= horizon; t += expDraw(&st, peak) {
 			u := st.Float64() * peak
 			lo, hi, ok := cfg.Rate, cfg.Rate, true
 			for _, e := range terms {
@@ -237,12 +247,16 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 				lo += e.coef * sinLo[k]
 				hi += e.coef * sinHi[k]
 			}
+			var keep bool
 			switch {
 			case ok && u < lo-slack:
-				emit(t)
+				keep = true
 			case ok && u >= hi+slack:
-			case u < rateAt(t):
-				emit(t)
+			default:
+				keep = u < rateAt(t)
+			}
+			if keep && !yield(at(t)) {
+				return
 			}
 		}
 
@@ -253,7 +267,7 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 		// switch is exact).
 		on := true
 		t := 0.0
-		for t <= horizon && len(out) < maxN {
+		for t <= horizon {
 			rate := cfg.Rate * cfg.OnFactor
 			hold := cfg.MeanOn.Seconds()
 			if !on {
@@ -272,15 +286,13 @@ func (c ArrivalConfig) Schedule(duration time.Duration, maxN int, seed uint64) (
 			gap := expDraw(&st, rate)
 			if gap < switchIn {
 				t += gap
-				if t > horizon {
-					break
+				if t > horizon || !yield(at(t)) {
+					return
 				}
-				emit(t)
 			} else {
 				t += switchIn
 				on = !on
 			}
 		}
 	}
-	return out, nil
 }

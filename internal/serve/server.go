@@ -109,7 +109,10 @@ const (
 )
 
 // DefaultMaxRequests caps a single epoch's request count as a safety
-// valve against runaway rate×duration configurations.
+// valve against runaway rate×duration configurations. The cap is
+// declared, never silent: Run refuses an epoch in which more requests
+// than this would arrive (open loop) or be issued (closed loop) before
+// its duration ends, rather than cut it short.
 const DefaultMaxRequests = 4 << 20
 
 // Options configures one simulated serving epoch.
@@ -168,8 +171,13 @@ type sim struct {
 	mode LoopMode
 	seed uint64
 
-	queue []request // FIFO; queue[head:] is the live window
+	// queue is the FIFO of waiting requests, a ring: its n live
+	// slots run from queue[head], wrapping at the end. Its length is a
+	// power of two, doubled only when every slot is live, so its memory
+	// is O(peak depth).
+	queue []request
 	head  int
+	n     int
 
 	// Servers, built once per Run so steady-state dispatch allocates
 	// nothing: free is the stack of idle server ids, busy[id] the batch
@@ -193,9 +201,11 @@ type sim struct {
 	wakePending bool
 	wakeTime    time.Duration
 
-	// Closed-loop issue state.
+	// Closed-loop issue state; capped records an issue that the
+	// DefaultMaxRequests cap refused.
 	duration time.Duration
 	issued   int
+	capped   bool
 }
 
 // serviceDraw returns request i's service time, a pure function of
@@ -225,16 +235,22 @@ func (s *sim) stallClear(t time.Duration) time.Duration {
 	return t
 }
 
-func (s *sim) qlen() int { return len(s.queue) - s.head }
-
 // arrive admits (or drops) one request at the current simulated time.
 func (s *sim) arrive(idx int) {
-	if s.cfg.QueueCap > 0 && s.qlen() >= s.cfg.QueueCap {
+	if s.cfg.QueueCap > 0 && s.n >= s.cfg.QueueCap {
 		s.dropped++
 		telDropped.Inc()
 		return
 	}
-	s.queue = append(s.queue, request{idx: idx, arrival: s.eng.Now()})
+	if s.n == len(s.queue) {
+		// Full: double the ring, its live slots copied to the front in
+		// FIFO order.
+		q := make([]request, max(2*s.n, 64))
+		copy(q[copy(q, s.queue[s.head:]):], s.queue[:s.head])
+		s.queue, s.head = q, 0
+	}
+	s.queue[(s.head+s.n)&(len(s.queue)-1)] = request{idx: idx, arrival: s.eng.Now()}
+	s.n++
 	s.tryDispatch()
 }
 
@@ -275,8 +291,8 @@ func (s *sim) wake(at time.Duration) {
 // inside a stall window to its end.
 func (s *sim) tryDispatch() {
 	now := s.eng.Now()
-	for len(s.free) > 0 && s.qlen() > 0 {
-		k := s.qlen()
+	for len(s.free) > 0 && s.n > 0 {
+		k := s.n
 		if k > s.cfg.BatchMax {
 			k = s.cfg.BatchMax
 		}
@@ -293,13 +309,11 @@ func (s *sim) tryDispatch() {
 
 		id := s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		batch := append(s.busy[id][:0], s.queue[s.head:s.head+k]...)
+		end := min(s.head+k, len(s.queue))
+		batch := append(append(s.busy[id][:0], s.queue[s.head:end]...), s.queue[:k-(end-s.head)]...)
 		s.busy[id] = batch
-		s.head += k
-		if s.head == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
+		s.head = (s.head + k) & (len(s.queue) - 1)
+		s.n -= k
 		s.batches++
 		s.batchSum += k
 		telBatches.Inc()
@@ -335,20 +349,31 @@ func (s *sim) complete(id int) {
 		s.hist.Record(lat.Seconds())
 		s.completed++
 		telRequests.Inc()
-		if s.mode == ClosedLoop && now < s.duration && s.issued < DefaultMaxRequests {
-			idx := s.issued
-			s.issued++
-			s.arrive(idx)
+		if s.mode == ClosedLoop && now < s.duration {
+			s.issue()
 		}
 	}
 	s.tryDispatch()
 }
 
+// issue sends the closed loop's next request, unless it would pass the
+// DefaultMaxRequests cap.
+func (s *sim) issue() {
+	if s.issued == DefaultMaxRequests {
+		s.capped = true
+		return
+	}
+	idx := s.issued
+	s.issued++
+	s.arrive(idx)
+}
+
 // Run simulates one serving epoch to completion (all admitted requests
 // served) and returns the analyzed result. The simulation is a pure
 // function of Options: a single-threaded discrete-event run whose
-// arrival schedule and per-request service draws are derived from the
-// seed alone — see DESIGN.md §9 for the determinism contract.
+// arrivals and per-request service draws are derived from the seed
+// alone — see DESIGN.md §9 for the determinism contract. An epoch that
+// would pass DefaultMaxRequests is refused with an error naming the cap.
 func Run(o Options) (Result, error) {
 	srv, err := o.Server.withDefaults()
 	if err != nil {
@@ -362,6 +387,12 @@ func Run(o Options) (Result, error) {
 	}
 	if o.Mode != OpenLoop && o.Mode != ClosedLoop {
 		return Result{}, fmt.Errorf("%w: unknown mode %q", ErrBadServer, o.Mode)
+	}
+	// Both modes validate the arrival config: open and closed runs of
+	// the same Options must agree on what the experiment was.
+	arrivals, err := o.Arrival.withDefaults()
+	if err != nil {
+		return Result{}, err
 	}
 	hist := o.Hist
 	if hist == nil {
@@ -381,38 +412,42 @@ func Run(o Options) (Result, error) {
 	offered := 0
 	switch o.Mode {
 	case OpenLoop:
-		schedule, err := o.Arrival.Schedule(o.Duration, DefaultMaxRequests, o.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		offered = len(schedule)
-		// Arrivals are fed from the schedule, never queued: the engine
-		// runs everything before each arrival instant, then the arrival
-		// runs — ahead of any event queued at the same instant, exactly
-		// the order preloading the whole schedule would give.
-		for i, at := range schedule {
+		// Arrivals stream from the generator straight into the event
+		// loop, never queued: the engine runs everything before each
+		// arrival instant, then the arrival runs — ahead of any event
+		// queued at the same instant, exactly the order preloading the
+		// whole schedule would give.
+		capped := false
+		generate(arrivals, o.Duration, o.Seed, func(at time.Duration) bool {
+			if offered == DefaultMaxRequests {
+				capped = true
+				return false
+			}
 			s.eng.AdvanceTo(at)
-			s.arrive(i)
+			s.arrive(offered)
+			offered++
+			return true
+		})
+		if capped {
+			return Result{}, fmt.Errorf("%w: more than the %d-request cap (DefaultMaxRequests) arrive within %v",
+				ErrBadArrivals, DefaultMaxRequests, o.Duration)
 		}
 	case ClosedLoop:
-		// Validate the arrival config anyway: open and closed runs of
-		// the same Options must agree on what the experiment was.
-		if _, err := o.Arrival.withDefaults(); err != nil {
-			return Result{}, err
-		}
 		clients := o.Clients
 		if clients <= 0 {
 			clients = srv.Servers
 		}
-		for c := 0; c < clients && s.issued < DefaultMaxRequests; c++ {
-			idx := s.issued
-			s.issued++
-			s.arrive(idx)
+		for c := 0; c < clients && !s.capped; c++ {
+			s.issue()
 		}
 	}
 
 	end := s.eng.Run()
 	if o.Mode == ClosedLoop {
+		if s.capped {
+			return Result{}, fmt.Errorf("%w: the closed loop would issue more than the %d-request cap (DefaultMaxRequests) within %v",
+				ErrBadServer, DefaultMaxRequests, o.Duration)
+		}
 		offered = s.issued
 	}
 

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,9 +248,10 @@ func TestHistReuse(t *testing.T) {
 
 func TestRunAllocsIndependentOfRequests(t *testing.T) {
 	// An open-loop epoch with a reused histogram allocates a fixed set of
-	// per-epoch structures (schedule, calendar, per-server handlers and
-	// buffers) and nothing per request: quadrupling the epoch — and so
-	// the request count — must leave the allocation count where it was.
+	// per-epoch structures (calendar, request queue, per-server handlers
+	// and buffers) and nothing per request: quadrupling the epoch — and
+	// so the request count — must leave the allocation count where it
+	// was.
 	var hist stats.LogHistogram
 	allocs := func(d time.Duration) (float64, int) {
 		o := Options{
@@ -271,5 +275,85 @@ func TestRunAllocsIndependentOfRequests(t *testing.T) {
 	}
 	if a4 > a1+8 {
 		t.Errorf("allocations grew with requests: %.0f for %d requests vs %.0f for %d", a4, n4, a1, n1)
+	}
+}
+
+func TestRunBytesIndependentOfRequests(t *testing.T) {
+	// Arrivals stream from the generator into the event loop and the
+	// queue reuses its consumed prefix, so an open-loop epoch's bytes
+	// follow its peak queue depth, not its request count. Quadrupling a
+	// stable epoch (the config above) may add only a small constant; a
+	// materialized schedule alone adds 8 bytes a request.
+	var hist stats.LogHistogram
+	bytesPerRun := func(d time.Duration) (uint64, int) {
+		o := Options{
+			Arrival:  ArrivalConfig{Kind: Poisson, Rate: 2000},
+			Server:   ServerConfig{Servers: 2, Service: ServiceConfig{Mean: 500 * time.Microsecond, Sigma: 0.5}},
+			Duration: d,
+			Seed:     5,
+			Hist:     &hist,
+		}
+		res, err := Run(o) // warm-up: the histogram's buckets
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Run(o)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs, res.Offered
+	}
+	b1, n1 := bytesPerRun(time.Second)
+	b4, n4 := bytesPerRun(4 * time.Second)
+	t.Logf("1 s: %d bytes for %d requests; 4 s: %d bytes for %d requests", b1, n1, b4, n4)
+	if b4 > b1+1024 {
+		t.Errorf("bytes grew with requests: %d for %d requests vs %d for %d", b4, n4, b1, n1)
+	}
+}
+
+func TestRunRefusesRequestCap(t *testing.T) {
+	// An epoch that would pass DefaultMaxRequests before its duration
+	// ends is refused with an error naming the cap, in both modes,
+	// rather than cut short and reported as if complete (Rule 4).
+	want := strconv.Itoa(DefaultMaxRequests)
+
+	// Open loop: 10 M req/s for 1 s. A one-deep queue in front of a
+	// slow server drops nearly every arrival, which keeps this cheap.
+	_, err := Run(Options{
+		Arrival:  ArrivalConfig{Rate: 1e7},
+		Server:   ServerConfig{QueueCap: 1, Service: ServiceConfig{Mean: time.Second}},
+		Duration: time.Second,
+		Seed:     1,
+	})
+	if !errors.Is(err, ErrBadArrivals) || !strings.Contains(err.Error(), want) {
+		t.Errorf("open loop past the cap: err = %v, want ErrBadArrivals naming %s", err, want)
+	}
+
+	// Closed loop: 1024 clients on one server taking whole batches of
+	// 1 µs issue hundreds of millions of requests a second.
+	_, err = Run(Options{
+		Arrival:  ArrivalConfig{Rate: 1},
+		Server:   ServerConfig{BatchMax: 1024, Service: ServiceConfig{Mean: time.Microsecond}},
+		Duration: time.Second,
+		Seed:     1,
+		Mode:     ClosedLoop,
+		Clients:  1024,
+	})
+	if !errors.Is(err, ErrBadServer) || !strings.Contains(err.Error(), want) {
+		t.Errorf("closed loop past the cap: err = %v, want ErrBadServer naming %s", err, want)
+	}
+
+	// Just under the cap, both run.
+	if _, err := Run(Options{
+		Arrival:  ArrivalConfig{Rate: 1e6},
+		Server:   ServerConfig{QueueCap: 1, Service: ServiceConfig{Mean: time.Second}},
+		Duration: 4 * time.Second,
+		Seed:     1,
+	}); err != nil {
+		t.Errorf("open loop under the cap: %v", err)
 	}
 }

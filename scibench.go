@@ -575,7 +575,9 @@ type (
 )
 
 // RunServe simulates one serving epoch: seeded open- or closed-loop
-// arrivals into the configured servers, every latency recorded.
+// arrivals into the configured servers, every latency recorded. An
+// epoch past the 4,194,304-request cap is refused with an error, never
+// cut short.
 func RunServe(o ServeOptions) (ServeResult, error) {
 	return serve.Run(o)
 }
