@@ -81,13 +81,17 @@ remotecheck:
 # request count, the request cap refused with an error rather than cut
 # silently, the coordinated-omission golden test against its analytic
 # M/D/1 value, and the sweep's worker-count byte-identity at both the
-# library and CLI (merged.json) layers.
+# library and CLI (merged.json) layers. It also pins the event core:
+# serve's byte identity rests on desim firing events in (at, seq) order,
+# checked against a container/heap reference, with hold steps that
+# allocate nothing.
 loadcheck:
 	$(GO) test -run 'TestSchedule|TestRunDeterministic|TestServiceDrawIsPerRequest|TestServeGoldenBytes|TestRunAllocsIndependentOfRequests|TestRunBytesIndependentOfRequests|TestRunRefusesRequestCap|TestCoordinatedOmission|TestOmissionRatio' \
 		-count=1 ./internal/serve
 	$(GO) test -run 'TestRunServeWorkerInvariance|TestRunServeKneeDetection|TestQuantileCIHist' \
 		-count=1 ./internal/suite ./internal/ci
 	$(GO) test -run 'TestServeMergedJSONWorkerInvariance' -count=1 ./cmd/scibench
+	$(GO) test -run 'TestEngineMatchesHeapReference|TestEngineStepsAllocateNothing' -count=1 ./internal/desim
 
 # conformance runs the full seeded coverage grid of ci.RatioCI (more
 # distributions and sizes, 4000 trials a cell, a Bonferroni floor);

@@ -109,12 +109,11 @@ func TestAdvanceTo(t *testing.T) {
 }
 
 func TestAtAfterPartialRunKeepsOrder(t *testing.T) {
-	// Regression: the dequeue cursor peeks ahead to the 5 ms event when
-	// a partial run stops short of it. An event then scheduled between
-	// the clock and that peek lies behind the cursor and used to fire
-	// after the 5 ms one ([1ms 5ms 4ms]). 3 ms shares no calendar day
-	// with 5 ms under any width the engine derives here, so it pins the
-	// rewind even where 4 ms happens to share the peeked day.
+	// An event scheduled after a partial run, between the clock and an
+	// event already queued beyond it, fires before that event. A queue
+	// that keeps a dequeue cursor past the clock gets this wrong (it once
+	// fired [1ms 5ms 4ms]). Two midpoints, so the check does not hinge
+	// on one spacing.
 	for _, mid := range []time.Duration{4 * time.Millisecond, 3 * time.Millisecond} {
 		var e Engine
 		var fired []time.Duration
@@ -128,30 +127,6 @@ func TestAtAfterPartialRunKeepsOrder(t *testing.T) {
 		if fmt.Sprint(fired) != fmt.Sprint(want) {
 			t.Errorf("At(%v) after AdvanceTo(3ms): fired %v, want %v", mid, fired, want)
 		}
-	}
-}
-
-func TestSparseQueueRecalibrates(t *testing.T) {
-	// A queue that never holds more than two events, stepping in 1 ms
-	// strides, never triggers a size-driven resize. The width must still
-	// adapt to the stride after the first fruitless revolution, so later
-	// steps find their event without another full-calendar scan.
-	var e Engine
-	var tick Handler
-	n := 0
-	tick = func(en *Engine) {
-		if n++; n < 1000 {
-			en.After(time.Millisecond, tick)
-		}
-	}
-	e.At(0, tick)
-	e.At(time.Millisecond/2, func(*Engine) {})
-	end := e.Run()
-	if n != 1000 || end != 999*time.Millisecond {
-		t.Fatalf("ran %d ticks to %v", n, end)
-	}
-	if e.width < int64(100*time.Microsecond) {
-		t.Fatalf("width %v did not adapt to the 1 ms stride", time.Duration(e.width))
 	}
 }
 
@@ -182,5 +157,65 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d", i)
 		}
+	}
+}
+
+// holdDelay is the hold model's pseudo-random reschedule delay: an
+// xorshift step mapped onto 1..1024 µs.
+func holdDelay(state *uint64) time.Duration {
+	*state ^= *state << 13
+	*state ^= *state >> 7
+	*state ^= *state << 17
+	return time.Duration(1+*state%1024) * time.Microsecond
+}
+
+func TestEngineStepsAllocateNothing(t *testing.T) {
+	// Once the queue has grown, scheduling and popping an event moves
+	// it by value: a heap that boxes its entries (container/heap's
+	// any-typed Push and Pop) would allocate on every step.
+	for _, pending := range []int{1, 2, 16} {
+		var e Engine
+		state := uint64(0x9e3779b97f4a7c15)
+		nop := func(*Engine) {}
+		for i := 0; i < pending; i++ {
+			e.After(holdDelay(&state), nop)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			e.After(holdDelay(&state), nop)
+			e.step()
+		})
+		if allocs != 0 || e.Pending() != pending {
+			t.Errorf("pending=%d: %.1f allocations per hold step (pending now %d), want 0",
+				pending, allocs, e.Pending())
+		}
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model: the queue starts with
+// `pending` events, and every handler reschedules itself a pseudo-random
+// delay ahead, so the pending set stays constant. One op is one event;
+// the final drain of the pending set is included, a negligible share at
+// the default benchtime.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, pending := range []int{1, 2, 16, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			var e Engine
+			state := uint64(0x9e3779b97f4a7c15)
+			left := 0
+			var hold Handler
+			hold = func(en *Engine) {
+				if left > 0 {
+					left--
+					en.After(holdDelay(&state), hold)
+				}
+			}
+			for i := 0; i < pending; i++ {
+				e.After(holdDelay(&state), hold)
+			}
+			left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// refEngine is the pre-calendar-queue binary-heap implementation, kept
-// verbatim as the ordering oracle for differential fuzzing. Its
-// observable contract — events fire in ascending (at, seq) order, past
-// schedules clamp to now — is what the calendar queue must reproduce.
+// refEngine is a container/heap implementation, kept verbatim as the
+// ordering oracle for differential fuzzing. Its observable contract —
+// events fire in ascending (at, seq) order, past schedules clamp to
+// now — is what Engine must reproduce.
 type refEngine struct {
 	now   time.Duration
 	seq   uint64
@@ -85,7 +85,7 @@ func (e *refEngine) AdvanceTo(t time.Duration) {
 // kind selects an AdvanceTo step (kind&6 == 6) or a schedule, and for a
 // schedule At vs After and whether the handler schedules follow-ups, so
 // partial runs interleave with further scheduling. Times deliberately
-// collide often (mod a small range) to stress same-timestamp batching.
+// collide often (mod a small range) to stress FIFO tie-breaking.
 type fuzzOp struct {
 	advance  bool
 	after    bool
@@ -112,9 +112,8 @@ func decodeOps(data []byte) []fuzzOp {
 	return ops
 }
 
-// runCalendar executes the decoded schedule on the calendar-queue
-// engine, recording the (time, id) trace of every fired event.
-func runCalendar(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Duration, pending int, steps uint64) {
+// runEngine executes the decoded schedule on Engine, recording the (time, id) trace of every fired event.
+func runEngine(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Duration, pending int, steps uint64) {
 	e := new(Engine)
 	id := 0
 	var mk func(op fuzzOp, depth int) Handler
@@ -150,7 +149,7 @@ func runCalendar(ops []fuzzOp, deadline time.Duration) (trace []string, now time
 	return trace, now, e.Pending(), e.Steps()
 }
 
-// runHeap executes the identical schedule on the reference heap engine.
+// runHeap executes the identical schedule on the reference engine.
 func runHeap(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Duration, pending int, steps uint64) {
 	e := new(refEngine)
 	id := 0
@@ -190,37 +189,38 @@ func runHeap(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Dur
 func diffEngines(t *testing.T, data []byte, deadline time.Duration) {
 	t.Helper()
 	ops := decodeOps(data)
-	ct, cn, cp, cs := runCalendar(ops, deadline)
+	ct, cn, cp, cs := runEngine(ops, deadline)
 	ht, hn, hp, hs := runHeap(ops, deadline)
 	if len(ct) != len(ht) {
-		t.Fatalf("deadline %v: calendar fired %d events, heap fired %d", deadline, len(ct), len(ht))
+		t.Fatalf("deadline %v: engine fired %d events, reference fired %d", deadline, len(ct), len(ht))
 	}
 	for i := range ct {
 		if ct[i] != ht[i] {
-			t.Fatalf("deadline %v: trace diverges at %d: calendar %q, heap %q", deadline, i, ct[i], ht[i])
+			t.Fatalf("deadline %v: trace diverges at %d: engine %q, reference %q", deadline, i, ct[i], ht[i])
 		}
 	}
 	if cn != hn {
-		t.Fatalf("deadline %v: final time: calendar %v, heap %v", deadline, cn, hn)
+		t.Fatalf("deadline %v: final time: engine %v, reference %v", deadline, cn, hn)
 	}
 	if cp != hp {
-		t.Fatalf("deadline %v: pending: calendar %d, heap %d", deadline, cp, hp)
+		t.Fatalf("deadline %v: pending: engine %d, reference %d", deadline, cp, hp)
 	}
 	if cs != hs {
-		t.Fatalf("deadline %v: steps: calendar %d, heap %d", deadline, cs, hs)
+		t.Fatalf("deadline %v: steps: engine %d, reference %d", deadline, cs, hs)
 	}
 }
 
-// FuzzEventOrder differentially fuzzes the calendar-queue engine
-// against the reference binary heap: same schedule with interleaved
+// FuzzEventOrder differentially fuzzes Engine against the
+// container/heap reference: same schedule with interleaved
 // AdvanceTo steps, same trace, same final clock, same pending count —
 // for full runs and for a final AdvanceTo at an input-derived deadline.
 func FuzzEventOrder(f *testing.F) {
 	// Seed corpus: empty, single event, heavy timestamp collisions,
-	// cascades at same instant, wide spread triggering resize, a mixed
-	// schedule exercising At-in-the-past clamping, and events scheduled
-	// behind the cursor after a partial run (1 ms and 4 ms queued,
-	// advance to 2 ms, then 3 ms or 2.5 ms — once fired after 4 ms).
+	// cascades at same instant, a wide time spread, a mixed schedule
+	// exercising At-in-the-past clamping, and events scheduled between
+	// the clock and a queued event after a partial run (1 ms and 4 ms
+	// queued, advance to 2 ms, then 3 ms or 2.5 ms — once fired after
+	// 4 ms).
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0})
 	f.Add([]byte{1, 0, 5, 0, 3, 1, 0, 5, 0, 3, 0, 0, 5, 0, 3})

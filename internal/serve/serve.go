@@ -1,7 +1,7 @@
 // Package serve implements deterministic open-loop service workloads:
 // seeded arrival-schedule generators (Poisson, multi-period diurnal,
 // bursty ON/OFF) feeding simulated servers with bounded queues and
-// size/deadline batching on the desim calendar queue, with per-request
+// size/deadline batching on the desim event heap, with per-request
 // latencies recorded into the zero-allocation stats.LogHistogram for
 // tail-percentile analysis.
 //

@@ -248,7 +248,7 @@ func TestHistReuse(t *testing.T) {
 
 func TestRunAllocsIndependentOfRequests(t *testing.T) {
 	// An open-loop epoch with a reused histogram allocates a fixed set of
-	// per-epoch structures (calendar, request queue, per-server handlers
+	// per-epoch structures (event heap, request queue, per-server handlers
 	// and buffers) and nothing per request: quadrupling the epoch — and
 	// so the request count — must leave the allocation count where it
 	// was.

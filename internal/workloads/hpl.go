@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/desim"
 )
 
 // HPLConfig describes a distributed High-Performance-Linpack-style run on
@@ -68,11 +67,11 @@ func (r HPLResult) TflopRate() float64 {
 }
 
 // RunHPL simulates one HPL execution on the machine. The machine must
-// have exactly cfg.Ranks() ranks. The panel loop is executed on the
-// discrete-event engine: each process's trailing update for panel k may
-// start only after it received panel k and finished its panel k−1 work,
-// so a slow process (noise, daemons) delays its column/row neighbours the
-// way real HPL runs lose performance to system noise.
+// have exactly cfg.Ranks() ranks. Each process's trailing update for
+// panel k may start only after it received panel k and finished its
+// panel k−1 work, so a slow process (noise, daemons) delays its
+// column/row neighbours the way real HPL runs lose performance to system
+// noise.
 func RunHPL(m *cluster.Machine, cfg HPLConfig) (HPLResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return HPLResult{}, err
@@ -88,15 +87,13 @@ func RunHPL(m *cluster.Machine, cfg HPLConfig) (HPLResult, error) {
 	// arrival, so summary-mode collectives are not enough here.
 	defer m.ExactPerRank()()
 
-	eng := new(desim.Engine)
 	// free[r] is the simulated time when rank r finished all assigned
-	// work so far; the event engine orders the per-panel dependencies.
+	// work so far; panels run in order, each starting from it.
 	free := make([]time.Duration, ranks)
 
 	nf := float64(cfg.N)
 	nbf := float64(cfg.NB)
 	for k := 0; k < panels; k++ {
-		k := k
 		remaining := nf - float64(k)*nbf
 		if remaining <= 0 {
 			break
@@ -110,30 +107,25 @@ func RunHPL(m *cluster.Machine, cfg HPLConfig) (HPLResult, error) {
 		// rank-NB update, split across the grid.
 		updateFlops := 2 * remaining * remaining * nbf / float64(ranks)
 
-		eng.At(free[owner], func(e *desim.Engine) {
-			// Factor on the owner; only the non-overlapped fraction of
-			// the factorization blocks the pipeline (lookahead).
-			start := free[owner]
-			dur := m.ComputeTime(owner, lookahead*factorFlops, start)
-			factorDone := start + dur
+		// Factor on the owner; only the non-overlapped fraction of
+		// the factorization blocks the pipeline (lookahead).
+		start := free[owner]
+		dur := m.ComputeTime(owner, lookahead*factorFlops, start)
+		factorDone := start + dur
 
-			// Broadcast the panel (NB·remaining/P doubles ≈ payload per
-			// process column; modeled as one collective of the panel).
-			payload := int(nbf * remaining / float64(cfg.P) * 8)
-			bc := m.Bcast(payload, nil)
+		// Broadcast the panel (NB·remaining/P doubles ≈ payload per
+		// process column; modeled as one collective of the panel).
+		payload := int(nbf * remaining / float64(cfg.P) * 8)
+		bc := m.Bcast(payload, nil)
 
-			// Every rank updates once it has the panel and is free.
-			for r := 0; r < ranks; r++ {
-				avail := factorDone + bc.PerRank[r]
-				if free[r] > avail {
-					avail = free[r]
-				}
-				free[r] = avail + m.ComputeTime(r, updateFlops, avail)
+		// Every rank updates once it has the panel and is free.
+		for r := 0; r < ranks; r++ {
+			avail := factorDone + bc.PerRank[r]
+			if free[r] > avail {
+				avail = free[r]
 			}
-		})
-		// Ensure the loop's next panel sees the updated owner time: run
-		// the engine to this panel's completion before scheduling more.
-		eng.Run()
+			free[r] = avail + m.ComputeTime(r, updateFlops, avail)
+		}
 	}
 
 	var maxT time.Duration
